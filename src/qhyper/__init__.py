@@ -37,7 +37,6 @@ from .operators import (
 )
 from .report import IdentityReport
 from .scalars import (
-    QContext,
     Rat,
     RootOfUnityError,
     ScalarOverflowError,
@@ -62,7 +61,6 @@ __all__ = [
     "FamilyPoint",
     "IdentityReport",
     "ParamVector",
-    "QContext",
     "Rat",
     "RootOfUnityError",
     "RunConfig",

@@ -7,12 +7,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 
 from .families import (
     FamilyPoint,
     ParamVector,
+    VanishingPochhammerError,
     asc_phi,
     asc_psi,
     cao_phi3,
@@ -25,18 +25,33 @@ from .families import (
     sa_psi,
     v_poly,
 )
-from .hyper import rphis_series_in_t
+from .hyper import DivergentSeriesError, rphis_series_in_t
 from .report import TSV_FIELDS, IdentityReport
+from .scalars import RootOfUnityError, ScalarOverflowError
 from .series import (
     cauchy_ratio_series,
     euler_inverse_series,
     euler_product_series,
 )
-from .verify import RunConfig, list_suites, run_suite
+from .verify import RunConfig, list_suites, psi_gf_lhs, psi_gf_rhs, run_suite
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+#: Largest `eval --n` and `expand --order`: Psi with r=2, s=1, q=1/2 takes
+#: about 1 s at n=128 and ten times that at n=256.
+MAX_DEGREE = 128
+MAX_ORDER = 64
+
+#: Errors of the user's input that end in exit 2 and a one-line message.
+USAGE_ERRORS = (
+    OSError,
+    RootOfUnityError,
+    VanishingPochhammerError,
+    ScalarOverflowError,
+    DivergentSeriesError,
+)
 
 
 class CliError(Exception):
@@ -48,6 +63,20 @@ def parse_rat(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"not a rational: {text!r} ({exc})")
+
+
+def parse_q(text: str) -> Fraction:
+    """The base q; 0 and the roots of unity 1 and -1 are rejected."""
+    q = parse_rat(text)
+    if q in (0, 1, -1):
+        raise CliError(f"q must not be 0, 1 or -1, got {text!r}")
+    return q
+
+
+def _bounded(name: str, value: int, hi: int) -> int:
+    if not 0 <= value <= hi:
+        raise CliError(f"--{name} must be in 0..{hi}, got {value}")
+    return value
 
 
 def _rat_list(text: str) -> tuple[Fraction, ...]:
@@ -65,13 +94,21 @@ def _load_config(args) -> RunConfig:
     base: dict = {}
     if args.config:
         with open(args.config) as fh:
-            base = json.load(fh)
+            try:
+                base = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise CliError(f"config {args.config}: {exc}")
+        if not isinstance(base, dict):
+            raise CliError(f"config {args.config}: not a JSON object")
         unknown = set(base) - set(RunConfig.__dataclass_fields__)
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")
     env_seed = os.environ.get("QHYPER_SEED")
     if env_seed is not None:
-        base["seed"] = int(env_seed)
+        try:
+            base["seed"] = int(env_seed)
+        except ValueError:
+            raise CliError(f"QHYPER_SEED is not an integer: {env_seed!r}")
     # explicit flags take precedence over config file and environment
     for name in ("suite", "trials", "order", "epsilon_bits", "seed", "report_path", "format"):
         value = getattr(args, name, None)
@@ -160,8 +197,8 @@ def _pv_from_args(args) -> ParamVector:
 
 
 def cmd_eval(args) -> int:
-    q = parse_rat(args.q)
-    n = args.n
+    q = parse_q(args.q)
+    n = _bounded("n", args.n, MAX_DEGREE)
     need = lambda name: _require(args, name)
     family = args.family
     if family == "P":
@@ -181,7 +218,10 @@ def cmd_eval(args) -> int:
         )
     elif family in ("sa_phi", "sa_psi"):
         fn = sa_phi if family == "sa_phi" else sa_psi
-        value = fn(n, _pv_from_args(args), need("x"), need("y"), q)
+        pv = _pv_from_args(args)
+        if pv.r != pv.s + 1:
+            raise CliError(f"family {family!r} needs one more upper than lower parameter")
+        value = fn(n, pv, need("x"), need("y"), q)
     elif family == "V":
         value = v_poly(n, _pv_from_args(args), need("x"), need("y"), need("z"), q)
     elif family == "Psi":
@@ -190,7 +230,11 @@ def cmd_eval(args) -> int:
         )
     else:
         raise CliError(f"unknown family {family!r}")
-    print(f"{value.numerator}/{value.denominator} = {float(value):.12g}")
+    try:
+        approx = f" = {float(value):.12g}"
+    except OverflowError:  # outside the float range: the exact value only
+        approx = ""
+    print(f"{value.numerator}/{value.denominator}{approx}")
     return EXIT_OK
 
 
@@ -206,8 +250,8 @@ def _require(args, name: str) -> Fraction:
 
 
 def cmd_expand(args) -> int:
-    q = parse_rat(args.q)
-    N = args.order
+    q = parse_q(args.q)
+    N = _bounded("order", args.order, MAX_ORDER)
     target = args.target
     need = lambda name: _require(args, name)
     if target == "euler":
@@ -219,9 +263,7 @@ def cmd_expand(args) -> int:
     elif target == "rphis-t":
         series = rphis_series_in_t(_pv_from_args(args), q, need("c"), N)
     elif target in ("gf-psi-lhs", "gf-psi-rhs"):
-        from .verify import _psi_gf_lhs, _psi_gf_rhs
-
-        fn = _psi_gf_lhs if target == "gf-psi-lhs" else _psi_gf_rhs
+        fn = psi_gf_lhs if target == "gf-psi-lhs" else psi_gf_rhs
         series = fn(_pv_from_args(args), need("x"), need("y"), need("z"), q, N)
     else:
         raise CliError(f"unknown target {target!r}")
@@ -303,11 +345,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact values and deviations may have any number of digits; the limit is
+    # lifted for this call only (interpreters without the limit lack the hook)
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
-    except CliError as exc:
+    except (CliError, *USAGE_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(previous)
 
 
 if __name__ == "__main__":

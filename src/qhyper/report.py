@@ -2,24 +2,17 @@
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import Rat, MAX_SCALAR_BITS
-
-# exact deviations carry denominators up to MAX_SCALAR_BITS bits; lift the
-# int-to-decimal guard so they serialize
-if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), MAX_SCALAR_BITS))
+from .scalars import Rat
 
 
 @dataclass
 class IdentityReport:
     """Result of checking one identity against one sample.
 
-    Formal mode passes only with deviation exactly 0.  Numeric mode passes
-    when deviation <= 2^-40 * scale with scale = max(1, |lhs|).
+    `passed` is the verdict of the single pass rule stated in `qhyper.verify`.
     """
 
     id: str
@@ -29,7 +22,6 @@ class IdentityReport:
     passed: bool
     deviation: Rat = Fraction(0)
     notes: str = ""
-    sample: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {

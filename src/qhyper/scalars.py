@@ -8,9 +8,8 @@ partial product).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Rat = Fraction
 
@@ -59,17 +58,6 @@ def check_magnitude(x: Rat, limit: int | None = None) -> Rat:
     return x
 
 
-def as_rat(value) -> Rat:
-    """Coerce ints, strings like '3/4' or '-2', and Fractions to Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"not an exact rational: {value!r}")
-
-
 def binom2(n: int) -> int:
     """n choose 2, the ubiquitous q-exponent."""
     return n * (n - 1) // 2
@@ -82,36 +70,9 @@ def qpow(q: Rat, e: int) -> Rat:
     return Fraction(1) / q ** (-e)
 
 
-@dataclass(frozen=True)
-class QContext:
-    """Fixed base q plus the truncation policy.
-
-    mode "formal": coefficientwise comparisons, q any nonzero rational that is
-    not a root of unity.  mode "numeric": partial-sum comparisons, requires
-    0 < |q| < 1.
-    """
-
-    q: Rat
-    mode: str = "formal"
-    default_order: int = 12
-    term_threshold: Rat = field(default=Fraction(1, 1 << 80))
-
-    def __post_init__(self):
-        q = self.q
-        if q == 0:
-            raise ValueError("q must be nonzero")
-        if self.mode not in ("formal", "numeric"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "numeric" and not (0 < abs(q) < 1):
-            raise ValueError("numeric mode requires 0 < |q| < 1")
-        if self.default_order < 1:
-            raise ValueError("default_order must be positive")
-        # (q;q)_k appears in every denominator; refuse q^k = 1 for k <= 2N.
-        p = q
-        for k in range(1, 2 * self.default_order + 1):
-            if p == 1:
-                raise RootOfUnityError(f"q^{k} = 1 with q = {q}")
-            p *= q
+def max_deviation(pairs: Iterable[tuple[Rat, Rat]]) -> Rat:
+    """Largest |lhs - rhs| over (lhs, rhs) pairs; 0 when there are none."""
+    return max((abs(lhs - rhs) for lhs, rhs in pairs), default=Fraction(0))
 
 
 def qpoch(a: Rat, q: Rat, n: int) -> Rat:

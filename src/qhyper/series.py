@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import Rat, binom2, check_magnitude, qpoch
+from .scalars import Rat, binom2, check_magnitude, max_deviation, qpoch
 
 
 class TruncSeries:
@@ -110,36 +110,30 @@ class TruncSeries:
 
 def max_abs_deviation(f: TruncSeries, g: TruncSeries) -> Rat:
     """Largest |coefficient difference| over the common truncation order."""
-    n = min(f.order, g.order)
-    dev = Fraction(0)
-    for i in range(n + 1):
-        d = abs(f.coeffs[i] - g.coeffs[i])
-        if d > dev:
-            dev = d
-    return dev
+    return max_deviation(zip(f.coeffs, g.coeffs))
+
+
+def q_exp_series(f, q: Rat, order: int) -> TruncSeries:
+    """sum_n f(n) t^n / (q;q)_n, truncated at t^order."""
+    return TruncSeries([f(n) / qpoch(q, q, n) for n in range(order + 1)])
 
 
 def euler_product_series(c: Rat, q: Rat, order: int) -> TruncSeries:
     """(ct;q)_inf as a series in t: coefficient of t^k is
     (-1)^k q^{binom(k,2)} c^k / (q;q)_k."""
-    coeffs = []
-    for k in range(order + 1):
-        coeffs.append((-1) ** k * q ** binom2(k) * c**k / qpoch(q, q, k))
-    return TruncSeries(coeffs)
+    return q_exp_series(lambda k: (-1) ** k * q ** binom2(k) * c**k, q, order)
 
 
 def euler_inverse_series(c: Rat, q: Rat, order: int) -> TruncSeries:
     """1/(ct;q)_inf as a series in t: coefficient of t^k is c^k / (q;q)_k."""
-    return TruncSeries([c**k / qpoch(q, q, k) for k in range(order + 1)])
+    return q_exp_series(lambda k: c**k, q, order)
 
 
 def cauchy_ratio_series(x: Rat, y: Rat, q: Rat, order: int) -> TruncSeries:
     """(yt;q)_inf / (xt;q)_inf: coefficient of t^n is P_n(x,y)/(q;q)_n."""
     from .families import cauchy_P
 
-    return TruncSeries(
-        [cauchy_P(n, x, y, q) / qpoch(q, q, n) for n in range(order + 1)]
-    )
+    return q_exp_series(lambda n: cauchy_P(n, x, y, q), q, order)
 
 
 def qpoch_poly_series(a: Rat, q: Rat, j: int, order: int) -> TruncSeries:

@@ -1,10 +1,15 @@
 """CLI: subcommands, exit codes, report formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
 from qhyper.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from qhyper.verify import SUITES
 
 REPORT_FIELDS = {"id", "mode", "seed", "trial", "pass", "deviation_num", "deviation_den", "notes"}
 
@@ -121,7 +126,7 @@ def test_eval_cauchy_polynomial(capsys):
         ["eval", "P", "--n", "2", "--x", "1", "--y", "1/2", "--q", "1/3"], capsys
     )
     assert code == EXIT_OK
-    assert out.startswith("5/12 ")
+    assert out == "5/12 = 0.416666666667\n"
 
 
 def test_eval_psi_trivial_and_n1(capsys):
@@ -212,3 +217,77 @@ def test_expand_gf_psi_sides_agree(capsys):
     code, rhs, _ = run(["expand", "gf-psi-rhs", *flags], capsys)
     assert code == EXIT_OK
     assert lhs == rhs
+
+
+PQ = ["--x", "1", "--y", "1/2"]
+
+#: (label, argv, environment, exit code) of inputs that once ended in a
+#: traceback or a silent value
+CLI_EDGE_CASES = [
+    ("root-of-unity",
+     ["eval", "phi_asc", "--n", "3", "--a1", "1/2", "--x", "1", "--q", "1"], {}, EXIT_USAGE),
+    ("vanishing-lower",
+     ["eval", "Psi", "--n", "3", "--b", "1", "--x", "1", "--y", "2", "--z", "1", "--q", "1/2"],
+     {}, EXIT_USAGE),
+    ("expand-q-1", ["expand", "euler", "--c", "1", "--q", "1"], {}, EXIT_USAGE),
+    ("order-negative",
+     ["expand", "euler", "--c", "1", "--q", "1/2", "--order", "-2"], {}, EXIT_USAGE),
+    ("order-65",
+     ["expand", "euler", "--c", "1", "--q", "1/2", "--order", "65"], {}, EXIT_USAGE),
+    ("missing-config", ["check", "--config", "/missing.json"], {}, EXIT_USAGE),
+    ("epsilon-bits",
+     ["check", "--suite", "euler-pair", "--epsilon-bits", "100000000"], {}, EXIT_USAGE),
+    ("env-seed", ["check", "--suite", "euler-pair"], {"QHYPER_SEED": "seven"}, EXIT_USAGE),
+    ("q-0", ["eval", "P", "--n", "2", *PQ, "--q", "0"], {}, EXIT_USAGE),
+    ("q-minus-1", ["eval", "P", "--n", "2", *PQ, "--q=-1"], {}, EXIT_USAGE),
+    ("n-negative", ["eval", "P", "--n", "-3", *PQ, "--q", "1/3"], {}, EXIT_USAGE),
+    ("n-129", ["eval", "P", "--n", "129", *PQ, "--q", "1/3"], {}, EXIT_USAGE),
+    ("sa-arity",
+     ["eval", "sa_phi", "--n", "2", "--a", "1/2", "--b", "1/3", *PQ, "--q", "1/3"],
+     {}, EXIT_USAGE),
+    ("float-overflow",
+     ["eval", "Psi", "--n", "64", "--q", "1/2", "--a", "1/3,2/5", "--b", "1/7",
+      "--x", "1", "--y", "2", "--z", "3"],
+     {}, EXIT_OK),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, env, expected", [c[1:] for c in CLI_EDGE_CASES], ids=[c[0] for c in CLI_EDGE_CASES],
+)
+def test_cli_edge_cases_keep_the_exit_code_contract(argv, env, expected, capsys, monkeypatch):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run(argv, capsys)
+    assert code == expected
+    if expected == EXIT_USAGE:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:  # a value outside the float range is printed exactly, without " = "
+        assert err == ""
+        assert " = " not in out and abs(Fraction(out.strip())) > 1e308
+
+
+def test_importing_qhyper_keeps_the_int_digit_limit():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    script = (
+        "import sys; before = sys.get_int_max_str_digits(); "
+        "import qhyper, qhyper.cli; print(sys.get_int_max_str_digits() == before)"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "True"
+
+
+def test_check_json_renders_deviations_of_any_length(capsys, monkeypatch):
+    huge = Fraction(10**70000 - 1)
+    monkeypatch.setattr(
+        SUITES["euler-pair"], "runner", lambda rng, config: [("euler-pair", huge, 1, "")]
+    )
+    before = sys.get_int_max_str_digits()
+    code, out, _ = run(["check", "--suite", "euler-pair", "--trials", "1",
+                        "--format", "json"], capsys)
+    assert code == EXIT_FAIL
+    assert json.loads(out)["reports"][0]["deviation_num"] == "9" * 70000
+    assert sys.get_int_max_str_digits() == before

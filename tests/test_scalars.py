@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from qhyper import scalars
 from qhyper.scalars import (
-    QContext,
-    RootOfUnityError,
     ScalarOverflowError,
     binom2,
     check_magnitude,
+    max_deviation,
     qbinom,
     qpoch,
     qpoch_inf,
@@ -143,16 +142,6 @@ def test_max_bits_roundtrip():
         scalars.set_max_bits(8)
 
 
-def test_qcontext_validation():
-    QContext(F(1, 2))
-    QContext(F(1, 3), mode="numeric")
-    with pytest.raises(ValueError):
-        QContext(F(0))
-    with pytest.raises(ValueError):
-        QContext(F(3, 2), mode="numeric")
-    with pytest.raises(ValueError):
-        QContext(F(1, 2), mode="approximate")
-    with pytest.raises(RootOfUnityError):
-        QContext(F(1))
-    with pytest.raises(RootOfUnityError):
-        QContext(F(-1))
+def test_max_deviation_is_largest_gap_and_zero_when_empty():
+    assert max_deviation([]) == 0
+    assert max_deviation([(F(1), F(1)), (F(1, 2), F(-1)), (F(0), F(1))]) == F(3, 2)

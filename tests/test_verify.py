@@ -1,11 +1,14 @@
 """Verification engine: samplers, truncation control, suite execution."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from qhyper.verify import (
+    NUMERIC_TOLERANCE,
     NonConvergenceError,
     RunConfig,
     SUITES,
@@ -32,6 +35,10 @@ def test_run_config_validation():
         RunConfig(trials=0)
     with pytest.raises(ValueError):
         RunConfig(format="xml")
+    with pytest.raises(ValueError):
+        RunConfig(epsilon_bits=0)
+    with pytest.raises(ValueError):
+        RunConfig(epsilon_bits=1025)
     assert RunConfig(epsilon_bits=10).eps == F(1, 1024)
 
 
@@ -127,3 +134,37 @@ def test_seed_changes_samples_not_verdicts():
     b = run_suite("gf-psi", RunConfig(trials=1, seed=2))
     assert a[0].notes != b[0].notes
     assert a[0].passed and b[0].passed
+
+
+def test_one_pass_rule_for_every_mode(monkeypatch):
+    """A row passes when deviation <= tol * scale: tol is 0 in formal and
+    exact mode and NUMERIC_TOLERANCE in numeric mode."""
+    tol = NUMERIC_TOLERANCE
+    rows = [
+        ("zero", F(0), F(1), ""),
+        ("at-tol", tol * 4, F(4), ""),
+        ("above-tol", tol * 4 + F(1, 1 << 200), F(4), ""),
+    ]
+    verdicts = {}
+    for sid in ("euler-pair", "shift-identity", "lemma2-psi"):
+        monkeypatch.setattr(SUITES[sid], "runner", lambda rng, config: rows)
+        reports = run_suite(sid, RunConfig(trials=1))
+        verdicts[SUITES[sid].mode] = {r.id: r.passed for r in reports}
+    assert verdicts["formal"] == verdicts["exact"] == {
+        "zero": True, "at-tol": False, "above-tol": False
+    }
+    assert verdicts["numeric"] == {"zero": True, "at-tol": True, "above-tol": False}
+
+
+def test_formal_and_exact_report_oracle():
+    """The sha256 of every formal and exact row at seed 42: a refactor of the
+    suites must leave each verdict, deviation and note byte-identical."""
+    rows = [
+        r.to_json_dict()
+        for sid in sorted(SUITES)
+        if SUITES[sid].mode != "numeric"
+        for r in run_suite(sid, RunConfig(trials=2, seed=42))
+    ]
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert len(rows) == 76
+    assert digest == "4582116c64cd07b2e52d84dbbf9ff2d781b38e9cf4fc5eca807e5aeb2d6b7663"
