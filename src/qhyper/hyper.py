@@ -35,7 +35,11 @@ def phi_term(k: int, pv: ParamVector, q: Rat, z: Rat) -> Rat:
 
 
 def terminating_index(pv: ParamVector, q: Rat, limit: int = 512) -> int | None:
-    """Smallest n with some upper parameter equal to q^{-n}, if any."""
+    """Smallest n <= limit with some upper parameter equal to q^{-n}, if any.
+
+    The walk over a q^n stops early once |a q^n| lies on the same side of 1
+    as |q|: from there |a q^n| only moves away from 1.
+    """
     best = None
     for a in pv.upper:
         if a == 0:
@@ -45,6 +49,8 @@ def terminating_index(pv: ParamVector, q: Rat, limit: int = 512) -> int | None:
             if p == 1:
                 if best is None or n < best:
                     best = n
+                break
+            if abs(q) != 1 and (abs(p) < 1) == (abs(q) < 1):
                 break
             p *= q
     return best

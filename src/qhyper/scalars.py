@@ -4,6 +4,15 @@ All arithmetic is over `fractions.Fraction`; nothing here ever rounds.  The
 only "tolerance" in this module is the truncation-stopping threshold of the
 infinite q-Pochhammer product, which still returns an exact rational (the
 partial product).
+
+`qpoch` serves (a;q)_n from a prefix table per (a, q), which holds
+(a;q)_0..(a;q)_m and is extended only when a larger n is asked for.  All
+tables share one budget, counted in bits of the stored numerators and
+denominators plus a fixed overhead per stored rational, and the least
+recently used tables are dropped to stay within it.  The tables cannot change
+a result: each entry is the exact product the plain loop forms, and the
+bit-length cap is checked on every value `qpoch` returns, under the cap in
+force at that call, whether the value was read or computed.
 """
 
 from __future__ import annotations
@@ -75,16 +84,58 @@ def max_deviation(pairs: Iterable[tuple[Rat, Rat]]) -> Rat:
     return max((abs(lhs - rhs) for lhs, rhs in pairs), default=Fraction(0))
 
 
+#: Prefix tables of `qpoch`, keyed on (a.numerator, a.denominator,
+#: q.numerator, q.denominator), which also fits an int a and is cheaper to hash
+#: than a Fraction, in least-recently-used order.  Each table is
+#: [[(a;q)_0, ..., (a;q)_m], a q^m, cost], where cost charges every stored
+#: rational its numerator and denominator bits plus `_QPOCH_ENTRY_BITS` of
+#: object overhead; `_qpoch_bits` is the sum of the costs.
+_QPOCH_TABLES: dict[tuple[int, int, int, int], list] = {}
+_QPOCH_BUDGET_BITS = 1 << 22
+_QPOCH_ENTRY_BITS = 1024
+_qpoch_bits = 0
+
+
 def qpoch(a: Rat, q: Rat, n: int) -> Rat:
-    """Finite q-shifted factorial (a;q)_n = prod_{k<n} (1 - a q^k)."""
+    """Finite q-shifted factorial (a;q)_n = prod_{k<n} (1 - a q^k).
+
+    The value comes from the prefix table of (a, q): the products
+    (a;q)_0..(a;q)_m and the next factor a q^m.  A call with n > m extends the
+    table by the factors the plain loop would multiply; a call with n <= m
+    only reads it.  All tables share a budget of 2^22 bits and the least
+    recently used ones are dropped past it, so the table is a pure memo: the
+    value and the magnitude check on it are the same whether it was read or
+    rebuilt.
+    """
+    global _qpoch_bits
     if n < 0:
         raise ValueError("n must be nonnegative")
-    result = Fraction(1)
-    aq = a
-    for _ in range(n):
-        result *= 1 - aq
-        aq *= q
-    return check_magnitude(result)
+    key = (a.numerator, a.denominator, q.numerator, q.denominator)
+    table = _QPOCH_TABLES.pop(key, None)
+    if table is None:
+        # (a;q)_0 = 1/1 and a, each charged its bits plus the overhead
+        cost = 2 * _QPOCH_ENTRY_BITS + 2 + a.numerator.bit_length() + a.denominator.bit_length()
+        table = [[Fraction(1)], a, cost]
+        _qpoch_bits += cost
+    _QPOCH_TABLES[key] = table
+    values = table[0]
+    if n >= len(values):
+        result, aq = values[-1], table[1]
+        cost = -aq.numerator.bit_length() - aq.denominator.bit_length()
+        for _ in range(len(values), n + 1):
+            result *= 1 - aq
+            aq *= q
+            values.append(result)
+            cost += (
+                _QPOCH_ENTRY_BITS + result.numerator.bit_length() + result.denominator.bit_length()
+            )
+        table[1] = aq
+        cost += aq.numerator.bit_length() + aq.denominator.bit_length()
+        table[2] += cost
+        _qpoch_bits += cost
+    while _qpoch_bits > _QPOCH_BUDGET_BITS:
+        _qpoch_bits -= _QPOCH_TABLES.pop(next(iter(_QPOCH_TABLES)))[2]
+    return check_magnitude(values[n])
 
 
 def qpoch_multi(params: Iterable[Rat], q: Rat, n: int) -> Rat:

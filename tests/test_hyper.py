@@ -1,5 +1,6 @@
 """Basic hypergeometric series: terminating, formal, numeric regimes."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -96,3 +97,33 @@ def test_stability_under_smaller_eps():
     v1 = rphis_numeric(pv, q, z, F(1, 1 << 80))
     v2 = rphis_numeric(pv, q, z, F(1, 1 << 160))
     assert abs(v1 - v2) < F(1, 1 << 78)
+
+
+def old_terminating_index(pv, q, limit=512):
+    """The full walk over a q^n, n = 0..limit, as a reference."""
+    best = None
+    for a in pv.upper:
+        if a == 0:
+            continue
+        p = a
+        for n in range(limit + 1):
+            if p == 1:
+                if best is None or n < best:
+                    best = n
+                break
+            p *= q
+    return best
+
+
+@pytest.mark.parametrize("q", [F(1, 2), F(-2, 3), F(3, 2), F(-5, 2), F(-1)])
+def test_terminating_index_agrees_with_full_walk(q):
+    rng = random.Random(11)
+    cases = [ParamVector((qpow(q, -n),), ()) for n in range(41)]
+    cases.append(ParamVector((qpow(q, -600),), ()))  # beyond the walk's limit
+    for _ in range(40):
+        upper = [F(rng.randint(-60, 60), rng.randint(1, 60)) for _ in range(rng.randint(1, 3))]
+        cases.append(ParamVector(upper, ()))
+        cases.append(ParamVector(upper + [qpow(q, -rng.randint(0, 40))], ()))
+    for pv in cases:
+        assert terminating_index(pv, q) == old_terminating_index(pv, q)
+    assert terminating_index(ParamVector((qpow(q, -600),), ()), q) is (None if abs(q) != 1 else 0)

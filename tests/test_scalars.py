@@ -1,13 +1,15 @@
 """Scalar layer: q-Pochhammer symbols, q-binomials, the shift identity."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhyper import scalars
+from qhyper import families, scalars
 from qhyper.scalars import (
+    RootOfUnityError,
     ScalarOverflowError,
     binom2,
     check_magnitude,
@@ -40,6 +42,9 @@ def test_qpoch_small_values():
 def test_qpoch_rejects_negative_n():
     with pytest.raises(ValueError):
         qpoch(F(1), F(1, 2), -1)
+    qpoch(F(1, 3), F(1, 2), 6)  # a filled table does not change that
+    with pytest.raises(ValueError):
+        qpoch(F(1, 3), F(1, 2), -1)
 
 
 @given(a=rationals, q=bases, n=st.integers(0, 12), m=st.integers(0, 6))
@@ -145,3 +150,110 @@ def test_max_bits_roundtrip():
 def test_max_deviation_is_largest_gap_and_zero_when_empty():
     assert max_deviation([]) == 0
     assert max_deviation([(F(1), F(1)), (F(1, 2), F(-1)), (F(0), F(1))]) == F(3, 2)
+
+
+# -- the prefix table behind qpoch --------------------------------------------
+
+
+def plain_qpoch(a, q, n):
+    result = F(1)
+    for k in range(n):
+        result *= 1 - a * q**k
+    return result
+
+
+def _bits(x):
+    return x.numerator.bit_length() + x.denominator.bit_length() + scalars._QPOCH_ENTRY_BITS
+
+
+def assert_tables_within_budget():
+    tables = scalars._QPOCH_TABLES
+    for values, next_factor, cost in tables.values():
+        assert cost == sum(map(_bits, values)) + _bits(next_factor)
+    assert scalars._qpoch_bits == sum(t[2] for t in tables.values())
+    assert scalars._qpoch_bits <= scalars._QPOCH_BUDGET_BITS
+
+
+@pytest.fixture
+def empty_tables(monkeypatch):
+    """Start from no tables; the module's own are put back afterwards."""
+
+    def clear():
+        monkeypatch.setattr(scalars, "_QPOCH_TABLES", {})
+        monkeypatch.setattr(scalars, "_qpoch_bits", 0)
+
+    clear()
+    return clear
+
+
+def qpoch_calls():
+    """A shuffled mix of (a, q, n): int a, negative q, |q| > 1, n = 0, and
+    short reads of tables that longer calls built."""
+    args = [(a, q, n)
+            for a in (F(2), 3, -1, F(-5, 7), F(1, 3))
+            for q in (F(1, 2), F(-2, 3), F(5, 2), F(-7, 3))
+            for n in (0, 1, 4, 23)]
+    random.Random(7).shuffle(args)
+    return args
+
+
+def test_qpoch_table_equals_plain_product(empty_tables, monkeypatch):
+    monkeypatch.setattr(scalars, "_QPOCH_BUDGET_BITS", 1 << 17)  # holds a few tables
+    built, reads_after_eviction = set(), 0
+    for a, q, n in qpoch_calls():
+        key = (F(a).numerator, F(a).denominator, q.numerator, q.denominator)
+        reads_after_eviction += key in built and key not in scalars._QPOCH_TABLES
+        assert qpoch(a, q, n) == plain_qpoch(a, q, n)
+        assert next(reversed(scalars._QPOCH_TABLES)) == key  # most recently used
+        assert_tables_within_budget()
+        built.add(key)
+    assert reads_after_eviction > 0
+
+
+def test_qpoch_table_is_a_pure_memo(empty_tables):
+    kept = [qpoch(a, q, n) for a, q, n in qpoch_calls()]
+    rebuilt = []
+    for a, q, n in qpoch_calls():
+        empty_tables()
+        rebuilt.append(qpoch(a, q, n))
+    assert rebuilt == kept
+    assert all(type(v) is F for v in kept)
+
+
+def test_qbinom_root_of_unity_from_a_filled_table(empty_tables):
+    q = F(-1)
+    assert qpoch(q, q, 5) == 0  # the q = -1 table now holds (q;q)_2 = 0
+    assert qpoch(q, q, 1) == 2
+    with pytest.raises(RootOfUnityError):
+        qbinom(4, 2, q)
+
+
+def test_qpoch_overflow_verdict_does_not_depend_on_the_table(empty_tables):
+    q, n = F(1, 1 << 600), 15  # (q;q)_15 has a 72000-bit denominator
+    old = scalars.set_max_bits(1 << 20)
+    try:
+        value = qpoch(q, q, n)
+    finally:
+        scalars.set_max_bits(old)
+    assert value.denominator.bit_length() > scalars.get_max_bits()
+    assert scalars._QPOCH_TABLES[(1, 1 << 600, 1, 1 << 600)][0][n] == value
+    with pytest.raises(ScalarOverflowError):
+        qpoch(q, q, n)
+    assert qpoch(q, q, 2) == plain_qpoch(q, q, 2)
+
+
+def test_qpoch_tables_stay_within_budget_over_asc_psi(empty_tables, monkeypatch):
+    seen = set()
+
+    def checked_qpoch(a, q, n):
+        value = qpoch(a, q, n)
+        seen.add((a, q))
+        assert_tables_within_budget()
+        return value
+
+    monkeypatch.setattr(families, "qpoch", checked_qpoch)
+    q, a, x = F(63, 64), F(5, 7), F(3, 4)
+    for n in (16, 128):
+        families.asc_psi(n, a, x, q)
+    assert_tables_within_budget()
+    assert len(scalars._QPOCH_TABLES) < len(seen)  # some tables were evicted
