@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -157,8 +158,6 @@ def _render_human(config: RunConfig, reports: list[IdentityReport]) -> str:
 
 
 def _log2(x: Fraction) -> float:
-    import math
-
     return math.log2(x.numerator) - math.log2(x.denominator)
 
 

@@ -15,13 +15,18 @@ from .scalars import Rat, qpoch
 from .series import TruncSeries
 
 #: Numeric truncation: stop at the first k >= TAIL_KMIN with two consecutive
-#: terms below threshold.  The double check guards against accidental zeros.
+#: terms below threshold, within MAX_TERMS terms.  The double check guards
+#: against accidental zeros.  `verify.truncated_sum` stops by the same rule.
 TAIL_KMIN = 8
 MAX_TERMS = 10_000
 
 
 class DivergentSeriesError(ArithmeticError):
-    """Non-terminating series with r > s+1, or no tail decay within bounds."""
+    """Non-terminating series with r > s+1, or no tail decay within bounds.
+
+    Raised by `rphis_numeric` and by `verify.truncated_sum`, whose terms can
+    also regrow before they reach eps.
+    """
 
 
 def phi_term(k: int, pv: ParamVector, q: Rat, z: Rat) -> Rat:
@@ -56,12 +61,17 @@ def terminating_index(pv: ParamVector, q: Rat, limit: int = 512) -> int | None:
     return best
 
 
+def _finite_sum(pv: ParamVector, q: Rat, z: Rat, n: int) -> Rat:
+    """Terms k = 0..n of rPhis[a; b; q; z], summed exactly."""
+    return sum((phi_term(k, pv, q, z) for k in range(n + 1)), Fraction(0))
+
+
 def rphis_terminating(pv: ParamVector, q: Rat, z: Rat) -> Rat:
     """Exact finite sum when some upper parameter is q^{-n}."""
     n = terminating_index(pv, q)
     if n is None:
         raise ValueError("no upper parameter of the form q^{-n}")
-    return sum((phi_term(k, pv, q, z) for k in range(n + 1)), Fraction(0))
+    return _finite_sum(pv, q, z, n)
 
 
 def rphis_series_in_t(pv: ParamVector, q: Rat, c: Rat, order: int) -> TruncSeries:
@@ -77,7 +87,7 @@ def rphis_numeric(pv: ParamVector, q: Rat, z: Rat, eps: Rat) -> Rat:
     """
     n = terminating_index(pv, q)
     if n is not None:
-        return rphis_terminating(pv, q, z)
+        return _finite_sum(pv, q, z, n)
     if pv.r > pv.s + 1:
         raise DivergentSeriesError(f"divergent series: r={pv.r} > s+1={pv.s + 1}")
     if pv.r == pv.s + 1 and abs(z) >= 1:

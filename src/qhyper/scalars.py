@@ -11,8 +11,12 @@ tables share one budget, counted in bits of the stored numerators and
 denominators plus a fixed overhead per stored rational, and the least
 recently used tables are dropped to stay within it.  The tables cannot change
 a result: each entry is the exact product the plain loop forms, and the
-bit-length cap is checked on every value `qpoch` returns, under the cap in
-force at that call, whether the value was read or computed.
+bit-length cap is checked on every value `qpoch` returns, whether the value was
+read or computed.
+
+Every magnitude check applies the fixed cap `MAX_SCALAR_BITS` unless its
+caller passes another.  Only `qpoch_inf` does: it works out a larger cap from
+its own eps, so no check depends on which run is in progress.
 """
 
 from __future__ import annotations
@@ -22,43 +26,20 @@ from typing import Iterable
 
 Rat = Fraction
 
-#: Default bit-length cap on numerators/denominators.  Exact rational
-#: pipelines can blow up instead of thrash; fail loudly when they do.
+#: Bit-length cap on numerators/denominators.  Exact rational pipelines can
+#: blow up instead of thrash; fail loudly when they do.
 MAX_SCALAR_BITS = 1 << 16
-
-_max_bits = MAX_SCALAR_BITS
 
 
 class ScalarOverflowError(ArithmeticError):
-    """Numerator or denominator exceeded the configured bit-length cap."""
+    """Numerator or denominator exceeded the bit-length cap."""
 
 
 class RootOfUnityError(ValueError):
     """q is (too close to) a root of unity: some (q;q)_k would vanish."""
 
 
-def get_max_bits() -> int:
-    return _max_bits
-
-
-def set_max_bits(limit: int) -> int:
-    """Set the scalar bit-length cap; returns the previous value.
-
-    Tighter truncation thresholds legitimately need deeper exact partial sums
-    (a (q;q)_k partial product carries O(k^2) bits), so the verification
-    engine raises the cap in proportion to the requested precision.
-    """
-    global _max_bits
-    if limit < 64:
-        raise ValueError("cap below 64 bits would reject ordinary samples")
-    previous = _max_bits
-    _max_bits = limit
-    return previous
-
-
-def check_magnitude(x: Rat, limit: int | None = None) -> Rat:
-    if limit is None:
-        limit = _max_bits
+def check_magnitude(x: Rat, limit: int = MAX_SCALAR_BITS) -> Rat:
     if x.numerator.bit_length() > limit or x.denominator.bit_length() > limit:
         raise ScalarOverflowError(
             f"rational exceeds {limit} bits "
@@ -150,17 +131,22 @@ def qpoch_inf(a: Rat, q: Rat, eps: Rat) -> Rat:
     """Partial product for (a;q)_inf, truncated once |a q^K| < eps.
 
     Exact rational partial product; the dropped tail is O(|a| |q|^K / (1-|q|)).
+    A smaller eps legitimately needs more factors, and the partial product
+    carries O(K^2) bits, so each factor is checked against a cap of
+    max(MAX_SCALAR_BITS, 4096 b) bits for eps about 2^-b.
     """
     if not 0 < abs(q) < 1:
         raise ValueError("qpoch_inf requires 0 < |q| < 1")
     if eps <= 0:
         raise ValueError("eps must be positive")
+    b = eps.denominator.bit_length() - eps.numerator.bit_length()
+    limit = max(MAX_SCALAR_BITS, 4096 * b)
     result = Fraction(1)
     aq = a
     while abs(aq) >= eps:
         result *= 1 - aq
         aq *= q
-        check_magnitude(result)
+        check_magnitude(result, limit)
     return result
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .families import cauchy_P
 from .scalars import Rat, binom2, check_magnitude, max_deviation, qpoch
 
 
@@ -42,13 +43,6 @@ class TruncSeries:
         n = self._common(other)
         return TruncSeries([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
 
-    def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        n = self._common(other)
-        return TruncSeries([self.coeffs[i] - other.coeffs[i] for i in range(n + 1)])
-
-    def __neg__(self) -> "TruncSeries":
-        return TruncSeries([-c for c in self.coeffs])
-
     def scale(self, factor) -> "TruncSeries":
         return TruncSeries([c * factor for c in self.coeffs])
 
@@ -72,11 +66,6 @@ class TruncSeries:
         zero = self.coeffs[0] * 0
         kept = self.coeffs[: max(self.order + 1 - k, 0)]
         return TruncSeries([zero] * min(k, self.order + 1) + kept)
-
-    def truncate(self, order: int) -> "TruncSeries":
-        if order >= self.order:
-            return self
-        return TruncSeries(self.coeffs[: order + 1])
 
     def inverse(self) -> "TruncSeries":
         """Multiplicative inverse mod t^{N+1}; needs a nonzero constant term."""
@@ -131,17 +120,19 @@ def euler_inverse_series(c: Rat, q: Rat, order: int) -> TruncSeries:
 
 def cauchy_ratio_series(x: Rat, y: Rat, q: Rat, order: int) -> TruncSeries:
     """(yt;q)_inf / (xt;q)_inf: coefficient of t^n is P_n(x,y)/(q;q)_n."""
-    from .families import cauchy_P
-
     return q_exp_series(lambda n: cauchy_P(n, x, y, q), q, order)
 
 
 def qpoch_poly_series(a: Rat, q: Rat, j: int, order: int) -> TruncSeries:
-    """(at;q)_j as a polynomial in t, embedded as a truncated series."""
-    s = TruncSeries.one(order)
+    """(at;q)_j as a polynomial in t, embedded as a truncated series.
+
+    Multiplying by the factor (1 - a q^m t) updates the coefficients in place,
+    highest index first: c_i <- c_i - a q^m c_{i-1}.
+    """
+    c = [Fraction(1)] + [Fraction(0)] * order
     aq = a
-    for _ in range(j):
-        factor = TruncSeries([Fraction(1), -aq] + [Fraction(0)] * max(order - 1, 0))
-        s = s * factor.truncate(order)
+    for m in range(j):
+        for i in range(min(m + 1, order), 0, -1):
+            c[i] = check_magnitude(c[i] - aq * c[i - 1])
         aq *= q
-    return s
+    return TruncSeries(c)

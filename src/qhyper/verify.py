@@ -5,10 +5,16 @@ Formal suites compare truncated series coefficientwise over exact rationals,
 exact suites compare closed forms at finitely many points, and numeric suites
 compare exact-rational partial sums with a geometric truncation rule.  Every
 suite returns plain (id, deviation, scale, notes) rows, and one rule, applied
-in `_run_trials` alone, turns a row into a verdict: the row passes when
+in `run_suite` alone, turns a row into a verdict: the row passes when
 deviation <= tol * scale, with tol = 0 in formal and exact mode (the deviation
 must vanish) and tol = NUMERIC_TOLERANCE = 2^-40 in numeric mode, where
 scale = max(1, |lhs|).
+
+The outer sums of the numeric suites (`truncated_sum`) stop by the same
+constants as `rphis_numeric` (`TAIL_KMIN`, `MAX_TERMS`) and raise the same
+`DivergentSeriesError`, which a trial reports as errored.  A run sets no bit
+cap: every value is checked against `MAX_SCALAR_BITS` except the partial
+products of `qpoch_inf`, whose cap grows with the eps it is given.
 
 Several of the bilinear series (the ones pairing the degree-lowering
 polynomial family with the one-parameter psi family) are asymptotic rather
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from . import reductions, scalars
+from . import reductions
 from .families import (
     FamilyPoint,
     ParamVector,
@@ -39,6 +45,8 @@ from .families import (
     v_poly,
 )
 from .hyper import (
+    MAX_TERMS,
+    TAIL_KMIN,
     DivergentSeriesError,
     rphis_numeric,
     rphis_series_in_t,
@@ -100,10 +108,6 @@ class RunConfig:
     @property
     def eps(self) -> Fraction:
         return Fraction(1, 1 << self.epsilon_bits)
-
-
-class NonConvergenceError(ArithmeticError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +222,12 @@ def resample(rng: random.Random, draw: Callable[[], dict], ok: Callable[[dict], 
 # numeric summation
 
 
-def truncated_sum(term_fn, eps: Fraction, kmin: int = 8, max_terms: int = 10_000) -> Fraction:
+def truncated_sum(
+    term_fn, eps: Fraction, kmin: int = TAIL_KMIN, max_terms: int = MAX_TERMS
+) -> Fraction:
     """Sum term_fn(k) until two consecutive terms drop below eps.
 
-    Raises NonConvergenceError when the terms regrow hopelessly or the term
+    Raises DivergentSeriesError when the terms regrow hopelessly or the term
     budget runs out; used for the outer sums of the numeric suites.
     """
     acc = Fraction(0)
@@ -237,9 +243,9 @@ def truncated_sum(term_fn, eps: Fraction, kmin: int = 8, max_terms: int = 10_000
         if k >= kmin and small and prev_small:
             return acc
         if k >= kmin and size > peak * (1 << 40):
-            raise NonConvergenceError(f"terms regrew without reaching eps at k={k}")
+            raise DivergentSeriesError(f"terms regrew without reaching eps at k={k}")
         prev_small = small
-    raise NonConvergenceError("no two consecutive small terms within bounds")
+    raise DivergentSeriesError("no two consecutive small terms within bounds")
 
 
 # ---------------------------------------------------------------------------
@@ -991,20 +997,6 @@ def run_suite(suite_id: str, config: RunConfig) -> list[IdentityReport]:
         raise KeyError(suite_id)
     sdef = SUITES[suite_id]
     reports: list[IdentityReport] = []
-    # deeper truncation thresholds need longer exact partial sums, whose
-    # rationals carry O(k^2) bits; scale the overflow cap with the precision
-    previous_cap = scalars.set_max_bits(
-        max(scalars.MAX_SCALAR_BITS, 4096 * config.epsilon_bits)
-    )
-    try:
-        _run_trials(sdef, config, reports)
-    finally:
-        scalars.set_max_bits(previous_cap)
-    return sort_reports(reports)
-
-
-def _run_trials(sdef: Suite, config: RunConfig, reports: list[IdentityReport]) -> None:
-    suite_id = sdef.id
     tol = NUMERIC_TOLERANCE if sdef.mode == "numeric" else 0
     for trial in range(config.trials):
         seed = derive_seed(config.seed, suite_id, trial)
@@ -1012,7 +1004,6 @@ def _run_trials(sdef: Suite, config: RunConfig, reports: list[IdentityReport]) -
         try:
             results = sdef.runner(rng, config)
         except (
-            NonConvergenceError,
             DivergentSeriesError,
             ScalarOverflowError,
             ZeroDivisionError,
@@ -1042,6 +1033,7 @@ def _run_trials(sdef: Suite, config: RunConfig, reports: list[IdentityReport]) -
                     notes=notes,
                 )
             )
+    return sort_reports(reports)
 
 
 def list_suites() -> list[str]:

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from qhyper import hyper
 from qhyper.families import ParamVector
 from qhyper.hyper import (
     DivergentSeriesError,
@@ -70,6 +71,17 @@ def test_numeric_terminating_shortcut():
     pv = ParamVector((qpow(q, -2), F(5)), (F(1, 3),))
     z = F(9, 7)  # |z| > 1 is fine when the series terminates
     assert rphis_numeric(pv, q, z, F(1, 1 << 40)) == rphis_terminating(pv, q, z)
+
+
+def test_terminating_numeric_sum_walks_once(monkeypatch):
+    q, z = F(1, 2), F(1, 5)
+    pv = ParamVector((qpow(q, -30), F(1, 3), F(2, 5)), (F(1, 7), F(3, 11)))
+    expected = rphis_terminating(pv, q, z)
+    walks = []
+    walk = hyper.terminating_index
+    monkeypatch.setattr(hyper, "terminating_index", lambda *args: walks.append(args) or walk(*args))
+    assert rphis_numeric(pv, q, z, F(1, 1 << 40)) == expected
+    assert len(walks) == 1
 
 
 def test_numeric_divergence_guards():

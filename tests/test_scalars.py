@@ -116,6 +116,20 @@ def test_qpoch_inf_stabilizes_under_smaller_eps():
     assert abs(v1 - v2) < F(4, 1 << 80)
 
 
+def test_qpoch_inf_cap_follows_its_own_eps():
+    # at eps = 2^-160 the 382-factor partial product passes MAX_SCALAR_BITS;
+    # its cap is max(MAX_SCALAR_BITS, 4096 * 160) bits, whichever run calls it
+    a, q, eps = F(1, 3), F(3, 4), F(1, 1 << 160)
+    plain, aq = F(1), a
+    while abs(aq) >= eps:
+        plain, aq = plain * (1 - aq), aq * q
+    value = qpoch_inf(a, q, eps)
+    assert value == plain
+    assert value.denominator.bit_length() > scalars.MAX_SCALAR_BITS
+    with pytest.raises(ScalarOverflowError):
+        check_magnitude(value)
+
+
 def test_qpoch_inf_requires_contracting_q():
     with pytest.raises(ValueError):
         qpoch_inf(F(1, 2), F(2), F(1, 1 << 20))
@@ -135,16 +149,6 @@ def test_check_magnitude_overflow():
     with pytest.raises(ScalarOverflowError):
         check_magnitude(big, limit=100)
     assert check_magnitude(big) == big  # default cap is far larger
-
-
-def test_max_bits_roundtrip():
-    old = scalars.get_max_bits()
-    prev = scalars.set_max_bits(1 << 20)
-    assert prev == old
-    assert scalars.get_max_bits() == 1 << 20
-    scalars.set_max_bits(old)
-    with pytest.raises(ValueError):
-        scalars.set_max_bits(8)
 
 
 def test_max_deviation_is_largest_gap_and_zero_when_empty():
@@ -230,13 +234,11 @@ def test_qbinom_root_of_unity_from_a_filled_table(empty_tables):
 
 def test_qpoch_overflow_verdict_does_not_depend_on_the_table(empty_tables):
     q, n = F(1, 1 << 600), 15  # (q;q)_15 has a 72000-bit denominator
-    old = scalars.set_max_bits(1 << 20)
-    try:
-        value = qpoch(q, q, n)
-    finally:
-        scalars.set_max_bits(old)
-    assert value.denominator.bit_length() > scalars.get_max_bits()
-    assert scalars._QPOCH_TABLES[(1, 1 << 600, 1, 1 << 600)][0][n] == value
+    with pytest.raises(ScalarOverflowError):
+        qpoch(q, q, n)
+    value = scalars._QPOCH_TABLES[(1, 1 << 600, 1, 1 << 600)][0][n]
+    assert value == plain_qpoch(q, q, n)
+    assert value.denominator.bit_length() > scalars.MAX_SCALAR_BITS
     with pytest.raises(ScalarOverflowError):
         qpoch(q, q, n)
     assert qpoch(q, q, 2) == plain_qpoch(q, q, 2)

@@ -90,12 +90,15 @@ def test_cauchy_ratio_equals_product_form():
 
 
 def test_qpoch_poly_series_telescopes():
-    # (at;q)_{j+1} = (at;q)_j * (1 - a q^j t)
-    a, q, N = F(3, 7), F(1, 2), 8
-    for j in range(4):
-        lhs = qpoch_poly_series(a, q, j + 1, N)
-        step = TruncSeries([F(1), -a * q**j] + [F(0)] * (N - 1))
-        assert lhs == qpoch_poly_series(a, q, j, N) * step
+    # (at;q)_{j+1} = (at;q)_j * (1 - a q^j t), also once j passes the order
+    a, q = F(3, 7), F(1, 2)
+    for N in (0, 2, 8):
+        assert qpoch_poly_series(a, q, 0, N) == TruncSeries.one(N)
+        for j in range(5):
+            lhs = qpoch_poly_series(a, q, j + 1, N)
+            step = TruncSeries([F(1), -a * q**j] + [F(0)] * (N - 1))
+            assert lhs.order == N
+            assert lhs == qpoch_poly_series(a, q, j, N) * step
 
 
 def test_max_abs_deviation_picks_largest():

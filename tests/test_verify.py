@@ -7,9 +7,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from qhyper.hyper import DivergentSeriesError
+from qhyper.scalars import check_magnitude
 from qhyper.verify import (
     NUMERIC_TOLERANCE,
-    NonConvergenceError,
     RunConfig,
     SUITES,
     derive_seed,
@@ -86,13 +87,24 @@ def test_truncated_sum_aborts_on_regrowth():
     def term(k):
         return F(2**k) if k > 12 else F(1, 4**k)
 
-    with pytest.raises(NonConvergenceError):
+    with pytest.raises(DivergentSeriesError):
         truncated_sum(term, F(1, 1 << 200))
 
 
 def test_truncated_sum_budget_exhaustion():
-    with pytest.raises(NonConvergenceError):
+    with pytest.raises(DivergentSeriesError):
         truncated_sum(lambda k: F(1), F(1, 2), max_terms=50)
+
+
+def test_bit_cap_does_not_depend_on_the_run(monkeypatch):
+    def runner(rng, config):
+        check_magnitude(F((1 << (1 << 17)) - 1))
+        return [("lemma2-psi", F(0), 1, "")]
+
+    monkeypatch.setattr(SUITES["lemma2-psi"], "runner", runner)
+    [row] = run_suite("lemma2-psi", RunConfig(trials=1, epsilon_bits=160))
+    assert not row.passed
+    assert row.notes == "errored: rational exceeds 65536 bits (num 131072b / den 1b)"
 
 
 def test_run_suite_unknown_id():
