@@ -22,6 +22,7 @@ its own eps, so no check depends on which run is in progress.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable
 
 Rat = Fraction
@@ -127,6 +128,18 @@ def qpoch_multi(params: Iterable[Rat], q: Rat, n: int) -> Rat:
     return result
 
 
+def _coprime_fraction(n: int, d: int) -> Rat:
+    """The Fraction n/d for coprime n and d > 0, built without a gcd.
+
+    This is what `Fraction._from_coprime_ints` does from Python 3.12 on; it
+    gives the same value, hash and str as Fraction(n, d).
+    """
+    x = object.__new__(Fraction)
+    x._numerator = n
+    x._denominator = d
+    return x
+
+
 def qpoch_inf(a: Rat, q: Rat, eps: Rat) -> Rat:
     """Partial product for (a;q)_inf, truncated once |a q^K| < eps.
 
@@ -134,6 +147,18 @@ def qpoch_inf(a: Rat, q: Rat, eps: Rat) -> Rat:
     A smaller eps legitimately needs more factors, and the partial product
     carries O(K^2) bits, so each factor is checked against a cap of
     max(MAX_SCALAR_BITS, 4096 b) bits for eps about 2^-b.
+
+    The partial product is formed without `Fraction` arithmetic, which would
+    take two gcds of the growing product per factor.  With a = na/da and
+    q = nq/dq, a q^k is kept reduced from the parts of na and da that no
+    power of q has cancelled yet, so each factor 1 - a q^k = u/w comes
+    reduced.  Every prime of w, and so of the product's denominator d,
+    divides s = da dq.  The product is kept as coprime n/d together with
+    `smooth`, the part of n made of primes of s, so gcd(n, w) =
+    gcd(smooth, w) and gcd(u, d) = gcd(u_smooth, d) for the part u_smooth of
+    u made of primes of s; the second is taken only when u_smooth > 1.  Each
+    factor is then checked on the same reduced partial product as plain
+    `Fraction` arithmetic forms.
     """
     if not 0 < abs(q) < 1:
         raise ValueError("qpoch_inf requires 0 < |q| < 1")
@@ -141,13 +166,36 @@ def qpoch_inf(a: Rat, q: Rat, eps: Rat) -> Rat:
         raise ValueError("eps must be positive")
     b = eps.denominator.bit_length() - eps.numerator.bit_length()
     limit = max(MAX_SCALAR_BITS, 4096 * b)
-    result = Fraction(1)
-    aq = a
-    while abs(aq) >= eps:
-        result *= 1 - aq
-        aq *= q
-        check_magnitude(result, limit)
-    return result
+    nq, dq = q.numerator, q.denominator
+    ne, de = eps.numerator, eps.denominator
+    num, den = a.numerator, a.denominator  # a q^k = num/den, reduced
+    rest_num, rest_den = num, den  # the parts of num and den that came from a
+    s = den * dq
+    n, d, smooth = 1, 1, 1
+    while abs(num) * de >= ne * den:
+        u, w = den - num, den
+        g = gcd(smooth, w)
+        if g > 1:
+            n, smooth, w = n // g, smooth // g, w // g
+        if u:
+            r = u  # u = u_smooth * r with r free of the primes of s
+            g = gcd(r, s)
+            while g > 1:
+                r //= g
+                g = gcd(r, g)
+            u_smooth = u // r
+            if u_smooth > 1:
+                g = gcd(u_smooth, d)
+                if g > 1:
+                    d, u, u_smooth = d // g, u // g, u_smooth // g
+        else:  # a q^k = 1: the product is 0/1 from here on
+            u_smooth, d = 0, 1
+        n, d, smooth = n * u, d * w, smooth * u_smooth
+        check_magnitude(_coprime_fraction(n, d), limit)
+        g, h = gcd(rest_num, dq), gcd(nq, rest_den)
+        rest_num, rest_den = rest_num // g, rest_den // h
+        num, den = num // g * (nq // h), den // h * (dq // g)
+    return _coprime_fraction(n, d)
 
 
 def qbinom(n: int, k: int, q: Rat) -> Rat:

@@ -26,6 +26,7 @@ with room to spare; the comparison then lands far inside the 2^-40 tolerance.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from dataclasses import dataclass
@@ -747,12 +748,25 @@ def run_lemma2_psi(rng, config):
     return [_numeric_result("lemma2-psi", lhs, rhs)]
 
 
-def _thm3_rhs(pv, alpha, x, u, v, z, t, q, eps):
-    pref = (
-        qpoch_inf(q / x, q, eps)
-        * qpoch_inf(u * x * t * q, q, eps)
-        / (qpoch_inf(alpha * q, q, eps) * qpoch_inf(v * x * t * q, q, eps))
-    )
+def _qpoch_inf_memo(q, eps):
+    """c -> qpoch_inf(c, q, eps) for one trial, walking each c only once.
+
+    `qpoch_inf` is looked up when a new c is walked, so a wrapper installed on
+    this module sees every walk.
+    """
+    return functools.cache(lambda c: qpoch_inf(c, q, eps))
+
+
+def _rphis_memo(pv, q, eps):
+    """w -> rphis_numeric(pv, q, w, eps) for one trial, summing each w once;
+    `rphis_numeric` is looked up the same way."""
+    return functools.cache(lambda w: rphis_numeric(pv, q, w, eps))
+
+
+def _thm3_rhs(alpha, x, u, v, z, t, q, eps, pinf, phi):
+    """Right side of the bilinear theorem; pinf(c) gives (c;q)_inf and phi(w)
+    the numeric rphis of the parameter vector at w."""
+    pref = pinf(q / x) * pinf(u * x * t * q) / (pinf(alpha * q) * pinf(v * x * t * q))
 
     def term(n):
         num = qpoch(1 / (alpha * x), q, n) * qpoch(1 / (u * x * t), q, n)
@@ -767,7 +781,7 @@ def _thm3_rhs(pv, alpha, x, u, v, z, t, q, eps):
             * num
             / den
             * (alpha * u * q / v) ** n
-            * rphis_numeric(pv, q, x * z * t * qpow(q, 1 - n), eps)
+            * phi(x * z * t * qpow(q, 1 - n))
         )
 
     return pref * truncated_sum(term, eps)
@@ -818,7 +832,9 @@ def run_thm3(rng, config):
         )
 
     lhs = truncated_sum(lhs_term, eps)
-    rhs = _thm3_rhs(pv, alpha, x, u, v, z, t, q, eps)
+    rhs = _thm3_rhs(
+        alpha, x, u, v, z, t, q, eps, _qpoch_inf_memo(q, eps), _rphis_memo(pv, q, eps)
+    )
     return [_numeric_result("thm3-bilinear", lhs, rhs, f"r={pv.r} s={pv.s}")]
 
 
@@ -858,11 +874,12 @@ def run_cor1(rng, config):
         )
 
     lhs = truncated_sum(lhs_term, eps)
+    pinf = _qpoch_inf_memo(q, eps)
     pref = (
-        qpoch_inf(q / x, q, eps)
-        * qpoch_inf(x * y * t * q, q, eps)
-        * qpoch_inf(x * t * q, q, eps)
-        / (qpoch_inf(alpha * q, q, eps) * qpoch_inf(a * x * y * t * q, q, eps))
+        pinf(q / x)
+        * pinf(x * y * t * q)
+        * pinf(x * t * q)
+        / (pinf(alpha * q) * pinf(a * x * y * t * q))
     )
     pv = ParamVector(
         (1 / (alpha * x), 1 / (x * y * t), 1 / (x * t)),
@@ -872,7 +889,9 @@ def run_cor1(rng, config):
 
     # cross-check against the bilinear theorem under the stated
     # specialization u=y, v=a*y, z=1, empty parameter lists
-    thm3_rhs = _thm3_rhs(ParamVector(), alpha, x, y, a * y, Fraction(1), t, q, eps)
+    thm3_rhs = _thm3_rhs(
+        alpha, x, y, a * y, Fraction(1), t, q, eps, pinf, _rphis_memo(ParamVector(), q, eps)
+    )
     dev_cross = abs(lhs - thm3_rhs)
     r = _numeric_result(
         "cor1-bilinear-hahn", lhs, rhs, f"cross-check deviation {float(dev_cross):.3e}"
@@ -932,14 +951,25 @@ def run_thm4(rng, config):
     def A(n):
         return asc_psi(n, alpha, x, q) * (q * t) ** n / qpoch(q, q, n)
 
+    B = functools.cache(lambda n: _B_coeff(n, alpha, x, q, eps))
+    pinf, phi = _qpoch_inf_memo(q, eps), _rphis_memo(pv, q, eps)
+    xut, xvt = x * u * t, x * v * t
+    ratios = [pinf(xut * q) / pinf(xvt * q)]
+
+    def walk_factor(c):
+        # (c;q)_inf = (1 - c) (cq;q)_inf, and qpoch_inf drops 1 - c once |c| < eps
+        return 1 - c if abs(c) >= eps else 1
+
     def ratio(n):
-        return qpoch_inf(x * u * t * qpow(q, 1 - n), q, eps) / qpoch_inf(
-            x * v * t * qpow(q, 1 - n), q, eps
-        )
+        # (x u t q^{1-n};q)_inf / (x v t q^{1-n};q)_inf, stepped up from n = 0
+        while len(ratios) <= n:
+            p = qpow(q, 1 - len(ratios))
+            ratios.append(ratios[-1] * walk_factor(xut * p) / walk_factor(xvt * p))
+        return ratios[n]
 
     # (5.1): the A/B relationship itself
     lhs1 = truncated_sum(lambda n: A(n) * cauchy_P(n, v, u, q), eps)
-    rhs1 = truncated_sum(lambda n: _B_coeff(n, alpha, x, q, eps) * ratio(n), eps, kmin=4)
+    rhs1 = truncated_sum(lambda n: B(n) * ratio(n), eps, kmin=4)
 
     # (5.2): the transformed identity
     lhs2 = truncated_sum(
@@ -950,15 +980,15 @@ def run_thm4(rng, config):
         eps,
     )
     rhs2 = truncated_sum(
-        lambda n: _B_coeff(n, alpha, x, q, eps)
+        lambda n: B(n)
         * ratio(n)
-        * rphis_numeric(pv, q, x * z * t * qpow(q, 1 - n), eps),
+        * phi(x * z * t * qpow(q, 1 - n)),
         eps,
         kmin=4,
     )
 
     # the transformed identity must reproduce the bilinear theorem
-    thm3_rhs = _thm3_rhs(pv, alpha, x, u, v, z, t, q, eps)
+    thm3_rhs = _thm3_rhs(alpha, x, u, v, z, t, q, eps, pinf, phi)
     dev_cross = abs(lhs2 - thm3_rhs)
 
     out = [

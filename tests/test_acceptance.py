@@ -4,11 +4,14 @@ Each test prints a one-line verdict so the run log doubles as an
 acceptance report.
 """
 
+import hashlib
 import json
 import random
 import time
 from fractions import Fraction as F
 from functools import lru_cache
+
+import pytest
 
 from qhyper.cli import main
 from qhyper.families import cauchy_P
@@ -144,3 +147,47 @@ def test_criterion_7_numeric_verdicts_stable_under_deeper_truncation():
             ok = ok and ra.passed == rb.passed
             ok = ok and abs(ra.deviation - rb.deviation) < bound
     _verdict("7 (truncation stability)", ok)
+
+
+def row_digest(reports):
+    """sha256 of (id, seed, trial, pass, deviation in hex, notes) per row;
+    hex has no digit limit, so a deep deviation needs no str() of its own."""
+    h = hashlib.sha256()
+    for r in reports:
+        d = r.deviation
+        h.update(repr((r.id, r.seed, r.trial, r.passed, hex(d.numerator), hex(d.denominator),
+                       r.notes)).encode())
+    return h.hexdigest()
+
+
+NUMERIC_ROW_DIGESTS = {
+    80: "48bdb19d343026a8da711d96c4c7aa68a9decf953fdf890fa8400d4128bee131",
+    160: "37a350c3a2298e06cd172cdd8240dbab1058474b7b96185c32ef90c692a2202f",
+}
+
+
+def test_numeric_report_oracle():
+    """Every numeric row of criteria 3 and 7, deviation included: a faster
+    numeric path must leave each one byte-identical."""
+    ok = all(
+        row_digest(r for sid in NUMERIC_SUITES for r in _numeric_reports(bits)[sid]) == digest
+        for bits, digest in NUMERIC_ROW_DIGESTS.items()
+    )
+    _verdict("numeric report oracle", ok)
+
+
+THM4_LOW_EPS_DIGESTS = {
+    8: "30a118d46a96eca9c8636618c867b7d07b856bca47e8654efcaa2f62e4d17379",
+    16: "02751196e7c3e2d848d9b3de7cba8894a0ee717d7708941bf845e19bf8008be1",
+    24: "40b303086887f6c546ce09afb5955e6b4e550270f130070d6320ace93eeb485c",
+}
+
+
+@pytest.mark.parametrize("bits", sorted(THM4_LOW_EPS_DIGESTS))
+def test_thm4_rows_at_low_eps(bits):
+    """At 8 and 16 bits |x t q^{1-n}| < eps for small n, where qpoch_inf
+    stops before its first factor, so the stepped (x t q^{1-n};q)_inf ratio
+    takes a factor of 1 there; the digests are the rows got by walking both
+    products afresh for every n."""
+    reports = run_suite("thm4-transform", RunConfig(trials=2, epsilon_bits=bits, seed=7))
+    assert row_digest(reports) == THM4_LOW_EPS_DIGESTS[bits]

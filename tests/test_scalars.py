@@ -135,6 +135,85 @@ def test_qpoch_inf_requires_contracting_q():
         qpoch_inf(F(1, 2), F(2), F(1, 1 << 20))
 
 
+def walked_qpoch_inf(a, q, eps):
+    """The plain walk: a Fraction product, checked once per factor."""
+    b = eps.denominator.bit_length() - eps.numerator.bit_length()
+    limit = max(scalars.MAX_SCALAR_BITS, 4096 * b)
+    result, aq = F(1), a
+    while abs(aq) >= eps:
+        result *= 1 - aq
+        aq *= q
+        scalars.check_magnitude(result, limit)
+    return result
+
+
+def qpoch_inf_calls():
+    """A seeded mix of (a, q, eps), led by the edge cases."""
+    q = F(-2, 3)
+    calls = [
+        (F(0), F(1, 2), F(1, 1 << 20)),  # a = 0
+        (3, q, F(1, 1 << 40)),  # int a, |a| >= 1, negative q
+        (q**-3, q, F(1, 1 << 40)),  # a = q^-3: the factor 1 - a q^3 is 0
+        (F(1, 1 << 30), F(1, 2), F(1, 1 << 20)),  # eps > |a|: no factor
+        (F(1, 3), F(-(1 << 30) + 1, 1 << 30), F(1, 1 << 8)),  # crosses the cap
+        (F(12, 5), F(10, 21), F(1, 1 << 80)),  # primes of a and q cancel
+    ]
+    rng = random.Random(9)
+    for _ in range(150):
+        m = rng.choice((4, 64, 1 << 20))
+        q = F(rng.randint(1, m - 1), m) * rng.choice((1, -1))
+        a = rng.choice((F(rng.randint(-m, m), rng.randint(1, m)), rng.randint(-3, 3)))
+        calls.append((a, q, F(rng.randint(1, 3), 1 << rng.choice((1, 8, 16, 24)))))
+    return calls
+
+
+def test_qpoch_inf_checks_the_products_of_the_plain_walk(monkeypatch):
+    """Same value, hash and overflow message, and one magnitude check per
+    factor on the same reduced partial products."""
+    checked = []
+
+    def recording_check(x, limit):
+        checked.append((x.numerator, x.denominator))
+        return check_magnitude(x, limit)
+
+    monkeypatch.setattr(scalars, "check_magnitude", recording_check)
+    overflows = 0
+    for a, q, eps in qpoch_inf_calls():
+        try:
+            expected = walked_qpoch_inf(a, q, eps)
+        except ScalarOverflowError as exc:
+            expected = exc
+        walked, checked[:] = checked[:], []
+        if isinstance(expected, ScalarOverflowError):
+            overflows += 1
+            with pytest.raises(ScalarOverflowError) as raised:
+                qpoch_inf(a, q, eps)
+            assert str(raised.value) == str(expected)
+        else:
+            value = qpoch_inf(a, q, eps)
+            assert type(value) is F and value == expected, (a, q, eps)
+            assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
+            assert hash(value) == hash(expected)
+        assert checked == walked, (a, q, eps)
+        checked.clear()
+    assert overflows > 0
+
+
+def test_qpoch_inf_edge_values():
+    calls = qpoch_inf_calls()
+    assert qpoch_inf(*calls[0]) == 1
+    assert qpoch_inf(*calls[2]) == 0 and qpoch_inf(*calls[2]).denominator == 1
+    assert qpoch_inf(*calls[3]) == 1
+
+
+def test_coprime_fraction_is_the_normalized_fraction():
+    for n, d in ((0, 1), (1, 1), (-7, 12), (3, 1 << 200), ((1 << 300) + 1, 3**150)):
+        x = scalars._coprime_fraction(n, d)
+        assert type(x) is F
+        assert x == F(n, d) and hash(x) == hash(F(n, d)) and str(x) == str(F(n, d))
+        assert x + 1 == F(n + d, d)
+
+
 def test_qpow_negative_exponent():
     assert qpow(F(1, 2), -3) == 8
     assert qpow(F(2, 3), 2) == F(4, 9)

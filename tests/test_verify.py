@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from qhyper import verify
 from qhyper.hyper import DivergentSeriesError
 from qhyper.scalars import check_magnitude
 from qhyper.verify import (
@@ -180,3 +181,26 @@ def test_formal_and_exact_report_oracle():
     digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
     assert len(rows) == 76
     assert digest == "4582116c64cd07b2e52d84dbbf9ff2d781b38e9cf4fc5eca807e5aeb2d6b7663"
+
+
+@pytest.mark.parametrize("suite_id", ["cor1-bilinear-hahn", "thm3-bilinear", "thm4-transform"])
+def test_each_product_and_phi_is_computed_once_per_trial(monkeypatch, suite_id):
+    """The bilinear cross-checks reuse the (c;q)_inf and rphis values their
+    trial already has."""
+    calls = {"qpoch_inf": [], "rphis_numeric": []}
+
+    def recording(name):
+        original = getattr(verify, name)
+
+        def record(*args):
+            calls[name].append(repr(args))
+            return original(*args)
+
+        return record
+
+    for name in calls:
+        monkeypatch.setattr(verify, name, recording(name))
+    rows = run_suite(suite_id, RunConfig(trials=1, seed=3))
+    assert all(r.passed for r in rows)
+    for name, made in calls.items():
+        assert made and len(made) == len(set(made)), name
