@@ -4,6 +4,7 @@ and expand generating functions, emitting machine-readable reports."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -27,7 +28,7 @@ from .families import (
     v_poly,
 )
 from .hyper import DivergentSeriesError, rphis_series_in_t
-from .report import TSV_FIELDS, IdentityReport
+from .report import TSV_FIELDS, IdentityReport, _any_int_digits
 from .scalars import RootOfUnityError, ScalarOverflowError
 from .series import (
     cauchy_ratio_series,
@@ -275,7 +276,12 @@ def cmd_expand(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing leaves
+    it unchanged, and each parse makes a fresh namespace.  It holds no
+    command function, so rebinding one (as a tracer does) is seen by the
+    next call of `main`."""
     parser = argparse.ArgumentParser(
         prog="qhyper",
         description="exact q-hypergeometric polynomial toolkit and identity checker",
@@ -291,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--report-path", dest="report_path", default=None)
     check.add_argument("--format", choices=("json", "tsv", "human"), default=None)
     check.add_argument("--config", default=None, help="JSON file with RunConfig fields")
-    check.set_defaults(fn=cmd_check)
 
     shared_params = {
         "--x": "x",
@@ -321,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     evalp.add_argument("--b", default="", help="comma-separated lower parameters")
     evalp.add_argument("--r", type=int, default=None, help="expected upper arity")
     evalp.add_argument("--s", type=int, default=None, help="expected lower arity")
-    evalp.set_defaults(fn=cmd_eval)
 
     expand = sub.add_parser("expand", help="print series coefficients t^0..t^N")
     expand.add_argument(
@@ -336,28 +340,19 @@ def build_parser() -> argparse.ArgumentParser:
     expand.add_argument("--b", default="", help="comma-separated lower parameters")
     expand.add_argument("--r", type=int, default=None)
     expand.add_argument("--s", type=int, default=None)
-    expand.set_defaults(fn=cmd_expand)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # exact values and deviations may have any number of digits; the limit is
-    # lifted for this call only (interpreters without the limit lack the hook)
-    lift = hasattr(sys, "set_int_max_str_digits")
-    if lift:
-        previous = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-    try:
-        return args.fn(args)
-    except (CliError, *USAGE_ERRORS) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    finally:
-        if lift:
-            sys.set_int_max_str_digits(previous)
+    args = build_parser().parse_args(argv)
+    command = {"check": cmd_check, "eval": cmd_eval, "expand": cmd_expand}[args.command]
+    with _any_int_digits():
+        try:
+            return command(args)
+        except (CliError, *USAGE_ERRORS) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .scalars import Rat, binom2, qbinom, qpoch, qpoch_multi, qpow
+from .scalars import Rat, _prefix_product, binom2, qbinom, qpoch, qpoch_multi, qpow
 
 
 class VanishingPochhammerError(ZeroDivisionError):
@@ -51,13 +51,14 @@ class FamilyPoint:
 
 
 def cauchy_P(n: int, x: Rat, y: Rat, q: Rat) -> Rat:
-    """Cauchy polynomial P_n(x,y) = (x-y)(x-qy)...(x-q^{n-1}y)."""
-    result = Fraction(1)
-    yq = y
-    for _ in range(n):
-        result *= x - yq
-        yq *= q
-    return result
+    """Cauchy polynomial P_n(x,y) = (x-y)(x-qy)...(x-q^{n-1}y); 1 for n <= 0.
+
+    The product is read from, or added to, its prefix table in `scalars`, so
+    the P_{n-k} of one sum over k cost n factors in all.
+    """
+    if n <= 0:
+        return Fraction(1)
+    return _prefix_product(x, y, q, n)
 
 
 def W_coeff(k: int, pv: ParamVector, q: Rat) -> Rat:

@@ -2,10 +2,28 @@
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import Rat
+
+
+@contextmanager
+def _any_int_digits():
+    """Lift the int-to-str digit limit inside the block and restore it after:
+    exact values and deviations may have any number of digits.  Interpreters
+    without the limit lack the hook and need nothing."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 @dataclass
@@ -24,14 +42,16 @@ class IdentityReport:
     notes: str = ""
 
     def to_json_dict(self) -> dict:
+        with _any_int_digits():
+            num, den = str(self.deviation.numerator), str(self.deviation.denominator)
         return {
             "id": self.id,
             "mode": self.mode,
             "seed": self.seed,
             "trial": self.trial,
             "pass": self.passed,
-            "deviation_num": str(self.deviation.numerator),
-            "deviation_den": str(self.deviation.denominator),
+            "deviation_num": num,
+            "deviation_den": den,
             "notes": self.notes,
         }
 

@@ -5,14 +5,15 @@ only "tolerance" in this module is the truncation-stopping threshold of the
 infinite q-Pochhammer product, which still returns an exact rational (the
 partial product).
 
-`qpoch` serves (a;q)_n from a prefix table per (a, q), which holds
-(a;q)_0..(a;q)_m and is extended only when a larger n is asked for.  All
-tables share one budget, counted in bits of the stored numerators and
-denominators plus a fixed overhead per stored rational, and the least
-recently used tables are dropped to stay within it.  The tables cannot change
-a result: each entry is the exact product the plain loop forms, and the
-bit-length cap is checked on every value `qpoch` returns, whether the value was
-read or computed.
+`qpoch` serves (a;q)_n = P_n(1, a) from a prefix table of the products
+P_n(x, y) = prod_{j<n} (x - y q^j), which holds P_0..P_m and is extended only
+when a larger n is asked for; the Cauchy polynomials of `families.cauchy_P`
+are served from the same kind of table.  All tables share one budget, counted
+in bits of the stored numerators and denominators plus a fixed overhead per
+stored rational, and the least recently used tables are dropped to stay
+within it.  The tables cannot change a result: each entry is the exact
+product the plain loop forms, and the bit-length cap is checked on every
+value `qpoch` returns, whether the value was read or computed.
 
 Every magnitude check applies the fixed cap `MAX_SCALAR_BITS` unless its
 caller passes another.  Only `qpoch_inf` does: it works out a larger cap from
@@ -66,58 +67,72 @@ def max_deviation(pairs: Iterable[tuple[Rat, Rat]]) -> Rat:
     return max((abs(lhs - rhs) for lhs, rhs in pairs), default=Fraction(0))
 
 
-#: Prefix tables of `qpoch`, keyed on (a.numerator, a.denominator,
-#: q.numerator, q.denominator), which also fits an int a and is cheaper to hash
-#: than a Fraction, in least-recently-used order.  Each table is
-#: [[(a;q)_0, ..., (a;q)_m], a q^m, cost], where cost charges every stored
-#: rational its numerator and denominator bits plus `_QPOCH_ENTRY_BITS` of
-#: object overhead; `_qpoch_bits` is the sum of the costs.
-_QPOCH_TABLES: dict[tuple[int, int, int, int], list] = {}
+#: Prefix tables of `_prefix_product`, in least-recently-used order.  The
+#: table of P_n(x, y) = prod_{j<n} (x - y q^j) is keyed on (y.numerator,
+#: y.denominator, q.numerator, q.denominator) when x = 1, so that the table of
+#: (a;q)_n = P_n(1, a) keeps the key of (a, q), and on those four followed by
+#: (x.numerator, x.denominator) otherwise; the key also fits int arguments
+#: and is cheaper to hash than a Fraction.  Each table is
+#: [[P_0, ..., P_m], y q^m, cost], where cost charges every stored rational
+#: its numerator and denominator bits plus `_QPOCH_ENTRY_BITS` of object
+#: overhead; `_qpoch_bits` is the sum of the costs.
+_QPOCH_TABLES: dict[tuple[int, ...], list] = {}
 _QPOCH_BUDGET_BITS = 1 << 22
 _QPOCH_ENTRY_BITS = 1024
 _qpoch_bits = 0
 
 
-def qpoch(a: Rat, q: Rat, n: int) -> Rat:
-    """Finite q-shifted factorial (a;q)_n = prod_{k<n} (1 - a q^k).
+def _prefix_product(x: Rat, y: Rat, q: Rat, n: int) -> Rat:
+    """P_n(x, y) = prod_{j<n} (x - y q^j) for n >= 0, from its prefix table.
 
-    The value comes from the prefix table of (a, q): the products
-    (a;q)_0..(a;q)_m and the next factor a q^m.  A call with n > m extends the
-    table by the factors the plain loop would multiply; a call with n <= m
-    only reads it.  All tables share a budget of 2^22 bits and the least
-    recently used ones are dropped past it, so the table is a pure memo: the
-    value and the magnitude check on it are the same whether it was read or
-    rebuilt.
+    The table holds the products P_0..P_m and the next y q^m.  A call with
+    n > m extends it by the factors the plain loop would multiply; a call with
+    n <= m only reads it.  All tables share a budget of 2^22 bits and the
+    least recently used ones are dropped past it, so the table is a pure memo:
+    the value is the same whether it was read or rebuilt.
     """
     global _qpoch_bits
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    key = (a.numerator, a.denominator, q.numerator, q.denominator)
+    key = (y.numerator, y.denominator, q.numerator, q.denominator)
+    if x != 1:
+        key += (x.numerator, x.denominator)
     table = _QPOCH_TABLES.pop(key, None)
     if table is None:
-        # (a;q)_0 = 1/1 and a, each charged its bits plus the overhead
-        cost = 2 * _QPOCH_ENTRY_BITS + 2 + a.numerator.bit_length() + a.denominator.bit_length()
-        table = [[Fraction(1)], a, cost]
+        # P_0 = 1/1 and y, each charged its bits plus the overhead
+        cost = 2 * _QPOCH_ENTRY_BITS + 2 + y.numerator.bit_length() + y.denominator.bit_length()
+        table = [[Fraction(1)], y, cost]
         _qpoch_bits += cost
     _QPOCH_TABLES[key] = table
     values = table[0]
     if n >= len(values):
-        result, aq = values[-1], table[1]
-        cost = -aq.numerator.bit_length() - aq.denominator.bit_length()
+        result, yq = values[-1], table[1]
+        cost = -yq.numerator.bit_length() - yq.denominator.bit_length()
         for _ in range(len(values), n + 1):
-            result *= 1 - aq
-            aq *= q
+            result *= x - yq
+            yq *= q
             values.append(result)
             cost += (
                 _QPOCH_ENTRY_BITS + result.numerator.bit_length() + result.denominator.bit_length()
             )
-        table[1] = aq
-        cost += aq.numerator.bit_length() + aq.denominator.bit_length()
+        table[1] = yq
+        cost += yq.numerator.bit_length() + yq.denominator.bit_length()
         table[2] += cost
         _qpoch_bits += cost
     while _qpoch_bits > _QPOCH_BUDGET_BITS:
         _qpoch_bits -= _QPOCH_TABLES.pop(next(iter(_QPOCH_TABLES)))[2]
-    return check_magnitude(values[n])
+    return values[n]
+
+
+def qpoch(a: Rat, q: Rat, n: int) -> Rat:
+    """Finite q-shifted factorial (a;q)_n = prod_{k<n} (1 - a q^k).
+
+    This is P_n(1, a) from `_prefix_product`, so it is read from or added to
+    the prefix table of (a, q).  The magnitude check runs on every value
+    returned, so neither the value nor an overflow depends on what the tables
+    hold.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return check_magnitude(_prefix_product(1, a, q, n))
 
 
 def qpoch_multi(params: Iterable[Rat], q: Rat, n: int) -> Rat:

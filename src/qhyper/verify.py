@@ -131,12 +131,14 @@ def rand_rat(rng: random.Random, max_abs: int = 64) -> Fraction:
 def rand_in(rng: random.Random, lo: Fraction, hi: Fraction, signed=False) -> Fraction:
     """Rational with |value| in [lo, hi], numerator/denominator <= 64."""
     # narrow bands like [1/64, 1/40] hit only ~0.6% of num/den pairs, so
-    # give the rejection loop a generous budget
+    # give the rejection loop a generous budget, and test lo <= num/den <= hi
+    # on integer cross-products: a Fraction is built only for a hit
+    lo_num, lo_den, hi_num, hi_den = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     for _ in range(20000):
         num = rng.randint(1, 64)
         den = rng.randint(1, 64)
-        v = Fraction(num, den)
-        if lo <= v <= hi:
+        if lo_num * den <= num * lo_den and num * hi_den <= hi_num * den:
+            v = Fraction(num, den)
             if signed and rng.random() < 0.5:
                 v = -v
             return v

@@ -8,8 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from qhyper.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
-from qhyper.verify import SUITES
+from qhyper import cli
+from qhyper.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, build_parser, main
+from qhyper.verify import SUITES, RunConfig, run_suite
 
 REPORT_FIELDS = {"id", "mode", "seed", "trial", "pass", "deviation_num", "deviation_den", "notes"}
 
@@ -291,3 +292,65 @@ def test_check_json_renders_deviations_of_any_length(capsys, monkeypatch):
     assert code == EXIT_FAIL
     assert json.loads(out)["reports"][0]["deviation_num"] == "9" * 70000
     assert sys.get_int_max_str_digits() == before
+
+
+def test_report_json_dict_renders_deviations_of_any_length(capsys):
+    """A deep numeric row serialises outside the CLI as well, and equals the
+    row that `check --format json` prints."""
+    before = sys.get_int_max_str_digits()
+    report = run_suite("lemma2-psi", RunConfig(trials=1, epsilon_bits=160))[0]
+    assert report.deviation.denominator.bit_length() > 14300  # over 4300 digits
+    row = report.to_json_dict()
+    assert sys.get_int_max_str_digits() == before
+    code, out, _ = run(["check", "--suite", "lemma2-psi", "--trials", "1",
+                        "--epsilon-bits", "160", "--format", "json"], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["reports"][0] == row
+    assert sys.get_int_max_str_digits() == before
+
+
+def test_parser_is_built_once_and_calls_the_command_bound_now(capsys, monkeypatch):
+    assert build_parser() is build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_eval", lambda args: seen.append(args.family) or EXIT_FAIL)
+    assert main(["eval", "P", "--n", "1", "--q", "1/2"]) == EXIT_FAIL
+    assert seen == ["P"]
+    monkeypatch.undo()
+    code, out, _ = run(["eval", "P", "--n", "1", "--x", "2", "--y", "1", "--q", "1/2"], capsys)
+    assert (code, out) == (EXIT_OK, "1/1 = 1\n")
+
+
+CACHED_PARSER_ARGV = [
+    ["eval", "Psi", "--n", "6", "--q", "1/2", "--a", "1/3,2/5", "--b", "1/7",
+     "--x", "1", "--y", "2", "--z", "3"],
+    ["expand", "euler", "--c", "2/3", "--q", "1/3", "--order", "5"],
+    ["eval", "P", "--n", "2", "--x", "1", "--y", "1/2", "--q", "0"],
+    ["eval", "V", "--n", "4", "--q", "2/5", "--x", "1/2", "--y", "3", "--z", "-1",
+     "--a", "1/2,1/3", "--b", "1/5"],
+    ["eval", "nosuch", "--n", "2", "--q", "1/3"],
+    ["expand", "gf-psi-lhs", "--q", "1/2", "--a", "1/3", "--x", "1", "--y", "2",
+     "--z", "1/5", "--order", "6"],
+    ["eval", "P", "--n", "3", "--x", "2", "--y", "1/3", "--q", "-2/3"],
+    ["expand", "euler", "--q", "1/3", "--order", "two"],
+]
+
+
+def interleaved_run(capsys):
+    results = []
+    for argv in CACHED_PARSER_ARGV:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    return results
+
+
+def test_cached_parser_gives_what_a_fresh_parser_gives(capsys, monkeypatch):
+    cached = interleaved_run(capsys)
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = interleaved_run(capsys)
+    assert cached == fresh
+    codes = [c for c, _, _ in cached]
+    assert EXIT_OK in codes and EXIT_USAGE in codes and ("SystemExit", 2) in codes

@@ -338,3 +338,90 @@ def test_qpoch_tables_stay_within_budget_over_asc_psi(empty_tables, monkeypatch)
         families.asc_psi(n, a, x, q)
     assert_tables_within_budget()
     assert len(scalars._QPOCH_TABLES) < len(seen)  # some tables were evicted
+
+
+# -- the Cauchy products P_n(x, y) share the tables ---------------------------
+
+
+def plain_cauchy_P(n, x, y, q):
+    result = F(1)
+    for j in range(n):
+        result *= x - y * q**j
+    return result
+
+
+def table_key(x, y, q):
+    key = (F(y).numerator, F(y).denominator, q.numerator, q.denominator)
+    return key if x == 1 else key + (F(x).numerator, F(x).denominator)
+
+
+def cauchy_P_calls():
+    """A shuffled mix of (n, x, y, q): x = 0, y = 0, x = y, x = 1, int
+    arguments, negative q, |q| > 1, n = 0, and short reads of tables that
+    longer calls built."""
+    points = [(F(0), F(2, 3)), (F(-5, 7), F(0)), (F(3, 4), F(3, 4)), (F(1), F(-2, 5)),
+              (1, 3), (-2, F(1, 3)), (F(7, 2), -1)]
+    args = [(n, x, y, q)
+            for x, y in points
+            for q in (F(1, 2), F(-2, 3), F(5, 2), F(-7, 3))
+            for n in (0, 1, 4, 23)]
+    random.Random(8).shuffle(args)
+    return args
+
+
+def test_cauchy_P_table_equals_plain_product(empty_tables, monkeypatch):
+    monkeypatch.setattr(scalars, "_QPOCH_BUDGET_BITS", 1 << 17)  # holds a few tables
+    built, reads_after_eviction = set(), 0
+    for n, x, y, q in cauchy_P_calls():
+        key = table_key(x, y, q)
+        reads_after_eviction += key in built and key not in scalars._QPOCH_TABLES
+        value = families.cauchy_P(n, x, y, q)
+        assert type(value) is F and value == plain_cauchy_P(n, x, y, q), (n, x, y, q)
+        if n > 0:
+            assert next(reversed(scalars._QPOCH_TABLES)) == key  # most recently used
+            built.add(key)
+        assert_tables_within_budget()
+    assert reads_after_eviction > 0
+
+
+def test_cauchy_P_table_is_a_pure_memo(empty_tables):
+    kept = [families.cauchy_P(*args) for args in cauchy_P_calls()]
+    rebuilt = []
+    for args in cauchy_P_calls():
+        empty_tables()
+        rebuilt.append(families.cauchy_P(*args))
+    assert rebuilt == kept
+
+
+def test_cauchy_P_at_x_1_reads_the_qpoch_table(empty_tables):
+    a, q = F(-3, 5), F(2, 7)
+    assert qpoch(a, q, 9) == plain_qpoch(a, q, 9)
+    assert list(scalars._QPOCH_TABLES) == [(-3, 5, 2, 7)]
+    for n in range(10):
+        assert families.cauchy_P(n, F(1), a, q) == qpoch(a, q, n)
+    assert list(scalars._QPOCH_TABLES) == [(-3, 5, 2, 7)]
+
+
+def test_cauchy_P_of_nonpositive_degree_is_one_and_builds_no_table(empty_tables):
+    for n in (0, -1, -4):
+        value = families.cauchy_P(n, F(2), F(3), F(1, 2))
+        assert type(value) is F and value == 1
+    assert scalars._QPOCH_TABLES == {}
+
+
+def test_tables_stay_within_budget_over_a_mixed_sweep(empty_tables, monkeypatch):
+    monkeypatch.setattr(scalars, "_QPOCH_BUDGET_BITS", 1 << 17)
+    pv = families.ParamVector((F(1, 3), F(-2)), (F(2, 5),))
+    rng = random.Random(3)
+    calls = [lambda a=a, q=q, n=n: qpoch(a, q, n) for a, q, n in qpoch_calls()]
+    calls += [lambda args=args: families.cauchy_P(*args) for args in cauchy_P_calls()]
+    for n in range(0, 24, 3):
+        x, y, z = (F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3))
+        calls.append(lambda pt=families.FamilyPoint(x, y, z, n), q=F(rng.randint(1, 8), 9):
+                     families.psi_general(pt, pv, q))
+    rng.shuffle(calls)
+    for call in calls:
+        call()
+        assert_tables_within_budget()
+    assert any(len(key) == 4 for key in scalars._QPOCH_TABLES)
+    assert any(len(key) == 6 for key in scalars._QPOCH_TABLES)

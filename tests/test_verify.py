@@ -64,6 +64,31 @@ def test_samplers_respect_ranges():
         assert F(1, 4096) <= abs(t) <= F(1, 1600)
 
 
+def fraction_rand_in(rng, lo, hi, signed=False):
+    """The sampler as it was first written: a Fraction per draw."""
+    for _ in range(20000):
+        v = F(rng.randint(1, 64), rng.randint(1, 64))
+        if lo <= v <= hi:
+            if signed and rng.random() < 0.5:
+                v = -v
+            return v
+    raise RuntimeError("sampler failed to hit the requested range")
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (F(1, 4), F(3, 4)), (F(2, 5), F(2, 3)), (verify.SMALL_LO, verify.SMALL_HI),
+    (F(1, 8), F(1, 2)), (F(1, 16), F(1, 4)), (F(1, 16), F(15, 16)),
+])
+@pytest.mark.parametrize("signed", [False, True])
+def test_rand_in_draws_what_the_fraction_loop_draws(lo, hi, signed):
+    for seed in range(4):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(60):
+            v = rand_in(rng, lo, hi, signed=signed)
+            assert type(v) is F and v == fraction_rand_in(ref, lo, hi, signed=signed)
+            assert rng.getstate() == ref.getstate()
+
+
 def test_rand_pv_keeps_lower_parameters_inside_unit_disc():
     rng = random.Random(5)
     for _ in range(50):
