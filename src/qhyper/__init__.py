@@ -18,6 +18,7 @@ from .families import (
     cauchy_P,
     gen_hahn,
     psi_general,
+    psi_sweep,
     sa_phi,
     sa_psi,
     v_poly,
@@ -80,6 +81,7 @@ __all__ = [
     "op_apply_poly",
     "op_apply_series",
     "psi_general",
+    "psi_sweep",
     "qbinom",
     "qpoch",
     "qpoch_inf",

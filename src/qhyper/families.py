@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .scalars import Rat, _prefix_product, binom2, qbinom, qpoch, qpoch_multi, qpow
 
@@ -80,31 +80,51 @@ def bracket_factor(k: int, q: Rat, exponent: int) -> Rat:
     return sign * qpow(q, binom2(k) * exponent)
 
 
+def psi_sweep(
+    x: Rat,
+    y: Rat,
+    z: Rat,
+    pv: ParamVector,
+    q: Rat,
+    bracket_exponent: int | None = None,
+) -> Callable[[int], Rat]:
+    """n -> Psi_n(x, y, z), the generalized q-hypergeometric polynomial.
+
+    Psi_n = (-1)^n q^{-binom(n,2)} sum_k [n k]_q bracket^{1+s-r} W_k
+    P_{n-k}(y,x) z^k.  `bracket_exponent` overrides 1+s-r; that hook exists
+    only for the reduction prober, which must test readings where the stated
+    (r,s) disagrees with the parameter-list lengths.
+
+    The factor bracket_k W_k z^k does not depend on n, so the returned
+    function keeps a row of them for as long as it lives, shared by every n
+    it is asked for.  Entry k is formed at the point of the sum where the
+    row first reaches it, right after [n k]_q, so an error of `W_coeff` is
+    raised at the same (n, k) as by a sum that forms every term afresh.
+    """
+    e = pv.bracket_exponent if bracket_exponent is None else bracket_exponent
+    row: list[Rat] = []
+
+    def psi(n: int) -> Rat:
+        acc = Fraction(0)
+        for k in range(n + 1):
+            binom = qbinom(n, k, q)
+            if k == len(row):
+                row.append(bracket_factor(k, q, e) * W_coeff(k, pv, q) * z**k)
+            acc += binom * row[k] * cauchy_P(n - k, y, x, q)
+        return (-1) ** n * qpow(q, -binom2(n)) * acc
+
+    return psi
+
+
 def psi_general(
     pt: FamilyPoint,
     pv: ParamVector,
     q: Rat,
     bracket_exponent: int | None = None,
 ) -> Rat:
-    """The generalized q-hypergeometric polynomial.
-
-    Value of (-1)^n q^{-binom(n,2)} sum_k [n k]_q bracket^{1+s-r} W_k
-    P_{n-k}(y,x) z^k.  `bracket_exponent` overrides 1+s-r; that hook exists
-    only for the reduction prober, which must test readings where the stated
-    (r,s) disagrees with the parameter-list lengths.
-    """
-    n, x, y, z = pt.n, pt.x, pt.y, pt.z
-    e = pv.bracket_exponent if bracket_exponent is None else bracket_exponent
-    acc = Fraction(0)
-    for k in range(n + 1):
-        acc += (
-            qbinom(n, k, q)
-            * bracket_factor(k, q, e)
-            * W_coeff(k, pv, q)
-            * cauchy_P(n - k, y, x, q)
-            * z**k
-        )
-    return (-1) ** n * qpow(q, -binom2(n)) * acc
+    """The generalized q-hypergeometric polynomial Psi_n at one point; see
+    `psi_sweep`, which serves many n of one (x, y, z) from one row."""
+    return psi_sweep(pt.x, pt.y, pt.z, pv, q, bracket_exponent)(pt.n)
 
 
 def asc_phi(n: int, a: Rat, x: Rat, q: Rat) -> Rat:

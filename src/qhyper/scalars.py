@@ -214,13 +214,27 @@ def qpoch_inf(a: Rat, q: Rat, eps: Rat) -> Rat:
 
 
 def qbinom(n: int, k: int, q: Rat) -> Rat:
-    """Gaussian binomial [n k]_q; 0 when k is out of 0..n."""
+    """Gaussian binomial [n k]_q; 0 when k is out of 0..n.
+
+    The value is (q;q)_n / ((q;q)_k (q;q)_{n-k}), formed by exact integer
+    division and no gcd.  With q = a/b reduced, each factor 1 - q^j is
+    (b^j - a^j)/b^j with a numerator prime to b, so (q;q)_m = N_m /
+    b^binom(m+1,2) is already in lowest terms.  [n k]_q is a monic integer
+    polynomial in q of degree k(n-k) (Gasper-Rahman, section 1.3), so
+    b^{k(n-k)} [n k]_q is an integer congruent to a^{k(n-k)} mod b, hence
+    prime to b: the quotient N_n / (N_k N_{n-k}) over b^{k(n-k)} is exact
+    and in lowest terms.
+    """
     if k < 0 or k > n:
         return Fraction(0)
-    den = qpoch(q, q, k) * qpoch(q, q, n - k)
-    if den == 0:
+    low, high = qpoch(q, q, k), qpoch(q, q, n - k)
+    if low == 0 or high == 0:
         raise RootOfUnityError(f"(q;q)_k vanished for q = {q}")
-    return qpoch(q, q, n) / den
+    top = qpoch(q, q, n)
+    return _coprime_fraction(
+        top.numerator // (low.numerator * high.numerator),
+        top.denominator // (low.denominator * high.denominator),
+    )
 
 
 def qpoch_shift(a: Rat, q: Rat, n: int) -> tuple[Rat, Rat]:

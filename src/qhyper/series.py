@@ -1,13 +1,17 @@
 """Truncated formal power series in one variable over an exact coefficient ring.
 
 Coefficients are either Fraction scalars or CauchyPoly values (see operators).
-Multiplication is the naive O(N^2) convolution, which is ample at the orders
-used here (N <= 32).
+Sums, scaling and shifts take either kind; a product needs rational (Fraction
+or int) coefficients and raises TypeError on any other.  It brings each factor
+to one common denominator and convolves the integer numerators, an O(N^2)
+convolution that is ample at the orders used here (N <= 32) and reduces each
+output coefficient once instead of once per Fraction addition.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .families import cauchy_P
 from .scalars import Rat, binom2, check_magnitude, max_deviation, qpoch
@@ -48,15 +52,15 @@ class TruncSeries:
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         n = self._common(other)
-        a, b = self.coeffs, other.coeffs
+        a, da = _over_common_denominator(self.coeffs[: n + 1])
+        b, db = _over_common_denominator(other.coeffs[: n + 1])
+        den = da * db
         out = []
         for i in range(n + 1):
             acc = a[0] * b[i]
             for j in range(1, i + 1):
                 acc += a[j] * b[i - j]
-            if isinstance(acc, Fraction):
-                check_magnitude(acc)
-            out.append(acc)
+            out.append(check_magnitude(Fraction(acc, den)))
         return TruncSeries(out)
 
     def shift(self, k: int) -> "TruncSeries":
@@ -95,6 +99,16 @@ class TruncSeries:
 
     def __repr__(self) -> str:
         return f"TruncSeries({self.coeffs!r})"
+
+
+def _over_common_denominator(coeffs) -> tuple[list[int], int]:
+    """Integer numerators of rational coefficients over their least common
+    denominator d, and d."""
+    try:
+        d = lcm(*(c.denominator for c in coeffs))
+    except AttributeError:
+        raise TypeError("a series product needs rational coefficients") from None
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
 def max_abs_deviation(f: TruncSeries, g: TruncSeries) -> Rat:

@@ -35,14 +35,13 @@ from typing import Callable
 
 from . import reductions
 from .families import (
-    FamilyPoint,
     ParamVector,
     asc_phi,
     asc_psi,
     cao_phi3,
     cao_psi3,
     cauchy_P,
-    psi_general,
+    psi_sweep,
     v_poly,
 )
 from .hyper import (
@@ -225,6 +224,31 @@ def resample(rng: random.Random, draw: Callable[[], dict], ok: Callable[[dict], 
 # numeric summation
 
 
+def _exceeds(x: Fraction, y: Fraction, shift: int = 0) -> bool:
+    """x > y * 2**shift for rationals x, y >= 0, from bit lengths when they
+    settle it.
+
+    A positive n/d lies strictly between 2^(bn - bd - 1) and 2^(bn - bd + 1),
+    with bn and bd the bit lengths of n and d, so two such estimates at least
+    2 apart order the values; the exact comparison, whose cross-products of
+    big integers cost far more, decides the rest.
+    """
+    if not x or not y:
+        return x > y
+    gap = (
+        x.numerator.bit_length()
+        - x.denominator.bit_length()
+        - y.numerator.bit_length()
+        + y.denominator.bit_length()
+        - shift
+    )
+    if gap >= 2:
+        return True
+    if gap <= -2:
+        return False
+    return x > y * (1 << shift) if shift else x > y
+
+
 def truncated_sum(
     term_fn, eps: Fraction, kmin: int = TAIL_KMIN, max_terms: int = MAX_TERMS
 ) -> Fraction:
@@ -240,12 +264,12 @@ def truncated_sum(
         term = term_fn(k)
         acc += term
         size = abs(term)
-        if k <= kmin and size > peak:
+        if k <= kmin and _exceeds(size, peak):
             peak = size
-        small = size < eps
+        small = _exceeds(eps, size)
         if k >= kmin and small and prev_small:
             return acc
-        if k >= kmin and size > peak * (1 << 40):
+        if k >= kmin and _exceeds(size, peak, 40):
             raise DivergentSeriesError(f"terms regrew without reaching eps at k={k}")
         prev_small = small
     raise DivergentSeriesError("no two consecutive small terms within bounds")
@@ -402,11 +426,8 @@ def run_v_gf(rng, config):
 
 def psi_gf_lhs(pv, x, y, z, q, N) -> TruncSeries:
     """sum_n Psi_n(x,y,z) (-1)^n q^{binom(n,2)} t^n / (q;q)_n to order N."""
-    return q_exp_series(
-        lambda n: psi_general(FamilyPoint(x, y, z, n), pv, q) * (-1) ** n * q ** binom2(n),
-        q,
-        N,
-    )
+    psi = psi_sweep(x, y, z, pv, q)
+    return q_exp_series(lambda n: psi(n) * (-1) ** n * q ** binom2(n), q, N)
 
 
 def psi_gf_rhs(pv, x, y, z, q, N) -> TruncSeries:
@@ -441,11 +462,12 @@ def _operator_sample(rng):
 def run_lemma1_a(rng, config):
     s = _operator_sample(rng)
     pv, q, x0, y0, z = s["pv"], s["q"], s["x0"], s["y0"], s["z"]
+    psi = psi_sweep(x0, y0, z, pv, q)
     dev = max_deviation(
         (
             op_apply_poly(pv, z, CauchyPoly.basis(n, (-1) ** n * qpow(q, -binom2(n))), q)
             .evaluate(x0, y0, q),
-            psi_general(FamilyPoint(x0, y0, z, n), pv, q),
+            psi(n),
         )
         for n in range(9)
     )
@@ -496,6 +518,7 @@ def run_thm1(rng, config):
     s = _operator_sample(rng)
     pv, q, x0, y0, z = s["pv"], s["q"], s["x0"], s["y0"], s["z"]
     N = config.order
+    psi = psi_sweep(x0, y0, z, pv, q)
     out = []
     for k in range(4):
         # t^k times sum_j Psi_{j+k} (-1)^{j+k} q^{binom(j+k,2)} t^j / (q;q)_j,
@@ -503,7 +526,7 @@ def run_thm1(rng, config):
         lhs = TruncSeries.constant(Fraction(0), N)
         if k <= N:
             tail = q_exp_series(
-                lambda j: psi_general(FamilyPoint(x0, y0, z, j + k), pv, q)
+                lambda j: psi(j + k)
                 * (-1) ** (j + k)
                 * q ** binom2(j + k),
                 q,
@@ -666,6 +689,7 @@ def run_thm2(rng, config):
     pv, q, x, y, z = s["pv"], s["q"], s["x"], s["y"], s["z"]
     t, omega = s["t"], s["omega"]
     eps = config.eps
+    psi = psi_sweep(x, y, z, pv, q)
 
     def lhs_term(m):
         inner = sum(
@@ -676,7 +700,7 @@ def run_thm2(rng, config):
             Fraction(0),
         )
         return (
-            psi_general(FamilyPoint(x, y, z, m), pv, q)
+            psi(m)
             * (-1) ** m
             * q ** binom2(m)
             * inner
@@ -822,11 +846,12 @@ def run_thm3(rng, config):
     pv, q = s["pv"], s["q"]
     alpha, x, u, v, t, z = s["alpha"], s["x"], s["u"], s["v"], s["t"], s["z"]
     eps = config.eps
+    psi = psi_sweep(u, v, z, pv, q)
 
     def lhs_term(n):
         return (
             asc_psi(n, alpha, x, q)
-            * psi_general(FamilyPoint(u, v, z, n), pv, q)
+            * psi(n)
             * (-1) ** n
             * q ** binom2(n + 1)
             * t**n
@@ -974,12 +999,9 @@ def run_thm4(rng, config):
     rhs1 = truncated_sum(lambda n: B(n) * ratio(n), eps, kmin=4)
 
     # (5.2): the transformed identity
+    psi = psi_sweep(u, v, z, pv, q)
     lhs2 = truncated_sum(
-        lambda n: (-1) ** n
-        * q ** binom2(n)
-        * A(n)
-        * psi_general(FamilyPoint(u, v, z, n), pv, q),
-        eps,
+        lambda n: (-1) ** n * q ** binom2(n) * A(n) * psi(n), eps
     )
     rhs2 = truncated_sum(
         lambda n: B(n)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qhyper import cli, families
 from qhyper.families import (
     FamilyPoint,
     ParamVector,
@@ -16,12 +17,15 @@ from qhyper.families import (
     cao_psi3,
     cauchy_P,
     gen_hahn,
+    bracket_factor,
     psi_general,
+    psi_sweep,
     sa_phi,
     sa_psi,
     v_poly,
 )
-from qhyper.scalars import qbinom, qpoch
+from qhyper.scalars import binom2, qbinom, qpoch, qpow
+from qhyper.verify import psi_gf_lhs
 
 rat = st.fractions(min_value=-3, max_value=3, max_denominator=16)
 base = st.fractions(min_value=F(1, 8), max_value=F(3, 4), max_denominator=16)
@@ -146,3 +150,88 @@ def test_v_poly_n1():
     x, y, z, q = F(2), F(1), F(3), F(1, 2)
     # V_1 = P_1(x,y) + (a;q)_1 z = (x - y) + (1 - a) z
     assert v_poly(1, pv, x, y, z, q) == (x - y) + (1 - F(1, 2)) * z
+
+
+# -- Psi_n swept by n ---------------------------------------------------------
+
+
+def summed_psi(pt, pv, q, bracket_exponent=None):
+    """Psi_n from its defining sum, every term formed afresh."""
+    n, x, y, z = pt.n, pt.x, pt.y, pt.z
+    e = pv.bracket_exponent if bracket_exponent is None else bracket_exponent
+    acc = F(0)
+    for k in range(n + 1):
+        acc += (
+            qbinom(n, k, q)
+            * bracket_factor(k, q, e)
+            * families.W_coeff(k, pv, q)
+            * cauchy_P(n - k, y, x, q)
+            * z**k
+        )
+    return (-1) ** n * qpow(q, -binom2(n)) * acc
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+def test_psi_sweep_equals_the_defining_sum_in_any_order():
+    q = F(2, 5)
+    cases = [
+        (F(1, 2), F(-1, 3), F(2), ParamVector((F(1, 3),), (F(1, 5),)), None),
+        (F(3), F(2, 7), F(-5, 4), ParamVector((F(1, 3), F(-2), F(3, 4)), ()), None),  # r > s+1
+        (F(1, 2), F(2), F(0), ParamVector((F(1, 3),), (F(-1, 5), F(2, 3))), None),  # z = 0
+        (F(-1, 2), F(3, 5), F(7, 3), ParamVector((F(1, 4),), (F(1, 6),)), 3),
+        (F(-1, 2), F(3, 5), F(7, 3), ParamVector((F(1, 4),), (F(1, 6),)), -2),
+    ]
+    for x, y, z, pv, e in cases:
+        psi = psi_sweep(x, y, z, pv, q, e)
+        for n in (5, 2, 7, 0, 7, 1, 9):
+            assert psi(n) == summed_psi(FamilyPoint(x, y, z, n), pv, q, e)
+            assert psi_general(FamilyPoint(x, y, z, n), pv, q, e) == psi(n)
+    assert psi_sweep(F(2), F(5), F(-3), ParamVector(), q)(0) == 1
+
+
+def test_psi_sweep_raises_a_vanishing_lower_parameter_at_the_same_n():
+    # b = q^-3 gives (b;q)_k = 0 from k = 4 on, so Psi_n fails from n = 4 on
+    q = F(1, 2)
+    pv = ParamVector((F(1, 3),), (q**-3,))
+    x, y, z = F(1), F(2), F(1, 4)
+    psi = psi_sweep(x, y, z, pv, q)
+    for n in (2, 5, 3, 4, 0, 6):
+        want = outcome(summed_psi, FamilyPoint(x, y, z, n), pv, q)
+        assert outcome(psi, n) == want
+        assert outcome(psi_general, FamilyPoint(x, y, z, n), pv, q) == want
+    assert outcome(psi, 4) == (
+        VanishingPochhammerError, "lower parameter 8 gives (8;q)_4 = 0"
+    )
+
+
+def test_psi_gf_lhs_forms_each_W_once(monkeypatch):
+    calls = []
+    W_coeff = families.W_coeff
+
+    def counted(k, pv, q):
+        calls.append(k)
+        return W_coeff(k, pv, q)
+
+    monkeypatch.setattr(families, "W_coeff", counted)
+    pv = ParamVector((F(1, 3), F(-2, 5)), (F(3, 7),))
+    psi_gf_lhs(pv, F(1, 2), F(-1, 3), F(2), F(1, 3), 24)
+    assert calls == list(range(25))
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "Psi", "--n", "5"],
+    ["expand", "gf-psi-lhs", "--order", "6"],
+])
+def test_cli_reports_a_vanishing_lower_parameter(capsys, argv):
+    point = ["--a", "1/3", "--b", "8", "--x", "1", "--y", "2", "--z", "1/4", "--q", "1/2"]
+    assert cli.main(argv + point) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: lower parameter 8 gives (8;q)_4 = 0\n"

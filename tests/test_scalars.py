@@ -425,3 +425,50 @@ def test_tables_stay_within_budget_over_a_mixed_sweep(empty_tables, monkeypatch)
         assert_tables_within_budget()
     assert any(len(key) == 4 for key in scalars._QPOCH_TABLES)
     assert any(len(key) == 6 for key in scalars._QPOCH_TABLES)
+
+
+# -- q-binomials by exact division ----------------------------------------------
+
+
+def divided_qbinom(n, k, q):
+    """The q-binomial as a quotient of Fractions, in the same call order."""
+    if k < 0 or k > n:
+        return F(0)
+    den = qpoch(q, q, k) * qpoch(q, q, n - k)
+    if den == 0:
+        raise RootOfUnityError(f"(q;q)_k vanished for q = {q}")
+    return qpoch(q, q, n) / den
+
+
+def test_qbinom_equals_the_fraction_quotient():
+    qs = [F(1, 2), F(-2, 3), F(7, 3), F(-5, 2), 3, -2, F(1, 9), F(-1, 2), 0]
+    for q in qs:
+        for n in (0, 1, 2, 7, 19, 40):
+            for k in range(-1, n + 2):
+                got, want = qbinom(n, k, q), divided_qbinom(n, k, q)
+                assert type(got) is F
+                assert got == want
+                assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+                assert hash(got) == hash(want) and str(got) == str(want)
+
+
+def test_qbinom_at_minus_one_is_a_root_of_unity():
+    with pytest.raises(RootOfUnityError):
+        qbinom(4, 2, -1)
+    assert qbinom(2, 1, -1) == divided_qbinom(2, 1, -1) == 0  # 1 + q, with (q;q)_2 = 0 on top
+
+
+def overflow_message(fn, *args):
+    with pytest.raises(ScalarOverflowError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+def test_qbinom_overflow_is_raised_by_the_same_symbol(empty_tables):
+    # (q;q)_m has a 20m(m+1)/2-bit denominator: past the cap from m = 81 on
+    q = F(1, 10**6)
+    for n, k in ((120, 90), (120, 30), (100, 2), (90, 85)):
+        want = overflow_message(divided_qbinom, n, k, q)
+        empty_tables()
+        assert overflow_message(qbinom, n, k, q) == want
+    assert qbinom(60, 20, q) == divided_qbinom(60, 20, q)

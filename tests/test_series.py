@@ -1,11 +1,14 @@
 """Truncated power series over exact rationals."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qhyper.operators import CauchyPoly
+from qhyper.scalars import MAX_SCALAR_BITS, ScalarOverflowError, check_magnitude
 from qhyper.series import (
     TruncSeries,
     cauchy_ratio_series,
@@ -105,3 +108,65 @@ def test_max_abs_deviation_picks_largest():
     f = TruncSeries([F(0), F(1), F(5)])
     g = TruncSeries([F(0), F(2), F(3)])
     assert max_abs_deviation(f, g) == 2
+
+
+# -- products over one common denominator ---------------------------------------
+
+
+def convolved(a, b):
+    """The product's coefficients as a plain Fraction convolution, each checked
+    in index order."""
+    n = min(len(a), len(b)) - 1
+    out = []
+    for i in range(n + 1):
+        acc = F(0)
+        for j in range(i + 1):
+            acc += a[j] * b[i - j]
+        out.append(check_magnitude(acc))
+    return out
+
+
+def seeded_coeffs(rng, length):
+    """A mix of zeros, ints, negative entries and Fractions with large and
+    unrelated denominators."""
+    picks = (
+        lambda: 0,
+        lambda: rng.randint(-9, 9),
+        lambda: F(rng.randint(-99, 99), rng.randint(1, 99)),
+        lambda: F(rng.getrandbits(90) - (1 << 89), rng.getrandbits(70) + 1),
+    )
+    return [rng.choice(picks)() for _ in range(length)]
+
+
+def test_mul_equals_the_plain_fraction_convolution():
+    rng = random.Random(11)
+    for _ in range(200):
+        a = seeded_coeffs(rng, rng.randint(1, 14))
+        b = seeded_coeffs(rng, rng.randint(1, 14))
+        got = (TruncSeries(a) * TruncSeries(b)).coeffs
+        want = convolved(a, b)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert type(g) is F
+            assert (g.numerator, g.denominator) == (w.numerator, w.denominator)
+    assert (TruncSeries([2, -3]) * TruncSeries([5, 7, 1])).coeffs == [10, -1]
+
+
+def test_mul_overflow_has_the_message_and_index_of_the_plain_convolution():
+    # coefficient 2 holds big^2, past the cap; coefficients 0 and 1 do not
+    big = F((1 << (MAX_SCALAR_BITS // 2 + 100)) + 1, 3)
+    a, b = [F(1), big, F(1, 2)], [F(-1, 5), big, F(7)]
+    with pytest.raises(ScalarOverflowError) as want:
+        convolved(a, b)
+    with pytest.raises(ScalarOverflowError) as got:
+        TruncSeries(a) * TruncSeries(b)
+    assert str(got.value) == str(want.value)
+    assert (TruncSeries(a[:2]) * TruncSeries(b[:2])).coeffs == convolved(a[:2], b[:2])
+
+
+def test_mul_needs_rational_coefficients():
+    poly = TruncSeries([CauchyPoly.basis(0), CauchyPoly.basis(1)])
+    with pytest.raises(TypeError):
+        poly * TruncSeries.one(1)
+    with pytest.raises(TypeError):
+        TruncSeries.one(1) * poly

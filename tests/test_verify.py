@@ -229,3 +229,37 @@ def test_each_product_and_phi_is_computed_once_per_trial(monkeypatch, suite_id):
     assert all(r.passed for r in rows)
     for name, made in calls.items():
         assert made and len(made) == len(set(made)), name
+
+
+def exceeds_cases():
+    """Seeded (x, y, shift) with x, y >= 0: zeros, x equal to y * 2^shift,
+    values one bit either side of that, and random magnitudes that land
+    inside and outside the two-bit window the bit lengths leave open."""
+    rng = random.Random(5)
+    cases = []
+    for _ in range(300):
+        y = F(rng.getrandbits(rng.randint(1, 300)) + 1, rng.getrandbits(rng.randint(1, 300)) + 1)
+        for shift in (0, 40):
+            edge = y * (1 << shift)
+            cases += [(edge, y, shift), (edge * 2, y, shift), (edge / 2, y, shift),
+                      (edge + F(1, y.denominator), y, shift),
+                      (edge - F(1, y.denominator), y, shift),
+                      (F(0), y, shift), (y, F(0), shift), (F(0), F(0), shift)]
+            x = F(rng.getrandbits(rng.randint(1, 400)), rng.getrandbits(rng.randint(1, 400)) + 1)
+            cases.append((x, y, shift))
+    return cases
+
+
+def test_exceeds_equals_the_exact_comparison():
+    cases = exceeds_cases()
+    for x, y, shift in cases:
+        assert verify._exceeds(x, y, shift) == (x > y * (1 << shift)), (x, y, shift)
+        # truncated_sum asks size < eps as _exceeds(eps, size)
+        assert verify._exceeds(y, x) == (x < y)
+    # both ways of deciding are exercised
+    decided = sum(
+        abs(x.numerator.bit_length() - x.denominator.bit_length()
+            - y.numerator.bit_length() + y.denominator.bit_length() - s) >= 2
+        for x, y, s in cases if x and y
+    )
+    assert 0 < decided < len(cases)
