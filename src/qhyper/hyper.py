@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .families import ParamVector, W_coeff, bracket_factor
-from .scalars import Rat, qpoch
+from .scalars import Rat, _exceeds, qpoch
 from .series import TruncSeries
 
 #: Numeric truncation: stop at the first k >= TAIL_KMIN with two consecutive
@@ -97,7 +97,7 @@ def rphis_numeric(pv: ParamVector, q: Rat, z: Rat, eps: Rat) -> Rat:
     for k in range(MAX_TERMS):
         term = phi_term(k, pv, q, z)
         acc += term
-        small = abs(term) < eps
+        small = _exceeds(eps, abs(term))
         if k >= TAIL_KMIN and small and prev_small:
             return acc
         prev_small = small

@@ -23,7 +23,7 @@ its own eps, so no check depends on which run is in progress.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Iterable
 
 Rat = Fraction
@@ -65,6 +65,31 @@ def qpow(q: Rat, e: int) -> Rat:
 def max_deviation(pairs: Iterable[tuple[Rat, Rat]]) -> Rat:
     """Largest |lhs - rhs| over (lhs, rhs) pairs; 0 when there are none."""
     return max((abs(lhs - rhs) for lhs, rhs in pairs), default=Fraction(0))
+
+
+def _exceeds(x: Fraction, y: Fraction, shift: int = 0) -> bool:
+    """x > y * 2**shift for rationals x, y >= 0, from bit lengths when they
+    settle it.
+
+    A positive n/d lies strictly between 2^(bn - bd - 1) and 2^(bn - bd + 1),
+    with bn and bd the bit lengths of n and d, so two such estimates at least
+    2 apart order the values; the exact comparison, whose cross-products of
+    big integers cost far more, decides the rest.
+    """
+    if not x or not y:
+        return x > y
+    gap = (
+        x.numerator.bit_length()
+        - x.denominator.bit_length()
+        - y.numerator.bit_length()
+        + y.denominator.bit_length()
+        - shift
+    )
+    if gap >= 2:
+        return True
+    if gap <= -2:
+        return False
+    return x > y * (1 << shift) if shift else x > y
 
 
 #: Prefix tables of `_prefix_product`, in least-recently-used order.  The
@@ -153,6 +178,52 @@ def _coprime_fraction(n: int, d: int) -> Rat:
     x._numerator = n
     x._denominator = d
     return x
+
+
+def smooth_quotient(top: Iterable[Rat], bottom: Iterable[Rat], s: int) -> Rat:
+    """prod(top) / prod(bottom) in lowest terms, for denominators made of
+    primes of s.
+
+    Precondition, not checked: every prime of every denominator divides the
+    integer s > 0.  A value of `qpoch_inf(c, q, eps)` meets it for s = den(q)
+    den(c), so a quotient of such values meets it for den(q) times every
+    den(c); any other prime leaves the result unreduced.
+
+    Each numerator |n| splits as S R, S made of primes of s and R of none;
+    denominators are not split, since their smooth part is the whole number.
+    Then A/B = prod_top R / prod_bottom R and C/D = (prod_top S prod_bottom d)
+    / (prod_bottom S prod_top d), each reduced by one gcd, are the quotient
+    up to sign; A, B have no prime of s and C, D no other prime, so A C / (B D)
+    is in lowest terms.  The gcd of A and B is the one costly gcd: C and D
+    share a large common factor, so Euclid's walk on them is short, where a
+    chain of `Fraction` operations takes two gcds of its operands per
+    operation.  A zero in bottom raises ZeroDivisionError, as `Fraction`
+    division does, even when top holds a zero.
+    """
+    top, bottom = list(top), list(bottom)
+    if not all(bottom):
+        raise ZeroDivisionError("quotient by a zero factor")
+    if not all(top):
+        return Fraction(0)
+    sign, parts = 1, []
+    for side in (top, bottom):
+        rough, smooth = [], []
+        for x in side:
+            n = x.numerator
+            if n < 0:
+                sign, n = -sign, -n
+            r, g = n, gcd(n, s)  # n = (n // r) * r with r free of the primes of s
+            while g > 1:
+                r //= g
+                g = gcd(r, g)
+            rough.append(r)
+            smooth.append(n // r)
+        parts.append((rough, smooth, [x.denominator for x in side]))
+    (rough_top, smooth_top, den_top), (rough_bottom, smooth_bottom, den_bottom) = parts
+    a, b = prod(rough_top), prod(rough_bottom)
+    c, d = prod(smooth_top + den_bottom), prod(smooth_bottom + den_top)
+    g, h = gcd(a, b), gcd(c, d)
+    return _coprime_fraction(sign * (a // g) * (c // h), (b // g) * (d // h))
 
 
 def qpoch_inf(a: Rat, q: Rat, eps: Rat) -> Rat:

@@ -66,12 +66,14 @@ from .report import IdentityReport, sort_reports
 from .scalars import (
     Rat,
     ScalarOverflowError,
+    _exceeds,
     binom2,
     max_deviation,
     qpoch,
     qpoch_inf,
     qpoch_shift,
     qpow,
+    smooth_quotient,
 )
 from .series import (
     TruncSeries,
@@ -222,31 +224,6 @@ def resample(rng: random.Random, draw: Callable[[], dict], ok: Callable[[dict], 
 
 # ---------------------------------------------------------------------------
 # numeric summation
-
-
-def _exceeds(x: Fraction, y: Fraction, shift: int = 0) -> bool:
-    """x > y * 2**shift for rationals x, y >= 0, from bit lengths when they
-    settle it.
-
-    A positive n/d lies strictly between 2^(bn - bd - 1) and 2^(bn - bd + 1),
-    with bn and bd the bit lengths of n and d, so two such estimates at least
-    2 apart order the values; the exact comparison, whose cross-products of
-    big integers cost far more, decides the rest.
-    """
-    if not x or not y:
-        return x > y
-    gap = (
-        x.numerator.bit_length()
-        - x.denominator.bit_length()
-        - y.numerator.bit_length()
-        + y.denominator.bit_length()
-        - shift
-    )
-    if gap >= 2:
-        return True
-    if gap <= -2:
-        return False
-    return x > y * (1 << shift) if shift else x > y
 
 
 def truncated_sum(
@@ -655,6 +632,17 @@ def _numeric_result(id: str, lhs: Fraction, rhs: Fraction, notes: str = ""):
     return (id, abs(lhs - rhs), scale, notes)
 
 
+def _pinf_quotient(pinf, q, top, bottom):
+    """prod (c;q)_inf over the c's of top / the same over bottom, where pinf(c)
+    gives (c;q)_inf; the c's are walked in order, top first.  Every prime of
+    a `qpoch_inf` denominator divides den(q) den(c), so the quotient is
+    `smooth_quotient` over s = den(q) times every den(c)."""
+    s = q.denominator
+    for c in (*top, *bottom):
+        s *= c.denominator
+    return smooth_quotient([pinf(c) for c in top], [pinf(c) for c in bottom], s)
+
+
 @suite("thm2-rogers", "numeric")
 def run_thm2(rng, config):
     def draw():
@@ -708,10 +696,8 @@ def run_thm2(rng, config):
 
     lhs = truncated_sum(lhs_term, eps)
 
-    pref = (
-        qpoch_inf(x * omega, q, eps)
-        / qpoch_inf(t / omega, q, eps)
-        / qpoch_inf(y * omega, q, eps)
+    pref = _pinf_quotient(
+        lambda c: qpoch_inf(c, q, eps), q, [x * omega], [t / omega, y * omega]
     )
 
     def rhs_term(k):
@@ -766,11 +752,9 @@ def run_lemma2_psi(rng, config):
 
     lhs = truncated_sum(lhs_term, eps)
     pv = ParamVector((1 / lam, 1 / (alpha * x)), (1 / (lam * x * t),))
-    rhs = (
-        qpoch_inf(x * t * q, q, eps)
-        / qpoch_inf(lam * x * t * q, q, eps)
-        * rphis_numeric(pv, q, alpha * q, eps)
-    )
+    rhs = _pinf_quotient(
+        lambda c: qpoch_inf(c, q, eps), q, [x * t * q], [lam * x * t * q]
+    ) * rphis_numeric(pv, q, alpha * q, eps)
     return [_numeric_result("lemma2-psi", lhs, rhs)]
 
 
@@ -789,10 +773,12 @@ def _rphis_memo(pv, q, eps):
     return functools.cache(lambda w: rphis_numeric(pv, q, w, eps))
 
 
-def _thm3_rhs(alpha, x, u, v, z, t, q, eps, pinf, phi):
+def _thm3_rhs(alpha, x, u, v, z, t, q, eps, pinf, phi, pref=None):
     """Right side of the bilinear theorem; pinf(c) gives (c;q)_inf and phi(w)
-    the numeric rphis of the parameter vector at w."""
-    pref = pinf(q / x) * pinf(u * x * t * q) / (pinf(alpha * q) * pinf(v * x * t * q))
+    the numeric rphis of the parameter vector at w.  pref, when given, is the
+    product quotient in front, already formed by the caller."""
+    if pref is None:
+        pref = _pinf_quotient(pinf, q, [q / x, u * x * t * q], [alpha * q, v * x * t * q])
 
     def term(n):
         num = qpoch(1 / (alpha * x), q, n) * qpoch(1 / (u * x * t), q, n)
@@ -902,12 +888,12 @@ def run_cor1(rng, config):
 
     lhs = truncated_sum(lhs_term, eps)
     pinf = _qpoch_inf_memo(q, eps)
-    pref = (
-        pinf(q / x)
-        * pinf(x * y * t * q)
-        * pinf(x * t * q)
-        / (pinf(alpha * q) * pinf(a * x * y * t * q))
-    )
+    xytq, axytq = x * y * t * q, a * x * y * t * q
+    for c in (q / x, xytq, x * t * q, alpha * q, axytq):
+        pinf(c)  # walked in the order of the displayed product
+    # the bilinear theorem's prefactor at u = y, v = a y, times (x t q;q)_inf
+    thm3_pref = _pinf_quotient(pinf, q, [q / x, xytq], [alpha * q, axytq])
+    pref = thm3_pref * pinf(x * t * q)
     pv = ParamVector(
         (1 / (alpha * x), 1 / (x * y * t), 1 / (x * t)),
         (q / x, 1 / (a * x * y * t)),
@@ -916,9 +902,8 @@ def run_cor1(rng, config):
 
     # cross-check against the bilinear theorem under the stated
     # specialization u=y, v=a*y, z=1, empty parameter lists
-    thm3_rhs = _thm3_rhs(
-        alpha, x, y, a * y, Fraction(1), t, q, eps, pinf, _rphis_memo(ParamVector(), q, eps)
-    )
+    phi = _rphis_memo(ParamVector(), q, eps)
+    thm3_rhs = _thm3_rhs(alpha, x, y, a * y, Fraction(1), t, q, eps, pinf, phi, thm3_pref)
     dev_cross = abs(lhs - thm3_rhs)
     r = _numeric_result(
         "cor1-bilinear-hahn", lhs, rhs, f"cross-check deviation {float(dev_cross):.3e}"
@@ -981,7 +966,7 @@ def run_thm4(rng, config):
     B = functools.cache(lambda n: _B_coeff(n, alpha, x, q, eps))
     pinf, phi = _qpoch_inf_memo(q, eps), _rphis_memo(pv, q, eps)
     xut, xvt = x * u * t, x * v * t
-    ratios = [pinf(xut * q) / pinf(xvt * q)]
+    ratios = [_pinf_quotient(pinf, q, [xut * q], [xvt * q])]
 
     def walk_factor(c):
         # (c;q)_inf = (1 - c) (cq;q)_inf, and qpoch_inf drops 1 - c once |c| < eps

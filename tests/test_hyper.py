@@ -139,3 +139,57 @@ def test_terminating_index_agrees_with_full_walk(q):
     for pv in cases:
         assert terminating_index(pv, q) == old_terminating_index(pv, q)
     assert terminating_index(ParamVector((qpow(q, -600),), ()), q) is (None if abs(q) != 1 else 0)
+
+
+def loop_rphis_numeric(pv, q, z, eps):
+    """rphis_numeric with its stopping test written as abs(term) < eps."""
+    n = terminating_index(pv, q)
+    if n is not None:
+        return sum((phi_term(k, pv, q, z) for k in range(n + 1)), F(0))
+    if pv.r > pv.s + 1 or (pv.r == pv.s + 1 and abs(z) >= 1):
+        raise DivergentSeriesError("divergent")
+    acc, prev_small = F(0), False
+    for k in range(hyper.MAX_TERMS):
+        term = phi_term(k, pv, q, z)
+        acc += term
+        small = abs(term) < eps
+        if k >= hyper.TAIL_KMIN and small and prev_small:
+            return acc
+        prev_small = small
+    raise DivergentSeriesError("no two consecutive small terms within bounds")
+
+
+def rphis_numeric_cases():
+    """Seeded (pv, q, z, eps): terminating, r = s+1 and r <= s series, a zero
+    argument (every term past the first is 0), and eps equal to a term."""
+    rng = random.Random(13)
+
+    def rat(bound):
+        return F(rng.randint(-bound, bound), rng.randint(1, bound))
+
+    cases = []
+    for _ in range(60):
+        q = F(rng.randint(1, 7), 8) * rng.choice((1, -1))
+        s = rng.randint(0, 2)
+        r = rng.randint(0, s + 1)
+        pv = ParamVector(tuple(rat(9) for _ in range(r)), tuple(rat(9) / 10 for _ in range(s)))
+        z = rat(9) / 10 if r == s + 1 else rat(9)
+        eps = F(1, 1 << rng.choice((8, 40, 80)))
+        cases.append((pv, q, z, eps))
+        terminating = ParamVector(pv.upper + (qpow(q, -rng.randint(0, 6)),), pv.lower)
+        cases.append((terminating, q, z, eps))
+        cases.append((pv, q, F(0), eps))
+        k = hyper.TAIL_KMIN + rng.randint(0, 3)
+        cases.append((pv, q, z, abs(phi_term(k, pv, q, z)) or eps))
+    return cases
+
+
+def test_rphis_numeric_stops_where_the_exact_comparison_stops():
+    for pv, q, z, eps in rphis_numeric_cases():
+        expected = loop_rphis_numeric(pv, q, z, eps)
+        value = rphis_numeric(pv, q, z, eps)
+        assert (value, value.numerator, value.denominator) == (
+            expected,
+            expected.numerator,
+            expected.denominator,
+        ), (pv, q, z, eps)

@@ -1,7 +1,9 @@
 """Scalar layer: q-Pochhammer symbols, q-binomials, the shift identity."""
 
 import random
+import sys
 from fractions import Fraction as F
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from qhyper.scalars import (
     qpoch_multi,
     qpoch_shift,
     qpow,
+    smooth_quotient,
 )
 
 rationals = st.fractions(
@@ -212,6 +215,106 @@ def test_coprime_fraction_is_the_normalized_fraction():
         assert type(x) is F
         assert x == F(n, d) and hash(x) == hash(F(n, d)) and str(x) == str(F(n, d))
         assert x + 1 == F(n + d, d)
+
+
+def is_smooth(d, s):
+    """True when every prime of d divides s."""
+    g = gcd(d, s)
+    while g > 1:
+        d //= g
+        g = gcd(d, g)
+    return d == 1
+
+
+def qpoch_inf_values():
+    """(value, den(a) den(q)) for every call of `qpoch_inf_calls` that does
+    not overflow."""
+    values = []
+    for a, q, eps in qpoch_inf_calls():
+        try:
+            values.append((qpoch_inf(a, q, eps), F(a).denominator * q.denominator))
+        except ScalarOverflowError:
+            pass
+    return values
+
+
+def test_qpoch_inf_denominators_use_only_primes_of_a_and_q():
+    # smooth_quotient's result is reduced only because of this
+    values = qpoch_inf_values()
+    assert len(values) > 100
+    for value, s in values:
+        assert is_smooth(value.denominator, s), (value, s)
+
+
+def assert_same_fraction(x, y):
+    assert type(x) is F and x == y
+    assert (x.numerator, x.denominator, hash(x)) == (y.numerator, y.denominator, hash(y))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # some values pass 4300 digits
+    try:
+        assert str(x) == str(y)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def fraction_chain(top, bottom):
+    return prod(top, start=F(1)) / prod(bottom, start=F(1))
+
+
+def test_smooth_quotient_equals_the_fraction_chain_on_qpoch_inf_values():
+    values = qpoch_inf_values()
+    edges = values[:5]  # a = 0, int a, the zero at a = q^-3, no factor, cancelling primes
+    rng = random.Random(3)
+    combos = []
+    for shape in ((2, 2), (3, 2)):
+        combos += [(shape, rng.sample(values, sum(shape))) for _ in range(150)]
+        for edge in edges:
+            for i in range(sum(shape)):
+                picks = rng.sample(values[5:], sum(shape) - 1)
+                combos.append((shape, picks[:i] + [edge] + picks[i:]))
+    zeros = 0
+    for shape, picks in combos:
+        s = prod(p[1] for p in picks)
+        top, bottom = [p[0] for p in picks[: shape[0]]], [p[0] for p in picks[shape[0] :]]
+        if 0 in bottom:
+            zeros += 1
+            with pytest.raises(ZeroDivisionError):
+                smooth_quotient(top, bottom, s)
+            continue
+        assert_same_fraction(smooth_quotient(top, bottom, s), fraction_chain(top, bottom))
+    assert zeros > 0
+
+
+def test_smooth_quotient_cancels_shared_primes_and_signs():
+    # s = 6; rough parts share 5, 7, 11 and 13 across the sides, smooth parts
+    # share 2 and 3, and the denominators are powers of 2 and 3
+    s = 6
+    top = [F(-35 * 4, 9), F(3 * 11 * 13, 32), F(5 * 7 * 7, 1), F(-1, 27)]
+    bottom = [F(7 * 13 * 2, 3), F(-11 * 9 * 5, 1), F(4, 81)]
+    cases = [
+        (top, bottom),
+        (bottom, top),
+        (top, []),
+        ([], bottom),
+        ([], []),
+        (top[:1], top[:1]),
+        ([F(-2, 3)], [F(4, 9), F(-1)]),
+        ([F(5)], [F(-7)]),
+    ]
+    for t, b in cases:
+        assert_same_fraction(smooth_quotient(t, b, s), fraction_chain(t, b))
+    assert smooth_quotient(iter(top), iter(bottom), s) == fraction_chain(top, bottom)
+
+
+def test_smooth_quotient_zeros():
+    s = 6
+    assert_same_fraction(smooth_quotient([F(1, 2), F(0)], [F(3, 4)], s), F(0))
+    assert_same_fraction(smooth_quotient([F(0)], [], s), F(0))
+    for top in ([F(1, 2)], [F(0)], [F(0), F(5, 3)], []):
+        with pytest.raises(ZeroDivisionError):
+            smooth_quotient(top, [F(3, 4), F(0)], s)
+        with pytest.raises(ZeroDivisionError):
+            fraction_chain(top, [F(3, 4), F(0)])
 
 
 def test_qpow_negative_exponent():

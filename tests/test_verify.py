@@ -263,3 +263,77 @@ def test_exceeds_equals_the_exact_comparison():
         for x, y, s in cases if x and y
     )
     assert 0 < decided < len(cases)
+
+
+def test_cor1_cross_check_is_given_the_bilinear_prefactor(monkeypatch):
+    """Corollary 1 hands its Theorem 3 prefactor to the cross-check, and the
+    cross-check returns the same Fraction as when it forms its own."""
+    made = []
+    original = verify._thm3_rhs
+
+    def record(*args):
+        made.append((args, original(*args)))
+        return made[-1][1]
+
+    monkeypatch.setattr(verify, "_thm3_rhs", record)
+    rows = run_suite("cor1-bilinear-hahn", RunConfig(trials=3, seed=5))
+    assert all(r.passed for r in rows) and len(made) == 3
+    for args, shared in made:
+        alpha, x, u, v, z, t, q, eps, pinf, phi, pref = args
+        plain = pinf(q / x) * pinf(u * x * t * q) / (pinf(alpha * q) * pinf(v * x * t * q))
+        assert (pref.numerator, pref.denominator) == (plain.numerator, plain.denominator)
+        own = original(*args[:-1])
+        assert (own.numerator, own.denominator) == (shared.numerator, shared.denominator)
+
+
+#: The c of each (c;q)_inf a trial walks, in the order of the expressions
+#: of its right side; s is the trial's sample.  Corollary 1's cross-check and
+#: Theorem 4's bilinear cross-check read (u x t q) and (v x t q) from the
+#: trial's memo, so they walk nothing again.
+WALK_ORDER = {
+    "thm2-rogers": lambda s: [s["x"] * s["omega"], s["t"] / s["omega"], s["y"] * s["omega"]],
+    "lemma2-psi": lambda s: [s["x"] * s["t"] * s["q"], s["lam"] * s["x"] * s["t"] * s["q"]],
+    "thm3-bilinear": lambda s: [
+        s["q"] / s["x"],
+        s["u"] * s["x"] * s["t"] * s["q"],
+        s["alpha"] * s["q"],
+        s["v"] * s["x"] * s["t"] * s["q"],
+    ],
+    "cor1-bilinear-hahn": lambda s: [
+        s["q"] / s["x"],
+        s["x"] * s["y"] * s["t"] * s["q"],
+        s["x"] * s["t"] * s["q"],
+        s["alpha"] * s["q"],
+        s["a"] * s["x"] * s["y"] * s["t"] * s["q"],
+    ],
+    "thm4-transform": lambda s: [
+        s["x"] * s["t"] * s["q"],
+        s["x"] * s["lam"] * s["t"] * s["q"],
+        s["q"] / s["x"],
+        s["alpha"] * s["q"],
+    ],
+}
+
+
+@pytest.mark.parametrize("suite_id", sorted(WALK_ORDER))
+def test_products_are_walked_in_the_order_of_the_right_side(monkeypatch, suite_id):
+    samples, walked = [], []
+    resample, qpoch_inf = verify.resample, verify.qpoch_inf
+
+    def recording_resample(*args):
+        samples.append(resample(*args))
+        return samples[-1]
+
+    def recording_qpoch_inf(c, q, eps):
+        walked.append((c, q, eps))
+        return qpoch_inf(c, q, eps)
+
+    monkeypatch.setattr(verify, "resample", recording_resample)
+    monkeypatch.setattr(verify, "qpoch_inf", recording_qpoch_inf)
+    for seed in range(3):
+        samples.clear()
+        walked.clear()
+        config = RunConfig(trials=1, seed=seed)
+        assert all(r.passed for r in run_suite(suite_id, config))
+        (s,) = samples
+        assert walked == [(c, s["q"], config.eps) for c in WALK_ORDER[suite_id](s)], seed
