@@ -136,15 +136,15 @@ def asc_phi(n: int, a: Rat, x: Rat, q: Rat) -> Rat:
 
 
 def asc_psi(n: int, a: Rat, x: Rat, q: Rat) -> Rat:
-    """Hahn / Al-Salam-Carlitz psi_n^{(a)}(x|q)."""
+    """Hahn / Al-Salam-Carlitz psi_n^{(a)}(x|q).
+
+    Its factor (a q^{1-k};q)_k = prod_{i<k} (1 - a q^{-i}) is read as
+    (a;q^{-1})_k, so every k reads the one prefix table of (a, 1/q).
+    """
+    qinv = qpow(q, -1)
     acc = Fraction(0)
     for k in range(n + 1):
-        acc += (
-            qbinom(n, k, q)
-            * qpow(q, k * (k - n))
-            * qpoch(a * qpow(q, 1 - k), q, k)
-            * x**k
-        )
+        acc += qbinom(n, k, q) * qpow(q, k * (k - n)) * qpoch(a, qinv, k) * x**k
     return acc
 
 
@@ -273,14 +273,12 @@ def hahn2_phi(n: int, a: Rat, x: Rat, y: Rat, q: Rat) -> Rat:
 
 def hahn2_psi(n: int, a: Rat, x: Rat, y: Rat, q: Rat) -> Rat:
     """Bivariate (second) Hahn psi_n^{(a)}(x,y|q), homogenizing the
-    one-variable psi with y-powers."""
+    one-variable psi with y-powers; (a q^{1-k};q)_k is read as (a;q^{-1})_k,
+    as in `asc_psi`."""
+    qinv = qpow(q, -1)
     acc = Fraction(0)
     for k in range(n + 1):
         acc += (
-            qbinom(n, k, q)
-            * qpow(q, k * (k - n))
-            * qpoch(a * qpow(q, 1 - k), q, k)
-            * x**k
-            * y ** (n - k)
+            qbinom(n, k, q) * qpow(q, k * (k - n)) * qpoch(a, qinv, k) * x**k * y ** (n - k)
         )
     return acc

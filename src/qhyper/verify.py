@@ -10,11 +10,14 @@ deviation <= tol * scale, with tol = 0 in formal and exact mode (the deviation
 must vanish) and tol = NUMERIC_TOLERANCE = 2^-40 in numeric mode, where
 scale = max(1, |lhs|).
 
-The outer sums of the numeric suites (`truncated_sum`) stop by the same
-constants as `rphis_numeric` (`TAIL_KMIN`, `MAX_TERMS`) and raise the same
-`DivergentSeriesError`, which a trial reports as errored.  A run sets no bit
-cap: every value is checked against `MAX_SCALAR_BITS` except the partial
-products of `qpoch_inf`, whose cap grows with the eps it is given.
+A numeric trial reads its primitives through one `_Trial(q, eps)`: the
+(c;q)_inf values, their quotients and the numeric rphis values, each formed
+once per trial and shared by the cross-checks, and the outer sums
+(`truncated_sum`), which stop by the same constants as `rphis_numeric`
+(`TAIL_KMIN`, `MAX_TERMS`) and raise the same `DivergentSeriesError`, which a
+trial reports as errored.  A run sets no bit cap: every value is checked
+against `MAX_SCALAR_BITS` except the partial products of `qpoch_inf`, whose
+cap grows with the eps it is given.
 
 Several of the bilinear series (the ones pairing the degree-lowering
 polynomial family with the one-parameter psi family) are asymptotic rather
@@ -632,15 +635,36 @@ def _numeric_result(id: str, lhs: Fraction, rhs: Fraction, notes: str = ""):
     return (id, abs(lhs - rhs), scale, notes)
 
 
-def _pinf_quotient(pinf, q, top, bottom):
-    """prod (c;q)_inf over the c's of top / the same over bottom, where pinf(c)
-    gives (c;q)_inf; the c's are walked in order, top first.  Every prime of
-    a `qpoch_inf` denominator divides den(q) den(c), so the quotient is
-    `smooth_quotient` over s = den(q) times every den(c)."""
-    s = q.denominator
-    for c in (*top, *bottom):
-        s *= c.denominator
-    return smooth_quotient([pinf(c) for c in top], [pinf(c) for c in bottom], s)
+class _Trial:
+    """The numeric primitives of one trial at base q and threshold eps.
+
+    pinf(c) is (c;q)_inf, quotient(top, bottom) the product of pinf over the
+    tuple top divided by the same over bottom (top walked first), phi(pv, w)
+    the numeric rphis of pv at w; each is memoised, so a cross-check reads
+    what its trial already has.  sum(term, kmin) is `truncated_sum` at eps.
+
+    The primitives are looked up in this module when called, so a wrapper
+    installed on it sees every call; the memos close over locals, not over
+    the trial, so the values go when the trial does.
+    """
+
+    def __init__(self, q: Fraction, eps: Fraction):
+        self.q, self.eps = q, eps
+        pinf = self.pinf = functools.cache(lambda c: qpoch_inf(c, q, eps))
+
+        @functools.cache
+        def quotient(top, bottom):
+            # every prime of a qpoch_inf denominator divides den(q) den(c)
+            s = q.denominator
+            for c in (*top, *bottom):
+                s *= c.denominator
+            return smooth_quotient([pinf(c) for c in top], [pinf(c) for c in bottom], s)
+
+        self.quotient = quotient
+        self.phi = functools.cache(lambda pv, w: rphis_numeric(pv, q, w, eps))
+
+    def sum(self, term, kmin: int = TAIL_KMIN) -> Fraction:
+        return truncated_sum(term, self.eps, kmin)
 
 
 @suite("thm2-rogers", "numeric")
@@ -676,7 +700,7 @@ def run_thm2(rng, config):
     s = resample(rng, draw, ok)
     pv, q, x, y, z = s["pv"], s["q"], s["x"], s["y"], s["z"]
     t, omega = s["t"], s["omega"]
-    eps = config.eps
+    trial = _Trial(q, config.eps)
     psi = psi_sweep(x, y, z, pv, q)
 
     def lhs_term(m):
@@ -694,11 +718,8 @@ def run_thm2(rng, config):
             * inner
         )
 
-    lhs = truncated_sum(lhs_term, eps)
-
-    pref = _pinf_quotient(
-        lambda c: qpoch_inf(c, q, eps), q, [x * omega], [t / omega, y * omega]
-    )
+    lhs = trial.sum(lhs_term)
+    pref = trial.quotient((x * omega,), (t / omega, y * omega))
 
     def rhs_term(k):
         return (
@@ -709,10 +730,10 @@ def run_thm2(rng, config):
                 * qpoch(x * omega, q, k)
                 * qpoch(q, q, k)
             )
-            * rphis_numeric(pv, q, z * omega * q**k, eps)
+            * trial.phi(pv, z * omega * q**k)
         )
 
-    rhs = pref * truncated_sum(rhs_term, eps)
+    rhs = pref * trial.sum(rhs_term)
     return [_numeric_result("thm2-rogers", lhs, rhs, f"r={pv.r} s={pv.s}")]
 
 
@@ -740,7 +761,7 @@ def _lemma2_psi_sample(rng):
 def run_lemma2_psi(rng, config):
     s = _lemma2_psi_sample(rng)
     q, alpha, x, lam, t = s["q"], s["alpha"], s["x"], s["lam"], s["t"]
-    eps = config.eps
+    trial = _Trial(q, config.eps)
 
     def lhs_term(n):
         return (
@@ -750,35 +771,30 @@ def run_lemma2_psi(rng, config):
             / qpoch(q, q, n)
         )
 
-    lhs = truncated_sum(lhs_term, eps)
+    lhs = trial.sum(lhs_term)
     pv = ParamVector((1 / lam, 1 / (alpha * x)), (1 / (lam * x * t),))
-    rhs = _pinf_quotient(
-        lambda c: qpoch_inf(c, q, eps), q, [x * t * q], [lam * x * t * q]
-    ) * rphis_numeric(pv, q, alpha * q, eps)
+    rhs = trial.pinf(x * t * q) / trial.pinf(lam * x * t * q) * trial.phi(pv, alpha * q)
     return [_numeric_result("lemma2-psi", lhs, rhs)]
 
 
-def _qpoch_inf_memo(q, eps):
-    """c -> qpoch_inf(c, q, eps) for one trial, walking each c only once.
+def _bilinear_lhs(trial, alpha, x, t, other):
+    """sum_n psi_n^{(alpha)}(x) other(n) (-1)^n q^{binom(n+1,2)} t^n / (q;q)_n,
+    the left side of the bilinear theorem, of its corollary and of (5.2)."""
+    q = trial.q
+    return trial.sum(
+        lambda n: asc_psi(n, alpha, x, q)
+        * other(n)
+        * (-1) ** n
+        * q ** binom2(n + 1)
+        * t**n
+        / qpoch(q, q, n)
+    )
 
-    `qpoch_inf` is looked up when a new c is walked, so a wrapper installed on
-    this module sees every walk.
-    """
-    return functools.cache(lambda c: qpoch_inf(c, q, eps))
 
-
-def _rphis_memo(pv, q, eps):
-    """w -> rphis_numeric(pv, q, w, eps) for one trial, summing each w once;
-    `rphis_numeric` is looked up the same way."""
-    return functools.cache(lambda w: rphis_numeric(pv, q, w, eps))
-
-
-def _thm3_rhs(alpha, x, u, v, z, t, q, eps, pinf, phi, pref=None):
-    """Right side of the bilinear theorem; pinf(c) gives (c;q)_inf and phi(w)
-    the numeric rphis of the parameter vector at w.  pref, when given, is the
-    product quotient in front, already formed by the caller."""
-    if pref is None:
-        pref = _pinf_quotient(pinf, q, [q / x, u * x * t * q], [alpha * q, v * x * t * q])
+def _thm3_rhs(trial, alpha, x, u, v, z, t, pv):
+    """Right side of the bilinear theorem, whose rphis has parameters pv."""
+    q = trial.q
+    pref = trial.quotient((q / x, u * x * t * q), (alpha * q, v * x * t * q))
 
     def term(n):
         num = qpoch(1 / (alpha * x), q, n) * qpoch(1 / (u * x * t), q, n)
@@ -793,10 +809,10 @@ def _thm3_rhs(alpha, x, u, v, z, t, q, eps, pinf, phi, pref=None):
             * num
             / den
             * (alpha * u * q / v) ** n
-            * phi(x * z * t * qpow(q, 1 - n))
+            * trial.phi(pv, x * z * t * qpow(q, 1 - n))
         )
 
-    return pref * truncated_sum(term, eps)
+    return pref * trial.sum(term)
 
 
 def _thm3_sample(rng):
@@ -831,23 +847,9 @@ def run_thm3(rng, config):
     s = _thm3_sample(rng)
     pv, q = s["pv"], s["q"]
     alpha, x, u, v, t, z = s["alpha"], s["x"], s["u"], s["v"], s["t"], s["z"]
-    eps = config.eps
-    psi = psi_sweep(u, v, z, pv, q)
-
-    def lhs_term(n):
-        return (
-            asc_psi(n, alpha, x, q)
-            * psi(n)
-            * (-1) ** n
-            * q ** binom2(n + 1)
-            * t**n
-            / qpoch(q, q, n)
-        )
-
-    lhs = truncated_sum(lhs_term, eps)
-    rhs = _thm3_rhs(
-        alpha, x, u, v, z, t, q, eps, _qpoch_inf_memo(q, eps), _rphis_memo(pv, q, eps)
-    )
+    trial = _Trial(q, config.eps)
+    lhs = _bilinear_lhs(trial, alpha, x, t, psi_sweep(u, v, z, pv, q))
+    rhs = _thm3_rhs(trial, alpha, x, u, v, z, t, pv)
     return [_numeric_result("thm3-bilinear", lhs, rhs, f"r={pv.r} s={pv.s}")]
 
 
@@ -874,58 +876,27 @@ def run_cor1(rng, config):
 
     s = resample(rng, draw, ok)
     q, alpha, a, x, y, t = s["q"], s["alpha"], s["a"], s["x"], s["y"], s["t"]
-    eps = config.eps
-
-    def lhs_term(n):
-        return (
-            asc_psi(n, alpha, x, q)
-            * asc_psi(n, a, y, q)
-            * (-1) ** n
-            * q ** binom2(n + 1)
-            * t**n
-            / qpoch(q, q, n)
-        )
-
-    lhs = truncated_sum(lhs_term, eps)
-    pinf = _qpoch_inf_memo(q, eps)
+    trial = _Trial(q, config.eps)
+    lhs = _bilinear_lhs(trial, alpha, x, t, lambda n: asc_psi(n, a, y, q))
     xytq, axytq = x * y * t * q, a * x * y * t * q
     for c in (q / x, xytq, x * t * q, alpha * q, axytq):
-        pinf(c)  # walked in the order of the displayed product
+        trial.pinf(c)  # walked in the order of the displayed product
     # the bilinear theorem's prefactor at u = y, v = a y, times (x t q;q)_inf
-    thm3_pref = _pinf_quotient(pinf, q, [q / x, xytq], [alpha * q, axytq])
-    pref = thm3_pref * pinf(x * t * q)
+    pref = trial.quotient((q / x, xytq), (alpha * q, axytq)) * trial.pinf(x * t * q)
     pv = ParamVector(
         (1 / (alpha * x), 1 / (x * y * t), 1 / (x * t)),
         (q / x, 1 / (a * x * y * t)),
     )
-    rhs = pref * rphis_numeric(pv, q, alpha * x * t * q / a, eps)
+    rhs = pref * trial.phi(pv, alpha * x * t * q / a)
 
     # cross-check against the bilinear theorem under the stated
     # specialization u=y, v=a*y, z=1, empty parameter lists
-    phi = _rphis_memo(ParamVector(), q, eps)
-    thm3_rhs = _thm3_rhs(alpha, x, y, a * y, Fraction(1), t, q, eps, pinf, phi, thm3_pref)
+    thm3_rhs = _thm3_rhs(trial, alpha, x, y, a * y, Fraction(1), t, ParamVector())
     dev_cross = abs(lhs - thm3_rhs)
     r = _numeric_result(
         "cor1-bilinear-hahn", lhs, rhs, f"cross-check deviation {float(dev_cross):.3e}"
     )
     return [r]
-
-
-def _B_coeff(n, alpha, x, q, eps):
-    """B(n) of the transformational identity's instantiation."""
-
-    def term(j):
-        k = n + j  # (q^{-k};q)_n vanishes below k = n
-        return (
-            qpoch(1 / (alpha * x), q, k)
-            * (alpha * q) ** k
-            / qpoch(q, q, k)
-            * qpoch(qpow(q, -k), q, n)
-            * qpow(q, n * k)
-            / qpoch(q, q, n)
-        )
-
-    return truncated_sum(term, eps, kmin=4)
 
 
 @suite("thm4-transform", "numeric")
@@ -957,20 +928,35 @@ def run_thm4(rng, config):
     s = resample(rng, draw, ok)
     pv, q = s["pv"], s["q"]
     alpha, x, lam, t, z = s["alpha"], s["x"], s["lam"], s["t"], s["z"]
-    eps = config.eps
+    trial = _Trial(q, config.eps)
     u, v = Fraction(1), lam
 
     def A(n):
         return asc_psi(n, alpha, x, q) * (q * t) ** n / qpoch(q, q, n)
 
-    B = functools.cache(lambda n: _B_coeff(n, alpha, x, q, eps))
-    pinf, phi = _qpoch_inf_memo(q, eps), _rphis_memo(pv, q, eps)
+    @functools.cache
+    def B(n):
+        """B(n) of the transformational identity's instantiation."""
+
+        def term(j):
+            k = n + j  # (q^{-k};q)_n vanishes below k = n
+            return (
+                qpoch(1 / (alpha * x), q, k)
+                * (alpha * q) ** k
+                / qpoch(q, q, k)
+                * qpoch(qpow(q, -k), q, n)
+                * qpow(q, n * k)
+                / qpoch(q, q, n)
+            )
+
+        return trial.sum(term, kmin=4)
+
     xut, xvt = x * u * t, x * v * t
-    ratios = [_pinf_quotient(pinf, q, [xut * q], [xvt * q])]
+    ratios = [trial.pinf(xut * q) / trial.pinf(xvt * q)]
 
     def walk_factor(c):
         # (c;q)_inf = (1 - c) (cq;q)_inf, and qpoch_inf drops 1 - c once |c| < eps
-        return 1 - c if abs(c) >= eps else 1
+        return 1 - c if abs(c) >= trial.eps else 1
 
     def ratio(n):
         # (x u t q^{1-n};q)_inf / (x v t q^{1-n};q)_inf, stepped up from n = 0
@@ -980,24 +966,17 @@ def run_thm4(rng, config):
         return ratios[n]
 
     # (5.1): the A/B relationship itself
-    lhs1 = truncated_sum(lambda n: A(n) * cauchy_P(n, v, u, q), eps)
-    rhs1 = truncated_sum(lambda n: B(n) * ratio(n), eps, kmin=4)
+    lhs1 = trial.sum(lambda n: A(n) * cauchy_P(n, v, u, q))
+    rhs1 = trial.sum(lambda n: B(n) * ratio(n), kmin=4)
 
-    # (5.2): the transformed identity
-    psi = psi_sweep(u, v, z, pv, q)
-    lhs2 = truncated_sum(
-        lambda n: (-1) ** n * q ** binom2(n) * A(n) * psi(n), eps
-    )
-    rhs2 = truncated_sum(
-        lambda n: B(n)
-        * ratio(n)
-        * phi(x * z * t * qpow(q, 1 - n)),
-        eps,
-        kmin=4,
+    # (5.2): the transformed identity; q^{binom(n,2)} (q t)^n = q^{binom(n+1,2)} t^n
+    lhs2 = _bilinear_lhs(trial, alpha, x, t, psi_sweep(u, v, z, pv, q))
+    rhs2 = trial.sum(
+        lambda n: B(n) * ratio(n) * trial.phi(pv, x * z * t * qpow(q, 1 - n)), kmin=4
     )
 
     # the transformed identity must reproduce the bilinear theorem
-    thm3_rhs = _thm3_rhs(alpha, x, u, v, z, t, q, eps, pinf, phi)
+    thm3_rhs = _thm3_rhs(trial, alpha, x, u, v, z, t, pv)
     dev_cross = abs(lhs2 - thm3_rhs)
 
     out = [

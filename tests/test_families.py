@@ -1,12 +1,13 @@
 """Polynomial families: closed forms, degree bounds, cross-family relations."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhyper import cli, families
+from qhyper import cli, families, scalars
 from qhyper.families import (
     FamilyPoint,
     ParamVector,
@@ -18,6 +19,7 @@ from qhyper.families import (
     cauchy_P,
     gen_hahn,
     bracket_factor,
+    hahn2_psi,
     psi_general,
     psi_sweep,
     sa_phi,
@@ -209,6 +211,33 @@ def test_psi_sweep_raises_a_vanishing_lower_parameter_at_the_same_n():
     assert outcome(psi, 4) == (
         VanishingPochhammerError, "lower parameter 8 gives (8;q)_4 = 0"
     )
+
+
+def frozen_hahn2_psi(n, a, x, y, q):
+    """hahn2_psi as it was written with a base a q^{1-k} for every k; at
+    y = 1 it is asc_psi."""
+    return sum(
+        (qbinom(n, k, q) * qpow(q, k * (k - n)) * qpoch(a * qpow(q, 1 - k), q, k)
+         * x**k * y ** (n - k) for k in range(n + 1)),
+        F(0),
+    )
+
+
+def test_asc_and_hahn2_psi_read_one_table(empty_tables):
+    rng = random.Random(12)
+    for _ in range(40):
+        q = F(rng.randint(1, 15), 16) * rng.choice((1, -1))
+        x, y = F(rng.randint(-9, 9), rng.randint(1, 9)), F(rng.randint(-9, 9), rng.randint(1, 9))
+        n = rng.randint(0, 12)
+        # a = q^j makes the factor 1 - a q^{-j} of every k > j exactly 0
+        for a in (F(rng.randint(-9, 9), rng.randint(1, 9)), q ** rng.randint(0, n)):
+            assert asc_psi(n, a, x, q) == frozen_hahn2_psi(n, a, x, 1, q)
+            assert hahn2_psi(n, a, x, y, q) == frozen_hahn2_psi(n, a, x, y, q)
+    for fn, args in ((asc_psi, ()), (hahn2_psi, (F(-2, 5),))):
+        empty_tables()
+        fn(30, F(5, 7), F(3, 4), *args, F(2, 3))
+        # the (q;q) table of the q-binomials and the (a;1/q) table
+        assert len(scalars._QPOCH_TABLES) <= 2
 
 
 def test_psi_gf_lhs_forms_each_W_once(monkeypatch):

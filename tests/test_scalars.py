@@ -360,18 +360,6 @@ def assert_tables_within_budget():
     assert scalars._qpoch_bits <= scalars._QPOCH_BUDGET_BITS
 
 
-@pytest.fixture
-def empty_tables(monkeypatch):
-    """Start from no tables; the module's own are put back afterwards."""
-
-    def clear():
-        monkeypatch.setattr(scalars, "_QPOCH_TABLES", {})
-        monkeypatch.setattr(scalars, "_qpoch_bits", 0)
-
-    clear()
-    return clear
-
-
 def qpoch_calls():
     """A shuffled mix of (a, q, n): int a, negative q, |q| > 1, n = 0, and
     short reads of tables that longer calls built."""

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import types
 from fractions import Fraction as F
 
 import pytest
@@ -210,15 +211,15 @@ def test_formal_and_exact_report_oracle():
 
 @pytest.mark.parametrize("suite_id", ["cor1-bilinear-hahn", "thm3-bilinear", "thm4-transform"])
 def test_each_product_and_phi_is_computed_once_per_trial(monkeypatch, suite_id):
-    """The bilinear cross-checks reuse the (c;q)_inf and rphis values their
-    trial already has."""
-    calls = {"qpoch_inf": [], "rphis_numeric": []}
+    """The bilinear cross-checks reuse the (c;q)_inf values, their quotients
+    and the rphis values their trial already has."""
+    calls = {"qpoch_inf": [], "rphis_numeric": [], "smooth_quotient": []}
 
     def recording(name):
         original = getattr(verify, name)
 
         def record(*args):
-            calls[name].append(repr(args))
+            calls[name].append(tuple(tuple(a) if isinstance(a, list) else a for a in args))
             return original(*args)
 
         return record
@@ -266,24 +267,46 @@ def test_exceeds_equals_the_exact_comparison():
 
 
 def test_cor1_cross_check_is_given_the_bilinear_prefactor(monkeypatch):
-    """Corollary 1 hands its Theorem 3 prefactor to the cross-check, and the
-    cross-check returns the same Fraction as when it forms its own."""
+    """Corollary 1's cross-check reads its Theorem 3 prefactor from the
+    trial's quotient memo, and returns the same Fraction as on a fresh trial."""
     made = []
     original = verify._thm3_rhs
 
-    def record(*args):
-        made.append((args, original(*args)))
-        return made[-1][1]
+    def record(trial, *args):
+        value = original(trial, *args)
+        made.append((trial, args, trial.quotient.cache_info(), value))
+        return value
 
     monkeypatch.setattr(verify, "_thm3_rhs", record)
     rows = run_suite("cor1-bilinear-hahn", RunConfig(trials=3, seed=5))
     assert all(r.passed for r in rows) and len(made) == 3
-    for args, shared in made:
-        alpha, x, u, v, z, t, q, eps, pinf, phi, pref = args
+    for trial, args, quotients, shared in made:
+        assert (quotients.hits, quotients.currsize) == (1, 1)
+        alpha, x, u, v, z, t, pv = args
+        q, pinf = trial.q, trial.pinf
+        pref = trial.quotient((q / x, u * x * t * q), (alpha * q, v * x * t * q))
         plain = pinf(q / x) * pinf(u * x * t * q) / (pinf(alpha * q) * pinf(v * x * t * q))
         assert (pref.numerator, pref.denominator) == (plain.numerator, plain.denominator)
-        own = original(*args[:-1])
+        own = original(verify._Trial(q, trial.eps), *args)
         assert (own.numerator, own.denominator) == (shared.numerator, shared.denominator)
+
+
+def test_numeric_suites_reach_the_primitives_through_their_trial():
+    """No numeric suite, nor the bilinear left side or the Theorem 3 right
+    side, names a numeric primitive: each reads it through its `_Trial`."""
+    primitives = {"qpoch_inf", "truncated_sum", "rphis_numeric", "smooth_quotient"}
+    runners = [s.runner for s in SUITES.values() if s.mode == "numeric"]
+    assert len(runners) == 5
+
+    def codes(code):
+        yield code
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                yield from codes(const)
+
+    for fn in (*runners, verify._thm3_rhs, verify._bilinear_lhs):
+        for code in codes(fn.__code__):
+            assert not primitives & set(code.co_names), code.co_name
 
 
 #: The c of each (c;q)_inf a trial walks, in the order of the expressions
