@@ -3,7 +3,9 @@
 terminating-exact, formal series in t, and convergent-numeric with a
 documented geometric tail rule.  All three share one term generator, mirroring
 the operator definition, so the sign convention cannot drift: term k carries
-[(-1)^k q^{binom(k,2)}]^{1+s-r}.
+[(-1)^k q^{binom(k,2)}]^{1+s-r}.  The convergent sum comes as an exact
+partial sum (`rphis_numeric`) or as a ball that also holds the true value
+(`rphis_ball`), whose radius adds a proven bound on the dropped tail.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .families import ParamVector, W_coeff, bracket_factor
-from .scalars import Rat, _exceeds, qpoch
+from .scalars import Ball, Rat, _exceeds, ball_precision, qpoch
 from .series import TruncSeries
 
 #: Numeric truncation: stop at the first k >= TAIL_KMIN with two consecutive
@@ -79,6 +81,13 @@ def rphis_series_in_t(pv: ParamVector, q: Rat, c: Rat, order: int) -> TruncSerie
     return TruncSeries([phi_term(k, pv, q, c) for k in range(order + 1)])
 
 
+def _require_convergent(pv: ParamVector, z: Rat) -> None:
+    if pv.r > pv.s + 1:
+        raise DivergentSeriesError(f"divergent series: r={pv.r} > s+1={pv.s + 1}")
+    if pv.r == pv.s + 1 and abs(z) >= 1:
+        raise DivergentSeriesError(f"r = s+1 needs |z| < 1, got |z| = {abs(z)}")
+
+
 def rphis_numeric(pv: ParamVector, q: Rat, z: Rat, eps: Rat) -> Rat:
     """Truncated partial sum of a convergent (or terminating) rPhis.
 
@@ -88,10 +97,7 @@ def rphis_numeric(pv: ParamVector, q: Rat, z: Rat, eps: Rat) -> Rat:
     n = terminating_index(pv, q)
     if n is not None:
         return _finite_sum(pv, q, z, n)
-    if pv.r > pv.s + 1:
-        raise DivergentSeriesError(f"divergent series: r={pv.r} > s+1={pv.s + 1}")
-    if pv.r == pv.s + 1 and abs(z) >= 1:
-        raise DivergentSeriesError(f"r = s+1 needs |z| < 1, got |z| = {abs(z)}")
+    _require_convergent(pv, z)
     acc = Fraction(0)
     prev_small = False
     for k in range(MAX_TERMS):
@@ -100,5 +106,60 @@ def rphis_numeric(pv: ParamVector, q: Rat, z: Rat, eps: Rat) -> Rat:
         small = _exceeds(eps, abs(term))
         if k >= TAIL_KMIN and small and prev_small:
             return acc
+        prev_small = small
+    raise DivergentSeriesError("no two consecutive small terms within bounds")
+
+
+def _ratio_bound(pv: ParamVector, q: Rat, z: Rat, k: int) -> Rat | None:
+    """A bound on |term j+1 / term j| over every j >= k, or None when the
+    lower parameters leave none.
+
+    The ratio is prod(1 - a q^j) / prod(1 - b q^j) * z / (1 - q^{j+1}) *
+    (-q^j)^{1+s-r}, and |q^j| <= Q = |q|^k for 0 < |q| < 1 bounds each
+    factor: by 1 + |a| Q above, by 1 - |b| Q and 1 - |q| Q below.
+    """
+    Q = abs(q) ** k
+    bound = abs(z) * Q**pv.bracket_exponent / (1 - abs(q) * Q)
+    for a in pv.upper:
+        bound *= 1 + abs(a) * Q
+    for b in pv.lower:
+        if abs(b) * Q >= 1:
+            return None
+        bound /= 1 - abs(b) * Q
+    return bound
+
+
+def rphis_ball(pv: ParamVector, q: Rat, z: Rat, eps: Rat) -> Ball:
+    """rPhis[a; b; q; z] as a ball at precision `ball_precision(eps)`.
+
+    It sums the balls of the exact terms `phi_term(k)`.  A terminating series
+    is summed to its last nonzero term.  Otherwise, with r <= s+1, |z| < 1
+    when r = s+1, and 0 < |q| < 1, it stops where `rphis_numeric` stops: at
+    the first k >= TAIL_KMIN where two consecutive terms are below eps, as
+    their balls show.  It goes on while no ratio bound rho < 1 from
+    `_ratio_bound` holds from k on, and then adds |term k| rho / (1 - rho),
+    which bounds the dropped tail, to the radius: the ball holds the partial
+    sum and the true value.
+    """
+    p = ball_precision(eps)
+    n = terminating_index(pv, q)
+    if n is not None:
+        return sum((Ball.of(phi_term(k, pv, q, z), p) for k in range(n + 1)), Ball(0, 0, p))
+    _require_convergent(pv, z)
+    if not 0 < abs(q) < 1:
+        raise ValueError("the tail bound needs 0 < |q| < 1")
+    small_below = eps.numerator << p  # |x| < eps when |x| 2^p den(eps) is below this
+    acc = Ball(0, 0, p)
+    prev_small = False
+    for k in range(MAX_TERMS):
+        term = Ball.of(phi_term(k, pv, q, z), p)
+        acc = acc + term
+        upper = abs(term.mid) + term.rad
+        small = upper * eps.denominator < small_below
+        if k >= TAIL_KMIN and small and prev_small:
+            rho = _ratio_bound(pv, q, z, k)
+            if rho is not None and rho < 1:
+                top, bottom = rho.numerator, rho.denominator
+                return Ball(acc.mid, acc.rad - (-upper * top // (bottom - top)), p)
         prev_small = small
     raise DivergentSeriesError("no two consecutive small terms within bounds")

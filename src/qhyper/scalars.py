@@ -1,9 +1,10 @@
 """Exact rational scalars, q-Pochhammer symbols and q-binomial coefficients.
 
-All arithmetic is over `fractions.Fraction`; nothing here ever rounds.  The
-only "tolerance" in this module is the truncation-stopping threshold of the
-infinite q-Pochhammer product, which still returns an exact rational (the
-partial product).
+The exact arithmetic is over `fractions.Fraction` and never rounds.  Its
+only "tolerance" is the truncation-stopping threshold of the infinite
+q-Pochhammer product, which still returns an exact rational (the partial
+product).  The one type that rounds, `Ball`, carries every rounding in its
+radius.
 
 `qpoch` serves (a;q)_n = P_n(1, a) from a prefix table of the products
 P_n(x, y) = prod_{j<n} (x - y q^j), which holds P_0..P_m and is extended only
@@ -18,12 +19,18 @@ value `qpoch` returns, whether the value was read or computed.
 Every magnitude check applies the fixed cap `MAX_SCALAR_BITS` unless its
 caller passes another.  Only `qpoch_inf` does: it works out a larger cap from
 its own eps, so no check depends on which run is in progress.
+
+The numeric suites do not use `qpoch_inf`'s exact partial products.  They
+read (a;q)_inf as a `Ball` from `qpoch_inf_ball`: a fixed-point midpoint and
+radius on the grid 2^-p, p = b + `GUARD_BITS` for eps = 2^-b, whose radius
+covers every rounding and the dropped tail (a q^K;q)_inf - 1, so the ball
+holds both the partial product and the true infinite product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 from typing import Iterable
 
 Rat = Fraction
@@ -180,52 +187,6 @@ def _coprime_fraction(n: int, d: int) -> Rat:
     return x
 
 
-def smooth_quotient(top: Iterable[Rat], bottom: Iterable[Rat], s: int) -> Rat:
-    """prod(top) / prod(bottom) in lowest terms, for denominators made of
-    primes of s.
-
-    Precondition, not checked: every prime of every denominator divides the
-    integer s > 0.  A value of `qpoch_inf(c, q, eps)` meets it for s = den(q)
-    den(c), so a quotient of such values meets it for den(q) times every
-    den(c); any other prime leaves the result unreduced.
-
-    Each numerator |n| splits as S R, S made of primes of s and R of none;
-    denominators are not split, since their smooth part is the whole number.
-    Then A/B = prod_top R / prod_bottom R and C/D = (prod_top S prod_bottom d)
-    / (prod_bottom S prod_top d), each reduced by one gcd, are the quotient
-    up to sign; A, B have no prime of s and C, D no other prime, so A C / (B D)
-    is in lowest terms.  The gcd of A and B is the one costly gcd: C and D
-    share a large common factor, so Euclid's walk on them is short, where a
-    chain of `Fraction` operations takes two gcds of its operands per
-    operation.  A zero in bottom raises ZeroDivisionError, as `Fraction`
-    division does, even when top holds a zero.
-    """
-    top, bottom = list(top), list(bottom)
-    if not all(bottom):
-        raise ZeroDivisionError("quotient by a zero factor")
-    if not all(top):
-        return Fraction(0)
-    sign, parts = 1, []
-    for side in (top, bottom):
-        rough, smooth = [], []
-        for x in side:
-            n = x.numerator
-            if n < 0:
-                sign, n = -sign, -n
-            r, g = n, gcd(n, s)  # n = (n // r) * r with r free of the primes of s
-            while g > 1:
-                r //= g
-                g = gcd(r, g)
-            rough.append(r)
-            smooth.append(n // r)
-        parts.append((rough, smooth, [x.denominator for x in side]))
-    (rough_top, smooth_top, den_top), (rough_bottom, smooth_bottom, den_bottom) = parts
-    a, b = prod(rough_top), prod(rough_bottom)
-    c, d = prod(smooth_top + den_bottom), prod(smooth_bottom + den_top)
-    g, h = gcd(a, b), gcd(c, d)
-    return _coprime_fraction(sign * (a // g) * (c // h), (b // g) * (d // h))
-
-
 def qpoch_inf(a: Rat, q: Rat, eps: Rat) -> Rat:
     """Partial product for (a;q)_inf, truncated once |a q^K| < eps.
 
@@ -282,6 +243,177 @@ def qpoch_inf(a: Rat, q: Rat, eps: Rat) -> Rat:
         rest_num, rest_den = rest_num // g, rest_den // h
         num, den = num // g * (nq // h), den // h * (dq // g)
     return _coprime_fraction(n, d)
+
+
+#: Bits of working precision that a ball carries below its threshold eps.
+GUARD_BITS = 64
+
+
+def ball_precision(eps: Rat) -> int:
+    """p = b + GUARD_BITS for the least b >= 0 with 2^-b <= eps."""
+    b = max(0, eps.denominator.bit_length() - eps.numerator.bit_length())
+    if eps.numerator << b < eps.denominator:
+        b += 1
+    return b + GUARD_BITS
+
+
+class Ball:
+    """The real interval [(mid - rad) 2^-prec, (mid + rad) 2^-prec].
+
+    A midpoint-radius ball on a fixed-point grid, Arb's model (F. Johansson,
+    IEEE Trans. Comput. 2017) on Python ints: mid and rad are ints, rad >= 0,
+    and no float is involved.  Every operation returns a ball that holds the
+    result of the operation on any points of its operands, so a value
+    computed through balls lies in its ball whatever rounding happened on the
+    way.  Balls of one precision mix with int and Fraction operands, which
+    stay exact: x * ball scales the midpoint and radius by x and rounds once.
+    `<` is a certain comparison: ball < x holds when every point of the ball
+    is below x.
+    """
+
+    __slots__ = ("mid", "rad", "prec")
+
+    def __init__(self, mid: int, rad: int, prec: int):
+        self.mid, self.rad, self.prec = mid, rad, prec
+
+    @classmethod
+    def of(cls, x, prec: int) -> Ball:
+        """The ball of an exact rational x (a ball is returned as it is)."""
+        if isinstance(x, Ball):
+            return x
+        mid, rest = divmod(x.numerator << prec, x.denominator)
+        return cls(mid, 1 if rest else 0, prec)
+
+    def _other(self, x) -> Ball | None:
+        if isinstance(x, Ball):
+            if x.prec != self.prec:
+                raise ValueError("balls of different precision")
+            return x
+        if isinstance(x, (int, Fraction)):
+            return Ball.of(x, self.prec)
+        return None
+
+    def __add__(self, x):
+        x = self._other(x)
+        if x is None:
+            return NotImplemented
+        return Ball(self.mid + x.mid, self.rad + x.rad, self.prec)
+
+    __radd__ = __add__
+
+    def __sub__(self, x):
+        x = self._other(x)
+        if x is None:
+            return NotImplemented
+        return Ball(self.mid - x.mid, self.rad + x.rad, self.prec)
+
+    def __rsub__(self, x):
+        return -self + x
+
+    def __neg__(self):
+        return Ball(-self.mid, self.rad, self.prec)
+
+    def __abs__(self):
+        return -self if self.mid < 0 else self
+
+    def _scaled(self, n: int, d: int) -> Ball:
+        """The ball times n/d, for d > 0."""
+        mid, rest = divmod(self.mid * n, d)
+        return Ball(mid, -(-self.rad * abs(n) // d) + (1 if rest else 0), self.prec)
+
+    def __mul__(self, x):
+        if isinstance(x, (int, Fraction)):
+            return self._scaled(x.numerator, x.denominator)
+        if not isinstance(x, Ball):
+            return NotImplemented
+        x = self._other(x)
+        p = self.prec
+        product = self.mid * x.mid
+        err = abs(self.mid) * x.rad + self.rad * abs(x.mid) + self.rad * x.rad
+        rounded = 1 if product & ((1 << p) - 1) else 0
+        return Ball(product >> p, -(-err >> p) + rounded, p)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, x):
+        if isinstance(x, (int, Fraction)):
+            n, d = x.numerator, x.denominator
+            if n == 0:
+                raise ZeroDivisionError("ball division by zero")
+            return self._scaled(d, n) if n > 0 else self._scaled(-d, -n)
+        if not isinstance(x, Ball):
+            return NotImplemented
+        x = self._other(x)
+        # |X/Y - m/n| <= (r |n| + |m| s) / ((|n| - s) |n|) for X in m +- r,
+        # Y in n +- s, |n| > s
+        a, s, p = abs(x.mid), x.rad, self.prec
+        if a <= s:
+            raise ZeroDivisionError("ball division by a ball that holds 0")
+        mid, rest = divmod(self.mid << p, x.mid)
+        err = (self.rad * a + abs(self.mid) * s) << p
+        return Ball(mid, -(-err // ((a - s) * a)) + (1 if rest else 0), p)
+
+    def __rtruediv__(self, x):
+        x = self._other(x)
+        return NotImplemented if x is None else x / self
+
+    def __lt__(self, x):
+        if not isinstance(x, (int, Fraction)):
+            return NotImplemented
+        return (self.mid + self.rad) * x.denominator < x.numerator << self.prec
+
+    def __contains__(self, x) -> bool:
+        """Whether the exact rational x lies in the ball."""
+        n, d = x.numerator, x.denominator
+        return abs((n << self.prec) - self.mid * d) <= self.rad * d
+
+    def gap(self, other: Ball) -> Rat:
+        """The largest |x - y| for x in this ball and y in other, a dyadic
+        rational."""
+        other = self._other(other)
+        return Fraction(abs(self.mid - other.mid) + self.rad + other.rad, 1 << self.prec)
+
+    def abs_lower(self) -> Rat:
+        """The smallest |x| for x in the ball, a dyadic rational."""
+        return Fraction(max(0, abs(self.mid) - self.rad), 1 << self.prec)
+
+    def __repr__(self):
+        return f"Ball({self.mid}, {self.rad}, {self.prec})"
+
+
+def qpoch_inf_ball(a: Rat, q: Rat, eps: Rat) -> Ball:
+    """(a;q)_inf as a ball at precision `ball_precision(eps)`.
+
+    It multiplies the factors 1 - a q^k that `qpoch_inf` multiplies, those with
+    |a q^k| >= eps, each as a ball product on p-bit integers: a q^k is itself
+    a ball, stepped by one multiply-and-floor by the small integers of q.  The
+    walk goes on past eps, should eps be that large, until sigma = |a q^K| /
+    (1 - |q|) <= 1/2.  Then |(a q^K;q)_inf - 1| <= exp(sigma) - 1 <= 2 sigma,
+    and the radius grows by 2 sigma times the partial product's bound, so
+    the ball holds the partial product and the true value alike.  A factor
+    a q^k = 1, found on exact integers, makes the ball the exact 0.
+    """
+    if not 0 < abs(q) < 1:
+        raise ValueError("qpoch_inf requires 0 < |q| < 1")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    p = ball_precision(eps)
+    one = 1 << p
+    nq, dq = q.numerator, q.denominator
+    ne, de = eps.numerator, eps.denominator
+    gap = dq - abs(nq)  # 1 - |q| = gap / dq
+    num, den = a.numerator, a.denominator  # a q^k = num/den, not reduced
+    y = Ball.of(a, p)
+    value = Ball(one, 0, p)
+    while abs(num) * de >= ne * den or 2 * abs(num) * dq > den * gap:
+        if num == den:
+            return Ball(0, 0, p)
+        value = value * Ball(one - y.mid, y.rad, p)
+        num, den = num * nq, den * dq
+        y = y._scaled(nq, dq)
+    # the dropped tail: |P - P_K| <= |P_K| 2 sigma, sigma = |num| dq / (den gap)
+    bound = abs(value.mid) + value.rad
+    return Ball(value.mid, value.rad - (-bound * 2 * abs(num) * dq // (den * gap)), p)
 
 
 def qbinom(n: int, k: int, q: Rat) -> Rat:

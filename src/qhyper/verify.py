@@ -3,21 +3,33 @@ catalog of all verified identities as executable suites.
 
 Formal suites compare truncated series coefficientwise over exact rationals,
 exact suites compare closed forms at finitely many points, and numeric suites
-compare exact-rational partial sums with a geometric truncation rule.  Every
-suite returns plain (id, deviation, scale, notes) rows, and one rule, applied
-in `run_suite` alone, turns a row into a verdict: the row passes when
+compare balls (`scalars.Ball`: an integer midpoint and radius on the grid
+2^-p, p = epsilon_bits + 64) with a geometric truncation rule.  Every suite
+returns plain (id, deviation, scale, notes) rows, and one rule, applied in
+`run_suite` alone, turns a row into a verdict: the row passes when
 deviation <= tol * scale, with tol = 0 in formal and exact mode (the deviation
-must vanish) and tol = NUMERIC_TOLERANCE = 2^-40 in numeric mode, where
-scale = max(1, |lhs|).
+must vanish) and tol = NUMERIC_TOLERANCE = 2^-40 in numeric mode.  In formal
+and exact mode the deviation is the exact |lhs - rhs| and scale is 1; in
+numeric mode the deviation is the upper bound |m_l - m_r| + r_l + r_r of
+|lhs - rhs| over the two balls and scale = max(1, |m_l| - r_l), the lower
+bound of |lhs|, both dyadic rationals.
 
 A numeric trial reads its primitives through one `_Trial(q, eps)`: the
 (c;q)_inf values, their quotients and the numeric rphis values, each formed
 once per trial and shared by the cross-checks, and the outer sums
 (`truncated_sum`), which stop by the same constants as `rphis_numeric`
 (`TAIL_KMIN`, `MAX_TERMS`) and raise the same `DivergentSeriesError`, which a
-trial reports as errored.  A run sets no bit cap: every value is checked
-against `MAX_SCALAR_BITS` except the partial products of `qpoch_inf`, whose
-cap grows with the eps it is given.
+trial reports as errored.  Every exact factor of a term (`asc_psi`, `qpoch`,
+`psi_sweep`, q-powers, `phi_term`) stays a `Fraction` and enters a ball only
+when it meets one.  A ball's radius covers every rounding, the tails of the
+(c;q)_inf products and the tails of the rphis sums, so each ball holds the
+true value of its part.  It does not cover the truncation of the outer sums,
+whose terms decay and then regrow for the asymptotic series: those keep the
+two-small-terms rule.  A numeric pass therefore says that the upper bound on
+|lhs - rhs| is at most 2^-40 times the lower bound of the scale, up to that
+outer truncation.  Every exact value is checked against the fixed
+`MAX_SCALAR_BITS`; a ball carries about p bits plus those of its magnitude
+and needs no cap.
 
 Several of the bilinear series (the ones pairing the degree-lowering
 polynomial family with the one-parameter psi family) are asymptotic rather
@@ -51,7 +63,7 @@ from .hyper import (
     MAX_TERMS,
     TAIL_KMIN,
     DivergentSeriesError,
-    rphis_numeric,
+    rphis_ball,
     rphis_series_in_t,
     rphis_terminating,
 )
@@ -67,16 +79,16 @@ from .operators import (
 )
 from .report import IdentityReport, sort_reports
 from .scalars import (
+    Ball,
     Rat,
     ScalarOverflowError,
-    _exceeds,
+    ball_precision,
     binom2,
     max_deviation,
     qpoch,
-    qpoch_inf,
+    qpoch_inf_ball,
     qpoch_shift,
     qpow,
-    smooth_quotient,
 )
 from .series import (
     TruncSeries,
@@ -231,25 +243,33 @@ def resample(rng: random.Random, draw: Callable[[], dict], ok: Callable[[dict], 
 
 def truncated_sum(
     term_fn, eps: Fraction, kmin: int = TAIL_KMIN, max_terms: int = MAX_TERMS
-) -> Fraction:
-    """Sum term_fn(k) until two consecutive terms drop below eps.
+) -> Ball:
+    """Sum term_fn(k) as a ball at `ball_precision(eps)` until two consecutive
+    terms drop below eps.
 
-    Raises DivergentSeriesError when the terms regrow hopelessly or the term
-    budget runs out; used for the outer sums of the numeric suites.
+    A term is a ball of that precision or an exact rational.  The stopping
+    tests read each term's ball bounds: a term is small when its upper bound is below
+    eps, the peak is the largest upper bound up to kmin, and the terms regrew
+    when a lower bound passes 2^40 times the peak.  Raises
+    DivergentSeriesError when the terms regrow hopelessly or the term budget
+    runs out; used for the outer sums of the numeric suites.  The ball holds
+    the partial sum; the terms not summed are not in its radius.
     """
-    acc = Fraction(0)
+    p = ball_precision(eps)
+    small_below = eps.numerator << p  # |x| < eps when |x| 2^p den(eps) is below this
+    acc = Ball(0, 0, p)
     prev_small = False
-    peak = Fraction(1)
+    peak = 1 << p
     for k in range(max_terms):
-        term = term_fn(k)
-        acc += term
-        size = abs(term)
-        if k <= kmin and _exceeds(size, peak):
-            peak = size
-        small = _exceeds(eps, size)
+        term = Ball.of(term_fn(k), p)
+        acc = acc + term
+        size = abs(term.mid)
+        if k <= kmin and size + term.rad > peak:
+            peak = size + term.rad
+        small = (size + term.rad) * eps.denominator < small_below
         if k >= kmin and small and prev_small:
             return acc
-        if k >= kmin and _exceeds(size, peak, 40):
+        if k >= kmin and size - term.rad > peak << 40:
             raise DivergentSeriesError(f"terms regrew without reaching eps at k={k}")
         prev_small = small
     raise DivergentSeriesError("no two consecutive small terms within bounds")
@@ -630,18 +650,23 @@ def run_chu_ii7(rng, config):
 # numeric suites
 
 
-def _numeric_result(id: str, lhs: Fraction, rhs: Fraction, notes: str = ""):
-    scale = max(Fraction(1), abs(lhs))
-    return (id, abs(lhs - rhs), scale, notes)
+def _numeric_result(id: str, lhs: Ball, rhs: Ball, notes: str = ""):
+    """The row of two balls: the upper bound of |lhs - rhs| over them, and
+    the scale max(1, lower bound of |lhs|)."""
+    return (id, lhs.gap(rhs), max(Fraction(1), lhs.abs_lower()), notes)
 
 
 class _Trial:
     """The numeric primitives of one trial at base q and threshold eps.
 
-    pinf(c) is (c;q)_inf, quotient(top, bottom) the product of pinf over the
-    tuple top divided by the same over bottom (top walked first), phi(pv, w)
-    the numeric rphis of pv at w; each is memoised, so a cross-check reads
-    what its trial already has.  sum(term, kmin) is `truncated_sum` at eps.
+    Each member returns a `Ball` at precision p = `ball_precision(eps)`, that
+    is epsilon_bits + 64.  pinf(c) is (c;q)_inf from `qpoch_inf_ball`,
+    quotient(top, bottom) the product of pinf over the tuple top divided by
+    the same over bottom (top walked first), phi(pv, w) the rphis of pv at w
+    from `rphis_ball`; each is memoised, so a cross-check reads what its
+    trial already has, and the ball of each holds its true value.
+    sum(term, kmin) is `truncated_sum` at eps, whose ball holds the partial
+    sum but not the outer sum's dropped terms.
 
     The primitives are looked up in this module when called, so a wrapper
     installed on it sees every call; the memos close over locals, not over
@@ -650,20 +675,21 @@ class _Trial:
 
     def __init__(self, q: Fraction, eps: Fraction):
         self.q, self.eps = q, eps
-        pinf = self.pinf = functools.cache(lambda c: qpoch_inf(c, q, eps))
+        pinf = self.pinf = functools.cache(lambda c: qpoch_inf_ball(c, q, eps))
 
         @functools.cache
         def quotient(top, bottom):
-            # every prime of a qpoch_inf denominator divides den(q) den(c)
-            s = q.denominator
-            for c in (*top, *bottom):
-                s *= c.denominator
-            return smooth_quotient([pinf(c) for c in top], [pinf(c) for c in bottom], s)
+            value = pinf(top[0])
+            for c in top[1:]:
+                value = value * pinf(c)
+            for c in bottom:
+                value = value / pinf(c)
+            return value
 
         self.quotient = quotient
-        self.phi = functools.cache(lambda pv, w: rphis_numeric(pv, q, w, eps))
+        self.phi = functools.cache(lambda pv, w: rphis_ball(pv, q, w, eps))
 
-    def sum(self, term, kmin: int = TAIL_KMIN) -> Fraction:
+    def sum(self, term, kmin: int = TAIL_KMIN) -> Ball:
         return truncated_sum(term, self.eps, kmin)
 
 
@@ -892,7 +918,7 @@ def run_cor1(rng, config):
     # cross-check against the bilinear theorem under the stated
     # specialization u=y, v=a*y, z=1, empty parameter lists
     thm3_rhs = _thm3_rhs(trial, alpha, x, y, a * y, Fraction(1), t, ParamVector())
-    dev_cross = abs(lhs - thm3_rhs)
+    dev_cross = lhs.gap(thm3_rhs)
     r = _numeric_result(
         "cor1-bilinear-hahn", lhs, rhs, f"cross-check deviation {float(dev_cross):.3e}"
     )
@@ -952,32 +978,31 @@ def run_thm4(rng, config):
         return trial.sum(term, kmin=4)
 
     xut, xvt = x * u * t, x * v * t
-    ratios = [trial.pinf(xut * q) / trial.pinf(xvt * q)]
-
-    def walk_factor(c):
-        # (c;q)_inf = (1 - c) (cq;q)_inf, and qpoch_inf drops 1 - c once |c| < eps
-        return 1 - c if abs(c) >= trial.eps else 1
+    # (x u t q^{1-n};q)_inf / (x v t q^{1-n};q)_inf = base * ratio(n), where
+    # ratio(n) steps up exactly from 1 by (c;q)_inf = (1 - c) (cq;q)_inf: the
+    # radius of base then widens each sum once, not each of its terms
+    base = trial.pinf(xut * q) / trial.pinf(xvt * q)
+    ratios = [Fraction(1)]
 
     def ratio(n):
-        # (x u t q^{1-n};q)_inf / (x v t q^{1-n};q)_inf, stepped up from n = 0
         while len(ratios) <= n:
             p = qpow(q, 1 - len(ratios))
-            ratios.append(ratios[-1] * walk_factor(xut * p) / walk_factor(xvt * p))
+            ratios.append(ratios[-1] * (1 - xut * p) / (1 - xvt * p))
         return ratios[n]
 
     # (5.1): the A/B relationship itself
     lhs1 = trial.sum(lambda n: A(n) * cauchy_P(n, v, u, q))
-    rhs1 = trial.sum(lambda n: B(n) * ratio(n), kmin=4)
+    rhs1 = base * trial.sum(lambda n: B(n) * ratio(n), kmin=4)
 
     # (5.2): the transformed identity; q^{binom(n,2)} (q t)^n = q^{binom(n+1,2)} t^n
     lhs2 = _bilinear_lhs(trial, alpha, x, t, psi_sweep(u, v, z, pv, q))
-    rhs2 = trial.sum(
+    rhs2 = base * trial.sum(
         lambda n: B(n) * ratio(n) * trial.phi(pv, x * z * t * qpow(q, 1 - n)), kmin=4
     )
 
     # the transformed identity must reproduce the bilinear theorem
     thm3_rhs = _thm3_rhs(trial, alpha, x, u, v, z, t, pv)
-    dev_cross = abs(lhs2 - thm3_rhs)
+    dev_cross = lhs2.gap(thm3_rhs)
 
     out = [
         _numeric_result("thm4-transform:premise", lhs1, rhs1),

@@ -161,14 +161,14 @@ def row_digest(reports):
 
 
 NUMERIC_ROW_DIGESTS = {
-    80: "48bdb19d343026a8da711d96c4c7aa68a9decf953fdf890fa8400d4128bee131",
-    160: "37a350c3a2298e06cd172cdd8240dbab1058474b7b96185c32ef90c692a2202f",
+    80: "1e36b7b94b9da5fdfc2558018396ec489369e1342f19359c65a5690bf4081d04",
+    160: "dbd5aedabf7e3238ec7d14bed5840fca275a64ef1c0826d510d0e566f7dfb9cb",
 }
 
 
 def test_numeric_report_oracle():
-    """Every numeric row of criteria 3 and 7, deviation included: a faster
-    numeric path must leave each one byte-identical."""
+    """Every numeric row of criteria 3 and 7, deviation bound included: a
+    faster numeric path must leave each one byte-identical."""
     ok = all(
         row_digest(r for sid in NUMERIC_SUITES for r in _numeric_reports(bits)[sid]) == digest
         for bits, digest in NUMERIC_ROW_DIGESTS.items()
@@ -177,17 +177,19 @@ def test_numeric_report_oracle():
 
 
 THM4_LOW_EPS_DIGESTS = {
-    8: "30a118d46a96eca9c8636618c867b7d07b856bca47e8654efcaa2f62e4d17379",
-    16: "02751196e7c3e2d848d9b3de7cba8894a0ee717d7708941bf845e19bf8008be1",
-    24: "40b303086887f6c546ce09afb5955e6b4e550270f130070d6320ace93eeb485c",
+    8: "e80b9053bb2122a517722c485e80533d4f7ba43b80039754f1106ddebe7e573c",
+    16: "4e314ea035672835bac5a36458d1ff0646724fcdf06f49c7edf35ad036af8a0a",
+    24: "471722e4424f849301f3b5c8550256965a28afc35b0a2a9fff3a9b11dc098a2f",
 }
 
 
 @pytest.mark.parametrize("bits", sorted(THM4_LOW_EPS_DIGESTS))
 def test_thm4_rows_at_low_eps(bits):
-    """At 8 and 16 bits |x t q^{1-n}| < eps for small n, where qpoch_inf
-    stops before its first factor, so the stepped (x t q^{1-n};q)_inf ratio
-    takes a factor of 1 there; the digests are the rows got by walking both
-    products afresh for every n."""
+    """At 8 and 16 bits |x t q^{1-n}| < eps for small n, where the walk of
+    (x t q;q)_inf stops before its first factor; the stepped ratio of
+    (x t q^{1-n};q)_inf values still takes the exact factor 1 - x t q^{1-n},
+    since the ball of the n = 0 quotient holds the true value.  Every row
+    fails its 2^-40 tolerance at these eps."""
     reports = run_suite("thm4-transform", RunConfig(trials=2, epsilon_bits=bits, seed=7))
+    assert not any(r.passed for r in reports)
     assert row_digest(reports) == THM4_LOW_EPS_DIGESTS[bits]

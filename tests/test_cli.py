@@ -294,9 +294,15 @@ def test_check_json_renders_deviations_of_any_length(capsys, monkeypatch):
     assert sys.get_int_max_str_digits() == before
 
 
-def test_report_json_dict_renders_deviations_of_any_length(capsys):
-    """A deep numeric row serialises outside the CLI as well, and equals the
-    row that `check --format json` prints."""
+def test_report_json_dict_renders_deviations_of_any_length(capsys, monkeypatch):
+    """A numeric row whose deviation has more than 4300 digits serialises
+    outside the CLI as well, and equals the row that `check --format json`
+    prints.  A ball deviation has about epsilon_bits + 64 bits, so the row
+    is given one of 14,300 bits."""
+    deep = Fraction(1, 3**9100)
+    monkeypatch.setattr(
+        SUITES["lemma2-psi"], "runner", lambda rng, config: [("lemma2-psi", deep, 1, "")]
+    )
     before = sys.get_int_max_str_digits()
     report = run_suite("lemma2-psi", RunConfig(trials=1, epsilon_bits=160))[0]
     assert report.deviation.denominator.bit_length() > 14300  # over 4300 digits

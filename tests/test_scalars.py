@@ -1,7 +1,6 @@
 """Scalar layer: q-Pochhammer symbols, q-binomials, the shift identity."""
 
 import random
-import sys
 from fractions import Fraction as F
 from math import gcd, prod
 
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 
 from qhyper import families, scalars
 from qhyper.scalars import (
+    Ball,
     RootOfUnityError,
     ScalarOverflowError,
     binom2,
@@ -19,10 +19,10 @@ from qhyper.scalars import (
     qbinom,
     qpoch,
     qpoch_inf,
+    qpoch_inf_ball,
     qpoch_multi,
     qpoch_shift,
     qpow,
-    smooth_quotient,
 )
 
 rationals = st.fractions(
@@ -239,82 +239,119 @@ def qpoch_inf_values():
 
 
 def test_qpoch_inf_denominators_use_only_primes_of_a_and_q():
-    # smooth_quotient's result is reduced only because of this
     values = qpoch_inf_values()
     assert len(values) > 100
     for value, s in values:
         assert is_smooth(value.denominator, s), (value, s)
 
 
-def assert_same_fraction(x, y):
-    assert type(x) is F and x == y
-    assert (x.numerator, x.denominator, hash(x)) == (y.numerator, y.denominator, hash(y))
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)  # some values pass 4300 digits
-    try:
-        assert str(x) == str(y)
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
 def fraction_chain(top, bottom):
     return prod(top, start=F(1)) / prod(bottom, start=F(1))
 
 
-def test_smooth_quotient_equals_the_fraction_chain_on_qpoch_inf_values():
-    values = qpoch_inf_values()
-    edges = values[:5]  # a = 0, int a, the zero at a = q^-3, no factor, cancelling primes
-    rng = random.Random(3)
-    combos = []
-    for shape in ((2, 2), (3, 2)):
-        combos += [(shape, rng.sample(values, sum(shape))) for _ in range(150)]
-        for edge in edges:
-            for i in range(sum(shape)):
-                picks = rng.sample(values[5:], sum(shape) - 1)
-                combos.append((shape, picks[:i] + [edge] + picks[i:]))
-    zeros = 0
-    for shape, picks in combos:
-        s = prod(p[1] for p in picks)
-        top, bottom = [p[0] for p in picks[: shape[0]]], [p[0] for p in picks[shape[0] :]]
-        if 0 in bottom:
-            zeros += 1
-            with pytest.raises(ZeroDivisionError):
-                smooth_quotient(top, bottom, s)
+def test_qpoch_inf_ball_holds_the_partial_product_and_the_limit():
+    """The ball holds the product taken 40 bits deeper, which is within
+    about 2^-40 eps of the true value, and, when eps <= (1 - |q|)/2 makes it walk the
+    same factors, qpoch_inf's partial product, with a radius near eps; a
+    zero factor gives the exact 0."""
+    same_walks = 0
+    for a, q, eps in qpoch_inf_calls():
+        try:
+            partial = qpoch_inf(a, q, eps)
+            deep = qpoch_inf(a, q, eps / (1 << 40))
+        except ScalarOverflowError:
             continue
-        assert_same_fraction(smooth_quotient(top, bottom, s), fraction_chain(top, bottom))
+        ball = qpoch_inf_ball(F(a), q, eps)
+        assert ball.prec == scalars.ball_precision(eps)
+        assert deep in ball, (a, q, eps)
+        if eps <= (1 - abs(q)) / 2:
+            same_walks += 1
+            assert partial in ball, (a, q, eps)
+            assert F(ball.rad, 1 << ball.prec) <= 8 * eps * max(1, abs(partial)) / (1 - abs(q))
+    assert same_walks > 50
+    zero = qpoch_inf_ball(F(-2, 3) ** -3, F(-2, 3), F(1, 1 << 40))
+    assert (zero.mid, zero.rad) == (0, 0)
+    with pytest.raises(ValueError):
+        qpoch_inf_ball(F(1, 2), F(2), F(1, 1 << 20))
+
+
+def test_ball_precision_is_64_bits_below_eps():
+    for eps, bits in ((F(1, 1 << 80), 80), (F(3, 8), 2), (F(1, 3), 2), (F(1), 0), (F(5), 0)):
+        assert scalars.ball_precision(eps) == bits + 64
+        assert F(1, 1 << bits) <= eps
+
+
+def random_ball(rng, prec):
+    """A ball of random midpoint and radius, and an exact point inside it."""
+    mid = rng.randint(-(1 << (prec + 8)), 1 << (prec + 8))
+    rad = rng.choice((0, 1, rng.randint(0, 1 << (prec - 4))))
+    point = F(mid * (1 << 20) + rng.randint(-rad << 20, rad << 20), 1 << (prec + 20))
+    return Ball(mid, rad, prec), point
+
+
+def test_ball_operations_hold_the_exact_results():
+    """Every operation, on balls and on exact int and Fraction operands on
+    either side, gives a ball that holds the result on points of its
+    operands."""
+    rng = random.Random(12)
+    prec = 72
+    for _ in range(400):
+        (x, px), (y, py) = random_ball(rng, prec), random_ball(rng, prec)
+        r = F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) or F(1)
+        n = rng.randint(-9, 9) or 1
+        assert px in x and py in y
+        cases = [(x + y, px + py), (x - y, px - py), (x * y, px * py), (-x, -px), (abs(x), abs(px)),
+                 (x + r, px + r), (r + x, r + px), (x - n, px - n), (r - x, r - px),
+                 (x * r, px * r), (n * x, n * px), (x / r, px / r), (x / n, px / n)]
+        if abs(y.mid) > y.rad:
+            cases += [(x / y, px / py), (r / y, r / py), (n / y, n / py)]
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+        for ball, exact in cases:
+            assert type(ball) is Ball and ball.prec == prec and ball.rad >= 0
+            assert exact in ball, (ball, exact)
+        lo, hi = (x.mid - x.rad) * F(1, 1 << prec), (x.mid + x.rad) * F(1, 1 << prec)
+        assert (x < hi + F(1, 1 << 100)) and not (x < hi) and not (x < lo)
+        assert x.gap(y) >= abs(px - py) and x.abs_lower() <= abs(px)
+    with pytest.raises(ZeroDivisionError):
+        Ball(5, 5, prec) / Ball(-3, 4, prec)
+    with pytest.raises(ZeroDivisionError):
+        Ball(5, 5, prec) / F(0)
+    with pytest.raises(ValueError):
+        Ball(5, 5, prec) + Ball(5, 5, prec + 1)
+
+
+def test_ball_quotient_holds_the_fraction_chain_on_qpoch_inf_values():
+    """A quotient of (c;q)_inf balls, formed the way a numeric trial forms
+    it, holds the Fraction quotient of the exact partial products."""
+    rng = random.Random(3)
+    calls = [c for c in qpoch_inf_calls() if abs(c[1]) < F(15, 16) and c[2] <= F(1, 256)]
+    zeros = 0
+    for shape in ((2, 2), (3, 2), (1, 1)):
+        for _ in range(60):
+            picks = rng.sample(calls, sum(shape))
+            eps = min(c[2] for c in picks)
+            top = [(F(a), q) for a, q, _ in picks[: shape[0]]]
+            bottom = [(F(a), q) for a, q, _ in picks[shape[0]:]]
+            try:
+                exact = [[qpoch_inf(a, q, eps) for a, q in side] for side in (top, bottom)]
+            except ScalarOverflowError:
+                continue
+            balls = [[qpoch_inf_ball(a, q, eps) for a, q in side] for side in (top, bottom)]
+            value = balls[0][0]
+            for b in balls[0][1:]:
+                value = value * b
+            if 0 in exact[1]:
+                zeros += 1
+                with pytest.raises(ZeroDivisionError):
+                    for b in balls[1]:
+                        value = value / b
+                continue
+            for b in balls[1]:
+                value = value / b
+            assert fraction_chain(*exact) in value
     assert zeros > 0
-
-
-def test_smooth_quotient_cancels_shared_primes_and_signs():
-    # s = 6; rough parts share 5, 7, 11 and 13 across the sides, smooth parts
-    # share 2 and 3, and the denominators are powers of 2 and 3
-    s = 6
-    top = [F(-35 * 4, 9), F(3 * 11 * 13, 32), F(5 * 7 * 7, 1), F(-1, 27)]
-    bottom = [F(7 * 13 * 2, 3), F(-11 * 9 * 5, 1), F(4, 81)]
-    cases = [
-        (top, bottom),
-        (bottom, top),
-        (top, []),
-        ([], bottom),
-        ([], []),
-        (top[:1], top[:1]),
-        ([F(-2, 3)], [F(4, 9), F(-1)]),
-        ([F(5)], [F(-7)]),
-    ]
-    for t, b in cases:
-        assert_same_fraction(smooth_quotient(t, b, s), fraction_chain(t, b))
-    assert smooth_quotient(iter(top), iter(bottom), s) == fraction_chain(top, bottom)
-
-
-def test_smooth_quotient_zeros():
-    s = 6
-    assert_same_fraction(smooth_quotient([F(1, 2), F(0)], [F(3, 4)], s), F(0))
-    assert_same_fraction(smooth_quotient([F(0)], [], s), F(0))
-    for top in ([F(1, 2)], [F(0)], [F(0), F(5, 3)], []):
-        with pytest.raises(ZeroDivisionError):
-            smooth_quotient(top, [F(3, 4), F(0)], s)
-        with pytest.raises(ZeroDivisionError):
-            fraction_chain(top, [F(3, 4), F(0)])
 
 
 def test_qpow_negative_exponent():

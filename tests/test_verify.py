@@ -8,9 +8,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from qhyper import verify
+from qhyper import scalars, verify
 from qhyper.hyper import DivergentSeriesError
-from qhyper.scalars import check_magnitude
+from qhyper.scalars import check_magnitude, qpoch_inf
 from qhyper.verify import (
     NUMERIC_TOLERANCE,
     RunConfig,
@@ -211,9 +211,10 @@ def test_formal_and_exact_report_oracle():
 
 @pytest.mark.parametrize("suite_id", ["cor1-bilinear-hahn", "thm3-bilinear", "thm4-transform"])
 def test_each_product_and_phi_is_computed_once_per_trial(monkeypatch, suite_id):
-    """The bilinear cross-checks reuse the (c;q)_inf values, their quotients
-    and the rphis values their trial already has."""
-    calls = {"qpoch_inf": [], "rphis_numeric": [], "smooth_quotient": []}
+    """The bilinear cross-checks reuse the (c;q)_inf balls and the rphis
+    balls their trial already has (a quotient is a product of those balls,
+    read from the trial's memo)."""
+    calls = {"qpoch_inf_ball": [], "rphis_ball": []}
 
     def recording(name):
         original = getattr(verify, name)
@@ -254,9 +255,9 @@ def exceeds_cases():
 def test_exceeds_equals_the_exact_comparison():
     cases = exceeds_cases()
     for x, y, shift in cases:
-        assert verify._exceeds(x, y, shift) == (x > y * (1 << shift)), (x, y, shift)
-        # truncated_sum asks size < eps as _exceeds(eps, size)
-        assert verify._exceeds(y, x) == (x < y)
+        assert scalars._exceeds(x, y, shift) == (x > y * (1 << shift)), (x, y, shift)
+        # rphis_numeric asks size < eps as _exceeds(eps, size)
+        assert scalars._exceeds(y, x) == (x < y)
     # both ways of deciding are exercised
     decided = sum(
         abs(x.numerator.bit_length() - x.denominator.bit_length()
@@ -268,7 +269,8 @@ def test_exceeds_equals_the_exact_comparison():
 
 def test_cor1_cross_check_is_given_the_bilinear_prefactor(monkeypatch):
     """Corollary 1's cross-check reads its Theorem 3 prefactor from the
-    trial's quotient memo, and returns the same Fraction as on a fresh trial."""
+    trial's quotient memo, a ball that holds the quotient of the exact
+    partial products, and returns the same ball as on a fresh trial."""
     made = []
     original = verify._thm3_rhs
 
@@ -283,18 +285,22 @@ def test_cor1_cross_check_is_given_the_bilinear_prefactor(monkeypatch):
     for trial, args, quotients, shared in made:
         assert (quotients.hits, quotients.currsize) == (1, 1)
         alpha, x, u, v, z, t, pv = args
-        q, pinf = trial.q, trial.pinf
+        q, eps = trial.q, trial.eps
+
+        def pinf(c):
+            return qpoch_inf(c, q, eps)
+
         pref = trial.quotient((q / x, u * x * t * q), (alpha * q, v * x * t * q))
         plain = pinf(q / x) * pinf(u * x * t * q) / (pinf(alpha * q) * pinf(v * x * t * q))
-        assert (pref.numerator, pref.denominator) == (plain.numerator, plain.denominator)
-        own = original(verify._Trial(q, trial.eps), *args)
-        assert (own.numerator, own.denominator) == (shared.numerator, shared.denominator)
+        assert plain in pref
+        own = original(verify._Trial(q, eps), *args)
+        assert (own.mid, own.rad, own.prec) == (shared.mid, shared.rad, shared.prec)
 
 
 def test_numeric_suites_reach_the_primitives_through_their_trial():
     """No numeric suite, nor the bilinear left side or the Theorem 3 right
     side, names a numeric primitive: each reads it through its `_Trial`."""
-    primitives = {"qpoch_inf", "truncated_sum", "rphis_numeric", "smooth_quotient"}
+    primitives = {"qpoch_inf_ball", "truncated_sum", "rphis_ball", "qpoch_inf", "rphis_numeric"}
     runners = [s.runner for s in SUITES.values() if s.mode == "numeric"]
     assert len(runners) == 5
 
@@ -341,18 +347,18 @@ WALK_ORDER = {
 @pytest.mark.parametrize("suite_id", sorted(WALK_ORDER))
 def test_products_are_walked_in_the_order_of_the_right_side(monkeypatch, suite_id):
     samples, walked = [], []
-    resample, qpoch_inf = verify.resample, verify.qpoch_inf
+    resample, qpoch_inf_ball = verify.resample, verify.qpoch_inf_ball
 
     def recording_resample(*args):
         samples.append(resample(*args))
         return samples[-1]
 
-    def recording_qpoch_inf(c, q, eps):
+    def recording_qpoch_inf_ball(c, q, eps):
         walked.append((c, q, eps))
-        return qpoch_inf(c, q, eps)
+        return qpoch_inf_ball(c, q, eps)
 
     monkeypatch.setattr(verify, "resample", recording_resample)
-    monkeypatch.setattr(verify, "qpoch_inf", recording_qpoch_inf)
+    monkeypatch.setattr(verify, "qpoch_inf_ball", recording_qpoch_inf_ball)
     for seed in range(3):
         samples.clear()
         walked.clear()
