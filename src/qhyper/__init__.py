@@ -25,7 +25,6 @@ from .families import (
 )
 from .hyper import (
     DivergentSeriesError,
-    rphis_numeric,
     rphis_series_in_t,
     rphis_terminating,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "qpoch",
     "qpoch_inf",
     "qpoch_shift",
-    "rphis_numeric",
     "rphis_series_in_t",
     "rphis_terminating",
     "run_suite",

@@ -3,9 +3,9 @@
 terminating-exact, formal series in t, and convergent-numeric with a
 documented geometric tail rule.  All three share one term generator, mirroring
 the operator definition, so the sign convention cannot drift: term k carries
-[(-1)^k q^{binom(k,2)}]^{1+s-r}.  The convergent sum comes as an exact
-partial sum (`rphis_numeric`) or as a ball that also holds the true value
-(`rphis_ball`), whose radius adds a proven bound on the dropped tail.
+[(-1)^k q^{binom(k,2)}]^{1+s-r}.  The convergent sum comes as a ball
+(`rphis_ball`) that holds the partial sum and the true value: its radius
+adds a proven bound on the dropped tail to every rounding.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .families import ParamVector, W_coeff, bracket_factor
-from .scalars import Ball, Rat, _exceeds, ball_precision, qpoch
+from .scalars import Ball, Rat, ball_precision, qpoch
 from .series import TruncSeries
 
 #: Numeric truncation: stop at the first k >= TAIL_KMIN with two consecutive
@@ -26,7 +26,7 @@ MAX_TERMS = 10_000
 class DivergentSeriesError(ArithmeticError):
     """Non-terminating series with r > s+1, or no tail decay within bounds.
 
-    Raised by `rphis_numeric` and by `verify.truncated_sum`, whose terms can
+    Raised by `rphis_ball` and by `verify.truncated_sum`, whose terms can
     also regrow before they reach eps.
     """
 
@@ -63,17 +63,12 @@ def terminating_index(pv: ParamVector, q: Rat, limit: int = 512) -> int | None:
     return best
 
 
-def _finite_sum(pv: ParamVector, q: Rat, z: Rat, n: int) -> Rat:
-    """Terms k = 0..n of rPhis[a; b; q; z], summed exactly."""
-    return sum((phi_term(k, pv, q, z) for k in range(n + 1)), Fraction(0))
-
-
 def rphis_terminating(pv: ParamVector, q: Rat, z: Rat) -> Rat:
     """Exact finite sum when some upper parameter is q^{-n}."""
     n = terminating_index(pv, q)
     if n is None:
         raise ValueError("no upper parameter of the form q^{-n}")
-    return _finite_sum(pv, q, z, n)
+    return sum((phi_term(k, pv, q, z) for k in range(n + 1)), Fraction(0))
 
 
 def rphis_series_in_t(pv: ParamVector, q: Rat, c: Rat, order: int) -> TruncSeries:
@@ -86,28 +81,6 @@ def _require_convergent(pv: ParamVector, z: Rat) -> None:
         raise DivergentSeriesError(f"divergent series: r={pv.r} > s+1={pv.s + 1}")
     if pv.r == pv.s + 1 and abs(z) >= 1:
         raise DivergentSeriesError(f"r = s+1 needs |z| < 1, got |z| = {abs(z)}")
-
-
-def rphis_numeric(pv: ParamVector, q: Rat, z: Rat, eps: Rat) -> Rat:
-    """Truncated partial sum of a convergent (or terminating) rPhis.
-
-    Terminating series are summed exactly.  Otherwise requires r <= s+1, and
-    |z| < 1 when r = s+1; stops once two consecutive terms fall below eps.
-    """
-    n = terminating_index(pv, q)
-    if n is not None:
-        return _finite_sum(pv, q, z, n)
-    _require_convergent(pv, z)
-    acc = Fraction(0)
-    prev_small = False
-    for k in range(MAX_TERMS):
-        term = phi_term(k, pv, q, z)
-        acc += term
-        small = _exceeds(eps, abs(term))
-        if k >= TAIL_KMIN and small and prev_small:
-            return acc
-        prev_small = small
-    raise DivergentSeriesError("no two consecutive small terms within bounds")
 
 
 def _ratio_bound(pv: ParamVector, q: Rat, z: Rat, k: int) -> Rat | None:
@@ -134,12 +107,11 @@ def rphis_ball(pv: ParamVector, q: Rat, z: Rat, eps: Rat) -> Ball:
 
     It sums the balls of the exact terms `phi_term(k)`.  A terminating series
     is summed to its last nonzero term.  Otherwise, with r <= s+1, |z| < 1
-    when r = s+1, and 0 < |q| < 1, it stops where `rphis_numeric` stops: at
-    the first k >= TAIL_KMIN where two consecutive terms are below eps, as
-    their balls show.  It goes on while no ratio bound rho < 1 from
-    `_ratio_bound` holds from k on, and then adds |term k| rho / (1 - rho),
-    which bounds the dropped tail, to the radius: the ball holds the partial
-    sum and the true value.
+    when r = s+1, and 0 < |q| < 1, it stops at the first k >= TAIL_KMIN
+    where the upper bounds of the balls of terms k - 1 and k are both below
+    eps and `_ratio_bound` gives some rho < 1 from k on.  It then adds
+    |term k| rho / (1 - rho), which bounds the dropped tail, to the radius:
+    the ball holds the partial sum and the true value.
     """
     p = ball_precision(eps)
     n = terminating_index(pv, q)

@@ -74,31 +74,6 @@ def max_deviation(pairs: Iterable[tuple[Rat, Rat]]) -> Rat:
     return max((abs(lhs - rhs) for lhs, rhs in pairs), default=Fraction(0))
 
 
-def _exceeds(x: Fraction, y: Fraction, shift: int = 0) -> bool:
-    """x > y * 2**shift for rationals x, y >= 0, from bit lengths when they
-    settle it.
-
-    A positive n/d lies strictly between 2^(bn - bd - 1) and 2^(bn - bd + 1),
-    with bn and bd the bit lengths of n and d, so two such estimates at least
-    2 apart order the values; the exact comparison, whose cross-products of
-    big integers cost far more, decides the rest.
-    """
-    if not x or not y:
-        return x > y
-    gap = (
-        x.numerator.bit_length()
-        - x.denominator.bit_length()
-        - y.numerator.bit_length()
-        + y.denominator.bit_length()
-        - shift
-    )
-    if gap >= 2:
-        return True
-    if gap <= -2:
-        return False
-    return x > y * (1 << shift) if shift else x > y
-
-
 #: Prefix tables of `_prefix_product`, in least-recently-used order.  The
 #: table of P_n(x, y) = prod_{j<n} (x - y q^j) is keyed on (y.numerator,
 #: y.denominator, q.numerator, q.denominator) when x = 1, so that the table of
@@ -267,8 +242,8 @@ class Ball:
     computed through balls lies in its ball whatever rounding happened on the
     way.  Balls of one precision mix with int and Fraction operands, which
     stay exact: x * ball scales the midpoint and radius by x and rounds once.
-    `<` is a certain comparison: ball < x holds when every point of the ball
-    is below x.
+    A ball is read through `in`, `gap` and `abs_lower`, or through its mid
+    and rad as the stopping tests of the sums do; it defines no `<`.
     """
 
     __slots__ = ("mid", "rad", "prec")
@@ -313,9 +288,6 @@ class Ball:
     def __neg__(self):
         return Ball(-self.mid, self.rad, self.prec)
 
-    def __abs__(self):
-        return -self if self.mid < 0 else self
-
     def _scaled(self, n: int, d: int) -> Ball:
         """The ball times n/d, for d > 0."""
         mid, rest = divmod(self.mid * n, d)
@@ -356,11 +328,6 @@ class Ball:
     def __rtruediv__(self, x):
         x = self._other(x)
         return NotImplemented if x is None else x / self
-
-    def __lt__(self, x):
-        if not isinstance(x, (int, Fraction)):
-            return NotImplemented
-        return (self.mid + self.rad) * x.denominator < x.numerator << self.prec
 
     def __contains__(self, x) -> bool:
         """Whether the exact rational x lies in the ball."""

@@ -17,7 +17,7 @@ bound of |lhs|, both dyadic rationals.
 A numeric trial reads its primitives through one `_Trial(q, eps)`: the
 (c;q)_inf values, their quotients and the numeric rphis values, each formed
 once per trial and shared by the cross-checks, and the outer sums
-(`truncated_sum`), which stop by the same constants as `rphis_numeric`
+(`truncated_sum`), which stop by the same constants as `rphis_ball`
 (`TAIL_KMIN`, `MAX_TERMS`) and raise the same `DivergentSeriesError`, which a
 trial reports as errored.  Every exact factor of a term (`asc_psi`, `qpoch`,
 `psi_sweep`, q-powers, `phi_term`) stays a `Fraction` and enters a ball only
@@ -905,8 +905,6 @@ def run_cor1(rng, config):
     trial = _Trial(q, config.eps)
     lhs = _bilinear_lhs(trial, alpha, x, t, lambda n: asc_psi(n, a, y, q))
     xytq, axytq = x * y * t * q, a * x * y * t * q
-    for c in (q / x, xytq, x * t * q, alpha * q, axytq):
-        trial.pinf(c)  # walked in the order of the displayed product
     # the bilinear theorem's prefactor at u = y, v = a y, times (x t q;q)_inf
     pref = trial.quotient((q / x, xytq), (alpha * q, axytq)) * trial.pinf(x * t * q)
     pv = ParamVector(

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -279,6 +280,33 @@ def test_importing_qhyper_keeps_the_int_digit_limit():
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "True"
+
+
+def test_public_api_is_exactly_all():
+    """Every name in `qhyper.__all__` resolves, once; every public name of
+    the package is in it; and the only rphis sums left are the terminating,
+    formal and ball ones (the ball one stays in `qhyper.hyper`)."""
+    import qhyper
+    from qhyper import hyper
+
+    names = qhyper.__all__
+    assert len(names) == len(set(names))
+    assert all(hasattr(qhyper, name) for name in names)
+    public = {
+        name
+        for name, value in vars(qhyper).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(names)
+    assert sorted(n for n in names if n.startswith("rphis_")) == [
+        "rphis_series_in_t",
+        "rphis_terminating",
+    ]
+    assert sorted(n for n in vars(hyper) if n.startswith("rphis_")) == [
+        "rphis_ball",
+        "rphis_series_in_t",
+        "rphis_terminating",
+    ]
 
 
 def test_check_json_renders_deviations_of_any_length(capsys, monkeypatch):

@@ -10,12 +10,17 @@ from qhyper.families import ParamVector
 from qhyper.hyper import (
     DivergentSeriesError,
     phi_term,
-    rphis_numeric,
+    rphis_ball,
     rphis_series_in_t,
     rphis_terminating,
     terminating_index,
 )
-from qhyper.scalars import qpoch, qpow
+from qhyper.scalars import qpoch, qpoch_inf_ball, qpow
+
+
+def mid(ball):
+    """The midpoint of a ball as an exact rational."""
+    return F(ball.mid, 1 << ball.prec)
 
 
 def test_phi_term_k0_is_one():
@@ -62,15 +67,14 @@ def test_series_in_t_matches_numeric_at_point():
     eps = F(1, 1 << 120)
     series = rphis_series_in_t(pv, q, c, 40)
     horner = series.eval_horner(t0)
-    numeric = rphis_numeric(pv, q, c * t0, eps)
-    assert abs(horner - numeric) < F(1, 1 << 60)
+    assert rphis_ball(pv, q, c * t0, eps).gap(horner) < F(1, 1 << 60)
 
 
 def test_numeric_terminating_shortcut():
     q = F(1, 2)
     pv = ParamVector((qpow(q, -2), F(5)), (F(1, 3),))
     z = F(9, 7)  # |z| > 1 is fine when the series terminates
-    assert rphis_numeric(pv, q, z, F(1, 1 << 40)) == rphis_terminating(pv, q, z)
+    assert rphis_terminating(pv, q, z) in rphis_ball(pv, q, z, F(1, 1 << 40))
 
 
 def test_terminating_numeric_sum_walks_once(monkeypatch):
@@ -80,35 +84,39 @@ def test_terminating_numeric_sum_walks_once(monkeypatch):
     walks = []
     walk = hyper.terminating_index
     monkeypatch.setattr(hyper, "terminating_index", lambda *args: walks.append(args) or walk(*args))
-    assert rphis_numeric(pv, q, z, F(1, 1 << 40)) == expected
+    assert expected in rphis_ball(pv, q, z, F(1, 1 << 40))
     assert len(walks) == 1
 
 
 def test_numeric_divergence_guards():
     q, eps = F(1, 2), F(1, 1 << 40)
     with pytest.raises(DivergentSeriesError):
-        rphis_numeric(ParamVector((F(1, 3), F(1, 5)), ()), q, F(1, 2), eps)
+        rphis_ball(ParamVector((F(1, 3), F(1, 5)), ()), q, F(1, 2), eps)
     with pytest.raises(DivergentSeriesError):
-        rphis_numeric(ParamVector((F(1, 3),), ()), q, F(3, 2), eps)
+        rphis_ball(ParamVector((F(1, 3),), ()), q, F(3, 2), eps)
+    # a non-terminating series has no tail bound unless 0 < |q| < 1
+    for q in (F(3, 2), F(-1), F(1)):
+        with pytest.raises(ValueError):
+            rphis_ball(ParamVector((F(1, 3),), ()), q, F(1, 2), eps)
 
 
 def test_numeric_q_binomial_theorem():
     # 1Phi0[a;;q;z] = (az;q)_inf / (z;q)_inf
-    from qhyper.scalars import qpoch_inf
-
     q, a, z = F(1, 2), F(1, 3), F(2, 5)
     eps = F(1, 1 << 120)
-    lhs = rphis_numeric(ParamVector((a,), ()), q, z, eps)
-    rhs = qpoch_inf(a * z, q, eps) / qpoch_inf(z, q, eps)
-    assert abs(lhs - rhs) < F(1, 1 << 80)
+    lhs = rphis_ball(ParamVector((a,), ()), q, z, eps)
+    rhs = qpoch_inf_ball(a * z, q, eps) / qpoch_inf_ball(z, q, eps)
+    assert lhs.gap(rhs) < F(1, 1 << 80)
 
 
 def test_stability_under_smaller_eps():
     pv = ParamVector((F(1, 3),), (F(1, 7),))
     q, z = F(1, 2), F(1, 4)
-    v1 = rphis_numeric(pv, q, z, F(1, 1 << 80))
-    v2 = rphis_numeric(pv, q, z, F(1, 1 << 160))
-    assert abs(v1 - v2) < F(1, 1 << 78)
+    v1 = rphis_ball(pv, q, z, F(1, 1 << 80))
+    v2 = rphis_ball(pv, q, z, F(1, 1 << 160))
+    assert abs(mid(v1) - mid(v2)) < F(1, 1 << 78)
+    # both balls hold the true value, so they overlap
+    assert abs(mid(v1) - mid(v2)) <= F(v1.rad, 1 << v1.prec) + F(v2.rad, 1 << v2.prec)
 
 
 def old_terminating_index(pv, q, limit=512):
@@ -141,8 +149,9 @@ def test_terminating_index_agrees_with_full_walk(q):
     assert terminating_index(ParamVector((qpow(q, -600),), ()), q) is (None if abs(q) != 1 else 0)
 
 
-def loop_rphis_numeric(pv, q, z, eps):
-    """rphis_numeric with its stopping test written as abs(term) < eps."""
+def exact_partial_sum(pv, q, z, eps):
+    """The exact partial sum of rPhis, up to the first k >= TAIL_KMIN where
+    two consecutive terms have abs(term) < eps."""
     n = terminating_index(pv, q)
     if n is not None:
         return sum((phi_term(k, pv, q, z) for k in range(n + 1)), F(0))
@@ -159,7 +168,7 @@ def loop_rphis_numeric(pv, q, z, eps):
     raise DivergentSeriesError("no two consecutive small terms within bounds")
 
 
-def rphis_numeric_cases():
+def rphis_cases():
     """Seeded (pv, q, z, eps): terminating, r = s+1 and r <= s series, a zero
     argument (every term past the first is 0), and eps equal to a term."""
     rng = random.Random(13)
@@ -184,12 +193,10 @@ def rphis_numeric_cases():
     return cases
 
 
-def test_rphis_numeric_stops_where_the_exact_comparison_stops():
-    for pv, q, z, eps in rphis_numeric_cases():
-        expected = loop_rphis_numeric(pv, q, z, eps)
-        value = rphis_numeric(pv, q, z, eps)
-        assert (value, value.numerator, value.denominator) == (
-            expected,
-            expected.numerator,
-            expected.denominator,
-        ), (pv, q, z, eps)
+def test_rphis_ball_midpoint_is_within_eps_of_the_exact_partial_sum():
+    """The ball may sum a few terms past the exact partial sum's stop, until
+    its tail bound holds."""
+    for pv, q, z, eps in rphis_cases():
+        ref = exact_partial_sum(pv, q, z, eps)
+        value = mid(rphis_ball(pv, q, z, eps))
+        assert abs(value - ref) <= 2 * eps * max(1, abs(ref)), (pv, q, z, eps)

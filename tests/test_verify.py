@@ -2,13 +2,14 @@
 
 import hashlib
 import json
+import math
 import random
 import types
 from fractions import Fraction as F
 
 import pytest
 
-from qhyper import scalars, verify
+from qhyper import verify
 from qhyper.hyper import DivergentSeriesError
 from qhyper.scalars import check_magnitude, qpoch_inf
 from qhyper.verify import (
@@ -107,7 +108,7 @@ def test_is_q_power():
 def test_truncated_sum_geometric():
     total = truncated_sum(lambda k: F(1, 2**k), F(1, 1 << 30))
     # stops once two consecutive terms < eps; the dropped tail is below 2^-29
-    assert abs(total - 2) < F(1, 1 << 29)
+    assert total.gap(2) < F(1, 1 << 29)
 
 
 def test_truncated_sum_aborts_on_regrowth():
@@ -233,40 +234,6 @@ def test_each_product_and_phi_is_computed_once_per_trial(monkeypatch, suite_id):
         assert made and len(made) == len(set(made)), name
 
 
-def exceeds_cases():
-    """Seeded (x, y, shift) with x, y >= 0: zeros, x equal to y * 2^shift,
-    values one bit either side of that, and random magnitudes that land
-    inside and outside the two-bit window the bit lengths leave open."""
-    rng = random.Random(5)
-    cases = []
-    for _ in range(300):
-        y = F(rng.getrandbits(rng.randint(1, 300)) + 1, rng.getrandbits(rng.randint(1, 300)) + 1)
-        for shift in (0, 40):
-            edge = y * (1 << shift)
-            cases += [(edge, y, shift), (edge * 2, y, shift), (edge / 2, y, shift),
-                      (edge + F(1, y.denominator), y, shift),
-                      (edge - F(1, y.denominator), y, shift),
-                      (F(0), y, shift), (y, F(0), shift), (F(0), F(0), shift)]
-            x = F(rng.getrandbits(rng.randint(1, 400)), rng.getrandbits(rng.randint(1, 400)) + 1)
-            cases.append((x, y, shift))
-    return cases
-
-
-def test_exceeds_equals_the_exact_comparison():
-    cases = exceeds_cases()
-    for x, y, shift in cases:
-        assert scalars._exceeds(x, y, shift) == (x > y * (1 << shift)), (x, y, shift)
-        # rphis_numeric asks size < eps as _exceeds(eps, size)
-        assert scalars._exceeds(y, x) == (x < y)
-    # both ways of deciding are exercised
-    decided = sum(
-        abs(x.numerator.bit_length() - x.denominator.bit_length()
-            - y.numerator.bit_length() + y.denominator.bit_length() - s) >= 2
-        for x, y, s in cases if x and y
-    )
-    assert 0 < decided < len(cases)
-
-
 def test_cor1_cross_check_is_given_the_bilinear_prefactor(monkeypatch):
     """Corollary 1's cross-check reads its Theorem 3 prefactor from the
     trial's quotient memo, a ball that holds the quotient of the exact
@@ -300,7 +267,7 @@ def test_cor1_cross_check_is_given_the_bilinear_prefactor(monkeypatch):
 def test_numeric_suites_reach_the_primitives_through_their_trial():
     """No numeric suite, nor the bilinear left side or the Theorem 3 right
     side, names a numeric primitive: each reads it through its `_Trial`."""
-    primitives = {"qpoch_inf_ball", "truncated_sum", "rphis_ball", "qpoch_inf", "rphis_numeric"}
+    primitives = {"qpoch_inf_ball", "truncated_sum", "rphis_ball", "qpoch_inf"}
     runners = [s.runner for s in SUITES.values() if s.mode == "numeric"]
     assert len(runners) == 5
 
@@ -331,9 +298,9 @@ WALK_ORDER = {
     "cor1-bilinear-hahn": lambda s: [
         s["q"] / s["x"],
         s["x"] * s["y"] * s["t"] * s["q"],
-        s["x"] * s["t"] * s["q"],
         s["alpha"] * s["q"],
         s["a"] * s["x"] * s["y"] * s["t"] * s["q"],
+        s["x"] * s["t"] * s["q"],
     ],
     "thm4-transform": lambda s: [
         s["x"] * s["t"] * s["q"],
@@ -366,3 +333,25 @@ def test_products_are_walked_in_the_order_of_the_right_side(monkeypatch, suite_i
         assert all(r.passed for r in run_suite(suite_id, config))
         (s,) = samples
         assert walked == [(c, s["q"], config.eps) for c in WALK_ORDER[suite_id](s)], seed
+
+
+def test_thm2_gap_does_not_follow_eps(monkeypatch):
+    """Theorem 2's two sides differ by a gap that deeper truncation does not
+    shrink once |t/omega| is about 2^-11 rather than 2^-27.
+
+    The suite's own sampler draws t/omega as a product of five `rand_small`
+    draws; widening that band to [1/5, 1/4] is the only change.  The gap
+    (about 2^-46.3) is far above eps at 80 and at 160 bits, and the same at
+    both, so it is a property of the single-sum side, not of the truncation.
+    It is still below the 2^-40 tolerance, so the row passes: that pass is
+    the finding this test pins.
+    """
+    monkeypatch.setattr(
+        verify, "rand_small", lambda rng, signed=False: rand_in(rng, F(1, 5), F(1, 4), signed)
+    )
+    gaps = []
+    for bits in (80, 160):
+        (row,) = run_suite("thm2-rogers", RunConfig(trials=1, seed=42, epsilon_bits=bits))
+        assert row.passed and row.deviation > F(1, 1 << 80), bits
+        gaps.append(math.log2(row.deviation.numerator) - math.log2(row.deviation.denominator))
+    assert abs(gaps[0] - gaps[1]) < 0.01, gaps
