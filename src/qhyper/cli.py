@@ -141,7 +141,7 @@ def _render_tsv(config: RunConfig, reports: list[IdentityReport]) -> str:
     lines = ["\t".join(TSV_FIELDS)]
     for r in reports:
         d = r.to_json_dict()
-        lines.append("\t".join(str(d[f]) for f in TSV_FIELDS))
+        lines.append("\t".join("-" if d[f] is None else str(d[f]) for f in TSV_FIELDS))
     return "\n".join(lines) + "\n"
 
 
@@ -150,7 +150,8 @@ def _render_human(config: RunConfig, reports: list[IdentityReport]) -> str:
     lines = [f"suite {config.suite}: {len(reports)} checks"]
     for r in reports:
         glyph = "ok " if r.passed else "FAIL"
-        dev = "0" if r.deviation == 0 else f"~2^{float(_log2(r.deviation)):.1f}"
+        dev = r.deviation
+        dev = "-" if dev is None else "0" if dev == 0 else f"~2^{float(_log2(dev)):.1f}"
         note = f"  {r.notes}" if r.notes else ""
         lines.append(f"  {glyph} {r.id:<{width}} trial {r.trial:>2} dev {dev}{note}")
     passed = sum(r.passed for r in reports)

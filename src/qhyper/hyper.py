@@ -5,7 +5,8 @@ documented geometric tail rule.  All three share one term generator, mirroring
 the operator definition, so the sign convention cannot drift: term k carries
 [(-1)^k q^{binom(k,2)}]^{1+s-r}.  The convergent sum comes as a ball
 (`rphis_ball`) that holds the partial sum and the true value: its radius
-adds a proven bound on the dropped tail to every rounding.
+adds a proven bound on the dropped tail to every rounding.  Its kernel,
+`_sum_ball`, also sums the outer sums of the numeric suites, without a tail.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .series import TruncSeries
 
 #: Numeric truncation: stop at the first k >= TAIL_KMIN with two consecutive
 #: terms below threshold, within MAX_TERMS terms.  The double check guards
-#: against accidental zeros.  `verify.truncated_sum` stops by the same rule.
+#: against accidental zeros.  `_sum_ball` holds this rule for every numeric sum.
 TAIL_KMIN = 8
 MAX_TERMS = 10_000
 
@@ -26,8 +27,8 @@ MAX_TERMS = 10_000
 class DivergentSeriesError(ArithmeticError):
     """Non-terminating series with r > s+1, or no tail decay within bounds.
 
-    Raised by `rphis_ball` and by `verify.truncated_sum`, whose terms can
-    also regrow before they reach eps.
+    Raised by `_sum_ball`, and so by `rphis_ball` and `verify.truncated_sum`:
+    the terms of an outer sum can also regrow before they reach eps.
     """
 
 
@@ -102,36 +103,61 @@ def _ratio_bound(pv: ParamVector, q: Rat, z: Rat, k: int) -> Rat | None:
     return bound
 
 
+def _sum_ball(term, eps: Rat, kmin: int = TAIL_KMIN, ratio=None) -> Ball:
+    """Sum term(k), k = 0, 1, ..., as a ball at precision `ball_precision(eps)`.
+
+    A term is a ball of that precision or an exact rational, and it is small
+    when its ball's upper bound is below eps.  The sum stops at the first
+    k >= kmin where terms k - 1 and k are both small, and raises
+    DivergentSeriesError if MAX_TERMS terms pass first.  With `ratio`, which
+    maps k to a bound rho on |term j+1 / term j| over every j >= k or to None,
+    it stops there only when rho < 1 and adds |term k| rho / (1 - rho), a
+    bound on the dropped tail, to the radius: the ball holds the true value.
+    A convergent series may rise far above its first terms, so there is no
+    regrowth test then.  Without `ratio` the ball holds the partial sum only,
+    and the sum raises once a term's lower bound passes 2^40 times the peak,
+    the largest upper bound up to kmin: the terms regrew.
+    """
+    p = ball_precision(eps)
+    small_below = eps.numerator << p  # |x| < eps when |x| 2^p den(eps) is below this
+    acc = Ball(0, 0, p)
+    prev_small = False
+    peak = 1 << p
+    for k in range(MAX_TERMS):
+        t = Ball.of(term(k), p)
+        acc = acc + t
+        upper = abs(t.mid) + t.rad
+        if k <= kmin and upper > peak:
+            peak = upper
+        small = upper * eps.denominator < small_below
+        if k >= kmin and small and prev_small:
+            if ratio is None:
+                return acc
+            rho = ratio(k)
+            if rho is not None and rho < 1:
+                top, bottom = rho.numerator, rho.denominator
+                return Ball(acc.mid, acc.rad - (-upper * top // (bottom - top)), p)
+        if ratio is None and k >= kmin and abs(t.mid) - t.rad > peak << 40:
+            raise DivergentSeriesError(f"terms regrew without reaching eps at k={k}")
+        prev_small = small
+    raise DivergentSeriesError("no two consecutive small terms within bounds")
+
+
 def rphis_ball(pv: ParamVector, q: Rat, z: Rat, eps: Rat) -> Ball:
     """rPhis[a; b; q; z] as a ball at precision `ball_precision(eps)`.
 
     It sums the balls of the exact terms `phi_term(k)`.  A terminating series
     is summed to its last nonzero term.  Otherwise, with r <= s+1, |z| < 1
-    when r = s+1, and 0 < |q| < 1, it stops at the first k >= TAIL_KMIN
-    where the upper bounds of the balls of terms k - 1 and k are both below
-    eps and `_ratio_bound` gives some rho < 1 from k on.  It then adds
-    |term k| rho / (1 - rho), which bounds the dropped tail, to the radius:
-    the ball holds the partial sum and the true value.
+    when r = s+1, and 0 < |q| < 1, `_sum_ball` sums it with `_ratio_bound`
+    as its ratio, so the ball holds the partial sum and the true value.
     """
-    p = ball_precision(eps)
     n = terminating_index(pv, q)
     if n is not None:
+        p = ball_precision(eps)
         return sum((Ball.of(phi_term(k, pv, q, z), p) for k in range(n + 1)), Ball(0, 0, p))
     _require_convergent(pv, z)
     if not 0 < abs(q) < 1:
         raise ValueError("the tail bound needs 0 < |q| < 1")
-    small_below = eps.numerator << p  # |x| < eps when |x| 2^p den(eps) is below this
-    acc = Ball(0, 0, p)
-    prev_small = False
-    for k in range(MAX_TERMS):
-        term = Ball.of(phi_term(k, pv, q, z), p)
-        acc = acc + term
-        upper = abs(term.mid) + term.rad
-        small = upper * eps.denominator < small_below
-        if k >= TAIL_KMIN and small and prev_small:
-            rho = _ratio_bound(pv, q, z, k)
-            if rho is not None and rho < 1:
-                top, bottom = rho.numerator, rho.denominator
-                return Ball(acc.mid, acc.rad - (-upper * top // (bottom - top)), p)
-        prev_small = small
-    raise DivergentSeriesError("no two consecutive small terms within bounds")
+    return _sum_ball(
+        lambda k: phi_term(k, pv, q, z), eps, ratio=lambda k: _ratio_bound(pv, q, z, k)
+    )

@@ -5,7 +5,6 @@ from __future__ import annotations
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .scalars import Rat
 
@@ -31,6 +30,7 @@ class IdentityReport:
     """Result of checking one identity against one sample.
 
     `passed` is the verdict of the single pass rule stated in `qhyper.verify`.
+    An errored row has no deviation: None, written `null` in JSON.
     """
 
     id: str
@@ -38,12 +38,14 @@ class IdentityReport:
     seed: int
     trial: int
     passed: bool
-    deviation: Rat = Fraction(0)
+    deviation: Rat | None = None
     notes: str = ""
 
     def to_json_dict(self) -> dict:
-        with _any_int_digits():
-            num, den = str(self.deviation.numerator), str(self.deviation.denominator)
+        num = den = None
+        if self.deviation is not None:
+            with _any_int_digits():
+                num, den = str(self.deviation.numerator), str(self.deviation.denominator)
         return {
             "id": self.id,
             "mode": self.mode,

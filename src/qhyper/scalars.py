@@ -242,6 +242,7 @@ class Ball:
     computed through balls lies in its ball whatever rounding happened on the
     way.  Balls of one precision mix with int and Fraction operands, which
     stay exact: x * ball scales the midpoint and radius by x and rounds once.
+    The exact operand goes on the right of + and /; no sum needs a minus.
     A ball is read through `in`, `gap` and `abs_lower`, or through its mid
     and rad as the stopping tests of the sums do; it defines no `<`.
     """
@@ -273,20 +274,6 @@ class Ball:
         if x is None:
             return NotImplemented
         return Ball(self.mid + x.mid, self.rad + x.rad, self.prec)
-
-    __radd__ = __add__
-
-    def __sub__(self, x):
-        x = self._other(x)
-        if x is None:
-            return NotImplemented
-        return Ball(self.mid - x.mid, self.rad + x.rad, self.prec)
-
-    def __rsub__(self, x):
-        return -self + x
-
-    def __neg__(self):
-        return Ball(-self.mid, self.rad, self.prec)
 
     def _scaled(self, n: int, d: int) -> Ball:
         """The ball times n/d, for d > 0."""
@@ -324,10 +311,6 @@ class Ball:
         mid, rest = divmod(self.mid << p, x.mid)
         err = (self.rad * a + abs(self.mid) * s) << p
         return Ball(mid, -(-err // ((a - s) * a)) + (1 if rest else 0), p)
-
-    def __rtruediv__(self, x):
-        x = self._other(x)
-        return NotImplemented if x is None else x / self
 
     def __contains__(self, x) -> bool:
         """Whether the exact rational x lies in the ball."""

@@ -17,8 +17,8 @@ bound of |lhs|, both dyadic rationals.
 A numeric trial reads its primitives through one `_Trial(q, eps)`: the
 (c;q)_inf values, their quotients and the numeric rphis values, each formed
 once per trial and shared by the cross-checks, and the outer sums
-(`truncated_sum`), which stop by the same constants as `rphis_ball`
-(`TAIL_KMIN`, `MAX_TERMS`) and raise the same `DivergentSeriesError`, which a
+(`truncated_sum`), which run the kernel of `rphis_ball`, `hyper._sum_ball`,
+without its ratio bound, and raise the same `DivergentSeriesError`, which a
 trial reports as errored.  Every exact factor of a term (`asc_psi`, `qpoch`,
 `psi_sweep`, q-powers, `phi_term`) stays a `Fraction` and enters a ball only
 when it meets one.  A ball's radius covers every rounding, the tails of the
@@ -60,9 +60,9 @@ from .families import (
     v_poly,
 )
 from .hyper import (
-    MAX_TERMS,
     TAIL_KMIN,
     DivergentSeriesError,
+    _sum_ball,
     rphis_ball,
     rphis_series_in_t,
     rphis_terminating,
@@ -82,7 +82,6 @@ from .scalars import (
     Ball,
     Rat,
     ScalarOverflowError,
-    ball_precision,
     binom2,
     max_deviation,
     qpoch,
@@ -241,38 +240,17 @@ def resample(rng: random.Random, draw: Callable[[], dict], ok: Callable[[dict], 
 # numeric summation
 
 
-def truncated_sum(
-    term_fn, eps: Fraction, kmin: int = TAIL_KMIN, max_terms: int = MAX_TERMS
-) -> Ball:
+def truncated_sum(term_fn, eps: Fraction, kmin: int = TAIL_KMIN) -> Ball:
     """Sum term_fn(k) as a ball at `ball_precision(eps)` until two consecutive
-    terms drop below eps.
+    terms drop below eps: `hyper._sum_ball` without a ratio bound, under the
+    name and the `term_fn` argument that `bench/tracer.py` times and counts.
 
-    A term is a ball of that precision or an exact rational.  The stopping
-    tests read each term's ball bounds: a term is small when its upper bound is below
-    eps, the peak is the largest upper bound up to kmin, and the terms regrew
-    when a lower bound passes 2^40 times the peak.  Raises
+    A term is a ball of that precision or an exact rational.  Raises
     DivergentSeriesError when the terms regrow hopelessly or the term budget
     runs out; used for the outer sums of the numeric suites.  The ball holds
     the partial sum; the terms not summed are not in its radius.
     """
-    p = ball_precision(eps)
-    small_below = eps.numerator << p  # |x| < eps when |x| 2^p den(eps) is below this
-    acc = Ball(0, 0, p)
-    prev_small = False
-    peak = 1 << p
-    for k in range(max_terms):
-        term = Ball.of(term_fn(k), p)
-        acc = acc + term
-        size = abs(term.mid)
-        if k <= kmin and size + term.rad > peak:
-            peak = size + term.rad
-        small = (size + term.rad) * eps.denominator < small_below
-        if k >= kmin and small and prev_small:
-            return acc
-        if k >= kmin and size - term.rad > peak << 40:
-            raise DivergentSeriesError(f"terms regrew without reaching eps at k={k}")
-        prev_small = small
-    raise DivergentSeriesError("no two consecutive small terms within bounds")
+    return _sum_ball(term_fn, eps, kmin)
 
 
 # ---------------------------------------------------------------------------
@@ -665,8 +643,8 @@ class _Trial:
     the same over bottom (top walked first), phi(pv, w) the rphis of pv at w
     from `rphis_ball`; each is memoised, so a cross-check reads what its
     trial already has, and the ball of each holds its true value.
-    sum(term, kmin) is `truncated_sum` at eps, whose ball holds the partial
-    sum but not the outer sum's dropped terms.
+    sum(term, kmin) is `truncated_sum` at eps, the same kernel without a
+    ratio bound: its ball holds the partial sum, not the dropped terms.
 
     The primitives are looked up in this module when called, so a wrapper
     installed on it sees every call; the memos close over locals, not over
@@ -1057,7 +1035,6 @@ def run_suite(suite_id: str, config: RunConfig) -> list[IdentityReport]:
                     seed=seed,
                     trial=trial,
                     passed=False,
-                    deviation=Fraction(0),
                     notes=f"errored: {exc}",
                 )
             )

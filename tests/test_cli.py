@@ -1,7 +1,9 @@
 """CLI: subcommands, exit codes, report formats, determinism."""
 
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import types
@@ -11,6 +13,7 @@ import pytest
 
 from qhyper import cli
 from qhyper.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, build_parser, main
+from qhyper.hyper import DivergentSeriesError
 from qhyper.verify import SUITES, RunConfig, run_suite
 
 REPORT_FIELDS = {"id", "mode", "seed", "trial", "pass", "deviation_num", "deviation_den", "notes"}
@@ -307,6 +310,52 @@ def test_public_api_is_exactly_all():
         "rphis_series_in_t",
         "rphis_terminating",
     ]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    """The unused-import check, as no linter is installed: every name that a
+    module of the package imports at module level, other than from
+    __future__, is read in it as a name.  `__init__` only re-exports, and
+    `test_public_api_is_exactly_all` checks those."""
+    unused = []
+    for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in names:
+                        unused.append(f"{path.name}: {bound}")
+    assert unused == []
+
+
+def test_errored_row_has_no_deviation(capsys, monkeypatch):
+    """An errored row is not read as exact agreement: JSON writes null for
+    its deviation, TSV and human output write -, and the check exits 1."""
+
+    def diverges(rng, config):
+        raise DivergentSeriesError("terms regrew without reaching eps at k=9")
+
+    monkeypatch.setattr(SUITES["lemma2-psi"], "runner", diverges)
+    argv = ["check", "--suite", "lemma2-psi", "--trials", "1", "--format"]
+    code, out, _ = run(argv + ["json"], capsys)
+    assert code == EXIT_FAIL
+    rep = json.loads(out)["reports"][0]
+    assert rep["pass"] is False and rep["notes"].startswith("errored: terms regrew")
+    assert rep["deviation_num"] is None and rep["deviation_den"] is None
+    code, out, _ = run(argv + ["tsv"], capsys)
+    assert code == EXIT_FAIL
+    header, row = (line.split("\t") for line in out.splitlines())
+    row = dict(zip(header, row))
+    assert row["deviation_num"] == row["deviation_den"] == "-"
+    code, out, _ = run(argv + ["human"], capsys)
+    assert code == EXIT_FAIL
+    assert " dev -  errored: terms regrew" in out and "dev 0" not in out
 
 
 def test_check_json_renders_deviations_of_any_length(capsys, monkeypatch):

@@ -100,6 +100,43 @@ def test_numeric_divergence_guards():
             rphis_ball(ParamVector((F(1, 3),), ()), q, F(1, 2), eps)
 
 
+def rise_and_fall(k):
+    """2^k up to k = 50, then 2^(100-k): a convergent series whose terms rise
+    2^42 past the term at TAIL_KMIN, with sum 2^51 - 1 + 2^50."""
+    return F(2) ** (k if k <= 50 else 100 - k)
+
+
+def test_sum_ball_regrowth_guard_only_without_a_ratio():
+    """Without a ratio the rise reads as regrowth; with a ratio bound the
+    kernel sums on, and the tail it adds brings the true sum into the ball
+    (every partial sum is exact, and below the true sum)."""
+    eps = F(1, 1 << 40)
+    with pytest.raises(DivergentSeriesError, match="regrew"):
+        hyper._sum_ball(rise_and_fall, eps)
+    total = hyper._sum_ball(rise_and_fall, eps, ratio=lambda k: F(1, 2) if k > 50 else F(2))
+    assert 2**51 - 1 + 2**50 in total
+
+
+@pytest.mark.parametrize("rho", [None, F(1), F(3, 2)])
+def test_sum_ball_stops_only_on_a_ratio_below_one(monkeypatch, rho):
+    """Zero terms are small from k = 0, so a ratio of 1/2 stops the sum at
+    TAIL_KMIN; a ratio that is None or >= 1 never does, and the sum raises
+    once the MAX_TERMS read at call time runs out."""
+    eps, seen = F(1, 1 << 40), []
+
+    def zero(k):
+        seen.append(k)
+        return F(0)
+
+    assert hyper._sum_ball(zero, eps, ratio=lambda k: F(1, 2)).mid == 0
+    assert seen == list(range(hyper.TAIL_KMIN + 1))
+    monkeypatch.setattr(hyper, "MAX_TERMS", 40)
+    seen.clear()
+    with pytest.raises(DivergentSeriesError, match="no two consecutive"):
+        hyper._sum_ball(zero, eps, ratio=lambda k: rho)
+    assert seen == list(range(40))
+
+
 def test_numeric_q_binomial_theorem():
     # 1Phi0[a;;q;z] = (az;q)_inf / (z;q)_inf
     q, a, z = F(1, 2), F(1, 3), F(2, 5)

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qhyper import verify
+from qhyper import hyper, verify
 from qhyper.hyper import DivergentSeriesError
 from qhyper.scalars import check_magnitude, qpoch_inf
 from qhyper.verify import (
@@ -119,9 +119,10 @@ def test_truncated_sum_aborts_on_regrowth():
         truncated_sum(term, F(1, 1 << 200))
 
 
-def test_truncated_sum_budget_exhaustion():
+def test_truncated_sum_budget_exhaustion(monkeypatch):
+    monkeypatch.setattr(hyper, "MAX_TERMS", 50)
     with pytest.raises(DivergentSeriesError):
-        truncated_sum(lambda k: F(1), F(1, 2), max_terms=50)
+        truncated_sum(lambda k: F(1), F(1, 2))
 
 
 def test_bit_cap_does_not_depend_on_the_run(monkeypatch):
@@ -267,7 +268,7 @@ def test_cor1_cross_check_is_given_the_bilinear_prefactor(monkeypatch):
 def test_numeric_suites_reach_the_primitives_through_their_trial():
     """No numeric suite, nor the bilinear left side or the Theorem 3 right
     side, names a numeric primitive: each reads it through its `_Trial`."""
-    primitives = {"qpoch_inf_ball", "truncated_sum", "rphis_ball", "qpoch_inf"}
+    primitives = {"qpoch_inf_ball", "truncated_sum", "rphis_ball", "qpoch_inf", "_sum_ball"}
     runners = [s.runner for s in SUITES.values() if s.mode == "numeric"]
     assert len(runners) == 5
 
