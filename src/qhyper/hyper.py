@@ -1,8 +1,9 @@
 """Basic hypergeometric series in three regimes.
 
 terminating-exact, formal series in t, and convergent-numeric with a
-documented geometric tail rule.  All three share one term generator, mirroring
-the operator definition, so the sign convention cannot drift: term k carries
+documented geometric tail rule.  All three share one term generator,
+`phi_term`, and so does the operator series of `operators`, whose coefficient
+k is `phi_term` at -z; so the sign convention cannot drift: term k carries
 [(-1)^k q^{binom(k,2)}]^{1+s-r}.  The convergent sum comes as a ball
 (`rphis_ball`) that holds the partial sum and the true value: its radius
 adds a proven bound on the dropped tail to every rounding.  Its kernel,

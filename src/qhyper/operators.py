@@ -2,15 +2,20 @@
 
 The operator is represented intrinsically on the Cauchy basis P_m(y,x), where
 it acts by degree-lowering; the pointwise divided-difference definition is
-kept as an independent cross-check oracle.
+kept as an independent cross-check oracle.  The operator series' coefficient
+k is `hyper.phi_term(k, pv, q, -z)`, the term of the rphis at -z (Lemma 1), so
+the operator and the series share one term generator; each application forms
+that row once and reads it for every basis element.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Callable
 
-from .families import ParamVector, W_coeff, bracket_factor, cauchy_P
+from .families import ParamVector, cauchy_P
+from .hyper import phi_term
 from .scalars import Rat, qpoch
 from .series import TruncSeries
 
@@ -115,22 +120,29 @@ def theta_pointwise_power(
     return g
 
 
-def op_apply_poly(pv: ParamVector, z: Rat, f: CauchyPoly, q: Rat) -> CauchyPoly:
-    """Apply the hypergeometric operator series
-    sum_k W_k (-z Theta)^k / (q;q)_k [(-1)^k q^{binom(k,2)}]^{1+s-r}
-    to f.  Theta is nilpotent on each basis element, so the sum is finite."""
-    e = pv.bracket_exponent
+def _apply_row(coeff: Callable[[int], Rat], f: CauchyPoly, q: Rat) -> CauchyPoly:
+    """sum_k coeff(k) Theta^k f, asking coeff for k = 0..deg f in order."""
     result = CauchyPoly()
     for k in range(f.degree + 1):
-        coeff = W_coeff(k, pv, q) * (-z) ** k / qpoch(q, q, k) * bracket_factor(k, q, e)
-        if coeff != 0:
-            result = result + theta_basis(f, k, q) * coeff
+        c = coeff(k)
+        if c != 0:
+            result = result + theta_basis(f, k, q) * c
     return result
 
 
+def op_apply_poly(pv: ParamVector, z: Rat, f: CauchyPoly, q: Rat) -> CauchyPoly:
+    """Apply the hypergeometric operator series
+    sum_k W_k (-z Theta)^k / (q;q)_k [(-1)^k q^{binom(k,2)}]^{1+s-r}
+    to f.  Coefficient k is `phi_term(k, pv, q, -z)`, the rphis term at -z.
+    Theta is nilpotent on each basis element, so the sum is finite."""
+    return _apply_row(lambda k: phi_term(k, pv, q, -z), f, q)
+
+
 def op_apply_series(pv: ParamVector, z: Rat, F: TruncSeries, q: Rat) -> TruncSeries:
-    """Termwise operator application to a series with CauchyPoly coefficients."""
-    return TruncSeries([op_apply_poly(pv, z, c, q) for c in F.coeffs])
+    """Termwise operator application to a series with CauchyPoly coefficients;
+    every coefficient reads one row of the operator's coefficients."""
+    coeff = functools.cache(lambda k: phi_term(k, pv, q, -z))
+    return TruncSeries([_apply_row(coeff, c, q) for c in F.coeffs])
 
 
 def cauchy_basis_series(order: int, q: Rat) -> TruncSeries:

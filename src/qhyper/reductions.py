@@ -13,7 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .families import (
-    FamilyPoint,
     ParamVector,
     asc_phi,
     asc_psi,
@@ -23,7 +22,7 @@ from .families import (
     gen_hahn,
     hahn2_phi,
     hahn2_psi,
-    psi_general,
+    psi_sweep,
     sa_phi,
     sa_psi,
     v_poly,
@@ -63,11 +62,10 @@ def check_item(item: int, sample: dict, q: Rat, n_max: int = N_MAX) -> tuple:
     zero = Fraction(0)
 
     def dev(args, pv, target, bracket_exponent=None):
-        """max_n |Psi_n(args) - target(n)|, Psi with parameters pv."""
-        return max_deviation(
-            (psi_general(FamilyPoint(*args, n), pv, q, bracket_exponent), target(n))
-            for n in range(n_max + 1)
-        )
+        """max_n |Psi_n(args) - target(n)|, Psi with parameters pv, every n
+        read from one sweep."""
+        psi = psi_sweep(*args, pv, q, bracket_exponent)
+        return max_deviation((psi(n), target(n)) for n in range(n_max + 1))
 
     def row(dev, notes):
         return (f"remark2:item{item:02d}", dev, Fraction(1), notes)

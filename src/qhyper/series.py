@@ -5,7 +5,8 @@ Sums, scaling and shifts take either kind; a product needs rational (Fraction
 or int) coefficients and raises TypeError on any other.  It brings each factor
 to one common denominator and convolves the integer numerators, an O(N^2)
 convolution that is ample at the orders used here (N <= 32) and reduces each
-output coefficient once instead of once per Fraction addition.
+output coefficient once instead of once per Fraction addition.  The inverse
+works on the same integer numerators.
 """
 
 from __future__ import annotations
@@ -72,17 +73,27 @@ class TruncSeries:
         return TruncSeries([zero] * min(k, self.order + 1) + kept)
 
     def inverse(self) -> "TruncSeries":
-        """Multiplicative inverse mod t^{N+1}; needs a nonzero constant term."""
-        c0 = self.coeffs[0]
-        if c0 == 0:
+        """Multiplicative inverse mod t^{N+1}; needs a nonzero constant term.
+
+        With the coefficients a_j / d over one denominator, coefficient n of
+        the inverse is d w_n / a_0^{n+1}, where w_0 = 1 and
+        w_n = -sum_{j=1..n} a_j a_0^{j-1} w_{n-j} are integers: each output
+        coefficient is reduced once and checked against the bit cap.
+        """
+        if self.coeffs[0] == 0:
             raise ZeroDivisionError("series has zero constant term")
-        inv0 = Fraction(1) / c0
-        out = [inv0]
+        a, d = _over_common_denominator(self.coeffs)
+        a0 = a[0]
+        scaled = [a[j] * a0 ** (j - 1) for j in range(1, len(a))]
+        w, den = [1], a0
+        out = [check_magnitude(Fraction(d, den))]
         for n in range(1, self.order + 1):
-            acc = Fraction(0)
+            acc = 0
             for j in range(1, n + 1):
-                acc += self.coeffs[j] * out[n - j]
-            out.append(-inv0 * acc)
+                acc -= scaled[j - 1] * w[n - j]
+            w.append(acc)
+            den *= a0
+            out.append(check_magnitude(Fraction(d * acc, den)))
         return TruncSeries(out)
 
     def eval_horner(self, t0: Rat) -> Rat:

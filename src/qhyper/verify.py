@@ -71,7 +71,6 @@ from .operators import (
     CauchyPoly,
     cauchy_basis_series,
     evaluate_series,
-    op_apply_poly,
     op_apply_series,
     shifted_cauchy_series,
     theta_basis,
@@ -441,14 +440,9 @@ def run_lemma1_a(rng, config):
     s = _operator_sample(rng)
     pv, q, x0, y0, z = s["pv"], s["q"], s["x0"], s["y0"], s["z"]
     psi = psi_sweep(x0, y0, z, pv, q)
-    dev = max_deviation(
-        (
-            op_apply_poly(pv, z, CauchyPoly.basis(n, (-1) ** n * qpow(q, -binom2(n))), q)
-            .evaluate(x0, y0, q),
-            psi(n),
-        )
-        for n in range(9)
-    )
+    basis = TruncSeries(CauchyPoly.basis(n, (-1) ** n * qpow(q, -binom2(n))) for n in range(9))
+    applied = op_apply_series(pv, z, basis, q)
+    dev = max_deviation((applied.coeffs[n].evaluate(x0, y0, q), psi(n)) for n in range(9))
     return [("lemma1-a", dev, Fraction(1), f"r={pv.r} s={pv.s} n<=8")]
 
 
@@ -462,19 +456,30 @@ def run_lemma1_b(rng, config):
     return [_formal_result("lemma1-b", lhs, rhs, f"r={pv.r} s={pv.s}")]
 
 
-def _extended_gf_rhs(pv, x0, y0, z, q, k, N) -> TruncSeries:
-    """t^k times the extended-generating-function right side."""
-    acc = TruncSeries.constant(Fraction(0), N)
-    qk = qpow(q, -k)
-    for j in range(k + 1):
-        coeff = qpoch(qk, q, j) * q**j / qpoch(q, q, j)
-        term = (
-            qpoch_poly_series(y0, q, j, N)
-            * qpoch_poly_series(x0, q, j, N).inverse()
-            * rphis_series_in_t(pv, q, z * q**j, N)
-        ).scale(coeff)
-        acc = acc + term
-    return _scalar_ratio(x0, y0, q, N) * acc
+def _extended_gf_rhs(pv, x0, y0, z, q, N) -> Callable[[int], TruncSeries]:
+    """k -> t^k times the extended-generating-function right side.
+
+    Its j-term (y0 t;q)_j / (x0 t;q)_j rphis(z q^j t) does not depend on k, so
+    the returned function keeps each one, formed where a sum first reaches it.
+    """
+    ratio = _scalar_ratio(x0, y0, q, N)
+    terms: list[TruncSeries] = []
+
+    def rhs(k):
+        acc = TruncSeries.constant(Fraction(0), N)
+        qk = qpow(q, -k)
+        for j in range(k + 1):
+            coeff = qpoch(qk, q, j) * q**j / qpoch(q, q, j)
+            if j == len(terms):
+                terms.append(
+                    qpoch_poly_series(y0, q, j, N)
+                    * qpoch_poly_series(x0, q, j, N).inverse()
+                    * rphis_series_in_t(pv, q, z * q**j, N)
+                )
+            acc = acc + terms[j].scale(coeff)
+        return ratio * acc
+
+    return rhs
 
 
 @suite("lemma1-c", "formal")
@@ -482,12 +487,12 @@ def run_lemma1_c(rng, config):
     s = _operator_sample(rng)
     pv, q, x0, y0, z = s["pv"], s["q"], s["x0"], s["y0"], s["z"]
     N = config.order
+    rhs = _extended_gf_rhs(pv, x0, y0, z, q, N)
     out = []
     for k in range(4):
         applied = op_apply_series(pv, z, shifted_cauchy_series(k, N, q), q)
         lhs = evaluate_series(applied, x0, y0, q).shift(k)
-        rhs = _extended_gf_rhs(pv, x0, y0, z, q, k, N)
-        out.append(_formal_result(f"lemma1-c:k{k}", lhs, rhs, f"r={pv.r} s={pv.s}"))
+        out.append(_formal_result(f"lemma1-c:k{k}", lhs, rhs(k), f"r={pv.r} s={pv.s}"))
     return out
 
 
@@ -497,6 +502,7 @@ def run_thm1(rng, config):
     pv, q, x0, y0, z = s["pv"], s["q"], s["x0"], s["y0"], s["z"]
     N = config.order
     psi = psi_sweep(x0, y0, z, pv, q)
+    rhs = _extended_gf_rhs(pv, x0, y0, z, q, N)
     out = []
     for k in range(4):
         # t^k times sum_j Psi_{j+k} (-1)^{j+k} q^{binom(j+k,2)} t^j / (q;q)_j,
@@ -511,9 +517,8 @@ def run_thm1(rng, config):
                 N - k,
             )
             lhs = TruncSeries(lhs.coeffs[:k] + tail.coeffs)
-        rhs = _extended_gf_rhs(pv, x0, y0, z, q, k, N)
         out.append(
-            _formal_result(f"thm1-extended-gf:k{k}", lhs, rhs, f"r={pv.r} s={pv.s}")
+            _formal_result(f"thm1-extended-gf:k{k}", lhs, rhs(k), f"r={pv.r} s={pv.s}")
         )
     return out
 
@@ -671,6 +676,25 @@ class _Trial:
         return truncated_sum(term, self.eps, kmin)
 
 
+def _rogers_szego_sum(t: Rat, omega: Rat, q: Rat) -> Callable[[int], Rat]:
+    """m -> sum_{n<=m} t^n omega^(m-n) / ((q;q)_n (q;q)_{m-n}), as h_m / (q;q)_m.
+
+    h_m = sum_n [m n]_q t^n omega^(m-n) is the Rogers-Szego polynomial, formed
+    by h_0 = 1, h_1 = t + omega, h_{m+1} = (t + omega) h_m - (1 - q^m) t omega
+    h_{m-1} (G. E. Andrews, The Theory of Partitions, ch. 3); the returned
+    function keeps the h_m it has formed.
+    """
+    h = [Fraction(1), t + omega]
+
+    def inner(m):
+        while len(h) <= m:
+            k = len(h) - 1
+            h.append((t + omega) * h[k] - (1 - q**k) * t * omega * h[k - 1])
+        return h[m] / qpoch(q, q, m)
+
+    return inner
+
+
 @suite("thm2-rogers", "numeric")
 def run_thm2(rng, config):
     def draw():
@@ -706,21 +730,10 @@ def run_thm2(rng, config):
     t, omega = s["t"], s["omega"]
     trial = _Trial(q, config.eps)
     psi = psi_sweep(x, y, z, pv, q)
+    inner = _rogers_szego_sum(t, omega, q)
 
     def lhs_term(m):
-        inner = sum(
-            (
-                t**n * omega ** (m - n) / (qpoch(q, q, n) * qpoch(q, q, m - n))
-                for n in range(m + 1)
-            ),
-            Fraction(0),
-        )
-        return (
-            psi(m)
-            * (-1) ** m
-            * q ** binom2(m)
-            * inner
-        )
+        return inner(m) * psi(m) * (-1) ** m * q ** binom2(m)
 
     lhs = trial.sum(lhs_term)
     pref = trial.quotient((x * omega,), (t / omega, y * omega))

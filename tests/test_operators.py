@@ -1,10 +1,19 @@
 """The homogeneous q-difference operator on the Cauchy basis."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from qhyper.families import FamilyPoint, ParamVector, cauchy_P, psi_general
+from qhyper.families import (
+    FamilyPoint,
+    ParamVector,
+    VanishingPochhammerError,
+    W_coeff,
+    bracket_factor,
+    cauchy_P,
+    psi_general,
+)
 from qhyper.operators import (
     CauchyPoly,
     cauchy_basis_series,
@@ -18,6 +27,7 @@ from qhyper.operators import (
 )
 from qhyper.scalars import binom2, qpoch, qpow
 from qhyper.series import (
+    TruncSeries,
     euler_inverse_series,
     euler_product_series,
     max_abs_deviation,
@@ -117,3 +127,70 @@ def test_op_apply_series_is_termwise():
     applied = op_apply_series(pv, z, F_series, q)
     for n in range(N + 1):
         assert applied.coeffs[n] == op_apply_poly(pv, z, F_series.coeffs[n], q)
+
+
+def inline_op_apply_poly(pv, z, f, q):
+    """The operator with its coefficient written out inline, as it was before
+    it read `phi_term` at -z."""
+    e = pv.bracket_exponent
+    result = CauchyPoly()
+    for k in range(f.degree + 1):
+        coeff = W_coeff(k, pv, q) * (-z) ** k / qpoch(q, q, k) * bracket_factor(k, q, e)
+        if coeff != 0:
+            result = result + theta_basis(f, k, q) * coeff
+    return result
+
+
+def seeded_operator_cases(rng, order):
+    """(pv, z, q, series) over (r, s) in 0..3 and q of both signs: the basis
+    series, a shifted one and random combinations of three basis elements."""
+    for r in range(4):
+        for s in range(4):
+            pv = ParamVector(
+                [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(r)],
+                [F(rng.choice((-1, 1)) * rng.randint(1, 8), 9) for _ in range(s)],
+            )
+            q = rng.choice((F(1, 2), F(-2, 3), F(3, 5), F(-1, 4)))
+            z = F(rng.randint(-9, 9), rng.randint(1, 9))
+            mixed = TruncSeries(
+                CauchyPoly({rng.randint(0, n + 1): F(rng.randint(-5, 5), 3) for _ in range(3)})
+                for n in range(order + 1)
+            )
+            for series in (
+                cauchy_basis_series(order, q),
+                shifted_cauchy_series(rng.randint(0, 3), order, q),
+                mixed,
+            ):
+                yield pv, z, q, series
+
+
+@pytest.mark.parametrize("order", [1, 7, 20])
+def test_op_apply_series_equals_the_inline_coefficient_formula(order):
+    rng = random.Random(order)
+    for pv, z, q, series in seeded_operator_cases(rng, order):
+        applied = op_apply_series(pv, z, series, q)
+        assert len(applied.coeffs) == order + 1
+        for c, got in zip(series.coeffs, applied.coeffs):
+            want = inline_op_apply_poly(pv, z, c, q)
+            assert got == want
+            if c is series.coeffs[-1]:
+                assert op_apply_poly(pv, z, c, q) == want
+
+
+def raised(fn, *args):
+    with pytest.raises(VanishingPochhammerError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("m", [0, 3, 11, 13])
+def test_a_vanishing_lower_parameter_raises_as_the_inline_formula_does(m):
+    """b = q^-m makes (b;q)_k vanish from k = m + 1: the shared row raises at
+    the first basis element of that degree, with the same k in its message."""
+    q, z = F(-1, 2), F(2, 7)
+    pv = ParamVector((F(1, 3),), (F(3, 5), qpow(q, -m)))
+    series = shifted_cauchy_series(2, 12, q)
+    message = raised(lambda: [inline_op_apply_poly(pv, z, c, q) for c in series.coeffs])
+    assert message == f"lower parameter {qpow(q, -m)} gives ({qpow(q, -m)};q)_{m + 1} = 0"
+    assert raised(op_apply_series, pv, z, series, q) == message
+    assert raised(op_apply_poly, pv, z, series.coeffs[-1], q) == message

@@ -5,8 +5,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from qhyper import reductions, verify
+from qhyper.families import FamilyPoint, VanishingPochhammerError, psi_general
 from qhyper.reductions import check_item
-from qhyper.verify import sample_reduction_params
+from qhyper.verify import RunConfig, run_suite, sample_reduction_params
 
 FIXED_SAMPLE = {
     "a": F(2, 7),
@@ -68,3 +70,47 @@ def test_sampler_deterministic():
     assert sample_reduction_params(random.Random(3)) == sample_reduction_params(
         random.Random(3)
     )
+
+
+def per_n_psi(x, y, z, pv, q, bracket_exponent=None):
+    """The reading's Psi_n from one `psi_general` call per n."""
+    return lambda n: psi_general(FamilyPoint(x, y, z, n), pv, q, bracket_exponent)
+
+
+def outcome(item, sample, q, n_max):
+    try:
+        return check_item(item, sample, q, n_max)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("n_max", [1, 7, 20])
+def test_every_reading_gives_with_one_sweep_what_psi_general_per_n_gives(monkeypatch, n_max):
+    """Seeded samples at q of both signs; fewer of them at n_max = 20."""
+    rng = random.Random(n_max)
+    points = [(FIXED_SAMPLE, -Q)]
+    for sign in (1, -1, 1)[: 3 if n_max < 20 else 1]:
+        sample, q = sample_reduction_params(rng)
+        points.append((sample, sign * q))
+    for sample, q in points:
+        for item in range(1, 12):
+            swept = outcome(item, sample, q, n_max)
+            with monkeypatch.context() as m:
+                m.setattr(reductions, "psi_sweep", per_n_psi)
+                assert outcome(item, sample, q, n_max) == swept, (item, q)
+
+
+VANISHING = dict(FIXED_SAMPLE, c=F(8))  # (8;q)_4 = 0 at q = 1/2
+
+
+def test_a_vanishing_lower_parameter_raises_at_the_same_k(monkeypatch):
+    for item in (1, 2, 3):
+        with pytest.raises(VanishingPochhammerError, match=r"^lower parameter 8 gives \(8;q\)_4 = 0$"):
+            check_item(item, VANISHING, Q)
+    monkeypatch.setattr(verify, "sample_reduction_params", lambda rng: (VANISHING, Q))
+    [row] = run_suite("remark2", RunConfig(trials=1, seed=42))
+    assert row.to_json_dict() == {
+        "id": "remark2", "mode": "exact", "seed": 9259912084854192225, "trial": 0,
+        "pass": False, "deviation_num": None, "deviation_den": None,
+        "notes": "errored: lower parameter 8 gives (8;q)_4 = 0",
+    }

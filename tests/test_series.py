@@ -170,3 +170,58 @@ def test_mul_needs_rational_coefficients():
         poly * TruncSeries.one(1)
     with pytest.raises(TypeError):
         TruncSeries.one(1) * poly
+
+
+# -- the inverse on integer numerators ------------------------------------------
+
+
+def fraction_inverse(coeffs):
+    """The inverse as a Fraction loop: one reduction per addition."""
+    inv0 = F(1) / coeffs[0]
+    out = [inv0]
+    for n in range(1, len(coeffs)):
+        acc = F(0)
+        for j in range(1, n + 1):
+            acc += coeffs[j] * out[n - j]
+        out.append(-inv0 * acc)
+    return out
+
+
+def test_inverse_equals_the_fraction_loop():
+    """Orders 0, 1, 7 and 20; negative and non-unit constant terms, ints,
+    zeros, large unrelated denominators and the (a t;q)_j polynomials the
+    suites invert, at q of both signs."""
+    rng = random.Random(23)
+    cases = [[F(-3, 4)], [2], [F(-1), F(1, 3)], [5, 0, -2]]
+    for order in (0, 1, 7, 20):
+        for _ in range(12):
+            coeffs = seeded_coeffs(rng, order + 1)
+            coeffs[0] = rng.choice((F(-7, 3), -1, 2, F(5, 9), F(rng.getrandbits(80) + 1, 7)))
+            cases.append(coeffs)
+        for q in (F(1, 2), F(-2, 3), F(3, 7), F(-1, 5)):
+            for j in (0, 1, 3, order):
+                cases.append(qpoch_poly_series(F(-5, 6), q, j, order).coeffs)
+    for coeffs in cases:
+        got = TruncSeries(coeffs).inverse().coeffs
+        want = fraction_inverse(coeffs)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert type(g) is F
+            assert (g.numerator, g.denominator) == (w.numerator, w.denominator)
+
+
+def test_inverse_of_a_zero_constant_term_raises_before_any_work():
+    for coeffs in ([F(0)], [0, F(1, 2), F(3)], [F(0), CauchyPoly.basis(1)]):
+        with pytest.raises(ZeroDivisionError, match="^series has zero constant term$"):
+            TruncSeries(coeffs).inverse()
+
+
+def test_inverse_checks_the_magnitude_of_each_coefficient():
+    # coefficient n of 1/(1 - c t) is c^n: c^2 is past the cap, c is not
+    c = F(1, (1 << (MAX_SCALAR_BITS // 2 + 100)) + 1)
+    assert TruncSeries([F(1), -c]).inverse().coeffs == [F(1), c]
+    with pytest.raises(ScalarOverflowError) as got:
+        TruncSeries([F(1), -c, F(0)]).inverse()
+    with pytest.raises(ScalarOverflowError) as want:
+        check_magnitude(c**2)
+    assert str(got.value) == str(want.value)

@@ -9,9 +9,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from qhyper import hyper, verify
-from qhyper.hyper import DivergentSeriesError
-from qhyper.scalars import check_magnitude, qpoch_inf
+from qhyper import hyper, operators, verify
+from qhyper.families import ParamVector
+from qhyper.hyper import DivergentSeriesError, rphis_series_in_t
+from qhyper.scalars import check_magnitude, qpoch, qpoch_inf, qpow
+from qhyper.series import (
+    TruncSeries,
+    euler_inverse_series,
+    euler_product_series,
+    qpoch_poly_series,
+)
 from qhyper.verify import (
     NUMERIC_TOLERANCE,
     RunConfig,
@@ -356,3 +363,128 @@ def test_thm2_gap_does_not_follow_eps(monkeypatch):
         assert row.passed and row.deviation > F(1, 1 << 80), bits
         gaps.append(math.log2(row.deviation.numerator) - math.log2(row.deviation.denominator))
     assert abs(gaps[0] - gaps[1]) < 0.01, gaps
+
+
+def test_formal_and_exact_rows_at_order_20():
+    """The sha256 of every formal and exact row at order 20, pinned before
+    the operator row, the extended-GF terms and the series inverse were
+    hoisted, so those hoists are guarded past order 12 too."""
+    rows = [
+        r.to_json_dict()
+        for sid in sorted(SUITES)
+        if SUITES[sid].mode != "numeric"
+        for r in run_suite(sid, RunConfig(order=20, trials=1, seed=42))
+    ]
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert len(rows) == 38
+    assert digest == "4b42be6f8fb7cc57ff0b5a44779a19543d9ef3c3afae47f7600bfcb87a9c476a"
+
+
+def fresh_extended_gf_rhs(pv, x0, y0, z, q, k, N):
+    """t^k times the extended-generating-function right side, every j-term
+    formed afresh for this k."""
+    acc = TruncSeries.constant(F(0), N)
+    qk = qpow(q, -k)
+    for j in range(k + 1):
+        coeff = qpoch(qk, q, j) * q**j / qpoch(q, q, j)
+        term = (
+            qpoch_poly_series(y0, q, j, N)
+            * qpoch_poly_series(x0, q, j, N).inverse()
+            * rphis_series_in_t(pv, q, z * q**j, N)
+        ).scale(coeff)
+        acc = acc + term
+    ratio = euler_product_series(x0, q, N) * euler_inverse_series(y0, q, N)
+    return ratio * acc
+
+
+@pytest.mark.parametrize("order", [1, 7, 20])
+def test_extended_gf_rhs_equals_a_fresh_build_for_every_k(order):
+    """Seeded (r, s) in 0..3 and q of both signs; k is asked out of order, so
+    the shared j-terms are formed at whichever k first reaches them."""
+    rng = random.Random(order)
+    for r in range(4):
+        for s_ in range(4):
+            if order == 20 and (r + s_) % 3:
+                continue
+            pv = rand_pv(rng, r, s_)
+            q = rand_q(rng) * rng.choice((1, -1))
+            x0, y0, z = (verify.rand_rat(rng, 8) for _ in range(3))
+            rhs = verify._extended_gf_rhs(pv, x0, y0, z, q, order)
+            for k in rng.sample(range(4), 4):
+                want = fresh_extended_gf_rhs(pv, x0, y0, z, q, k, order).coeffs
+                assert rhs(k).coeffs == want, (r, s_, k)
+
+
+#: A lower parameter q^-m at q = 1/2 and the note of the errored lemma1-c row:
+#: (b;q)_k vanishes from k = m + 1, and the k-shifted basis series has degrees
+#: k..N+k, so the row errors whether m + 1 is inside the order or past it.
+VANISHING_NOTES = {
+    3: "errored: lower parameter 8 gives (8;q)_4 = 0",
+    13: "errored: lower parameter 8192 gives (8192;q)_14 = 0",
+    14: "errored: lower parameter 16384 gives (16384;q)_15 = 0",
+}
+
+
+def vanishing_operator_sample(m):
+    pv = ParamVector((F(1, 3), F(-2, 5)), (F(3, 7), F(2**m)))
+    return {"pv": pv, "q": F(1, 2), "x0": F(3, 4), "y0": F(-2, 5), "z": F(2, 7)}
+
+
+@pytest.mark.parametrize("m", sorted(VANISHING_NOTES))
+def test_lemma1_c_errors_on_a_vanishing_lower_parameter_with_the_same_note(monkeypatch, m):
+    monkeypatch.setattr(verify, "_operator_sample", lambda rng: vanishing_operator_sample(m))
+    [row] = run_suite("lemma1-c", RunConfig(trials=1, seed=42))
+    assert (row.id, row.passed, row.deviation) == ("lemma1-c", False, None)
+    assert row.notes == VANISHING_NOTES[m]
+
+
+def test_lemma1_c_forms_each_operator_coefficient_and_j_term_once(monkeypatch):
+    """One trial applies the operator to four shifted basis series, of degrees
+    k..N+k.  Each application forms coefficient j of its row once, however
+    many basis elements read it, so j is formed once per series that reaches
+    it; each (y0 t;q)_j / (x0 t;q)_j rphis(z q^j t) is formed once for all
+    four k.  W_j is then formed by those rows and by the four j-terms' rphis
+    series, which stop at the order, and by nothing else."""
+    logs = {"phi_term": [], "W_coeff": [], "qpoch_poly_series": [], "rphis_series_in_t": []}
+
+    def recording(module, name):
+        original = getattr(module, name)
+
+        def record(*args):
+            logs[name].append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, record)
+
+    recording(operators, "phi_term")
+    recording(hyper, "W_coeff")
+    recording(verify, "qpoch_poly_series")
+    recording(verify, "rphis_series_in_t")
+    N = 12
+    rows = run_suite("lemma1-c", RunConfig(trials=1, seed=3, order=N))
+    assert len(rows) == 4 and all(r.passed for r in rows)
+    rows_reaching = [sum(j <= N + k for k in range(4)) for j in range(N + 4)]
+    assert [sum(args[0] == j for args in logs["phi_term"]) for j in range(N + 4)] == rows_reaching
+    assert len(logs["phi_term"]) == sum(rows_reaching)
+    j_terms = [4 * (j <= N) for j in range(N + 4)]
+    assert [sum(args[0] == j for args in logs["W_coeff"]) for j in range(N + 4)] == [
+        a + b for a, b in zip(rows_reaching, j_terms)
+    ]
+    assert len(logs["W_coeff"]) == sum(rows_reaching) + sum(j_terms)
+    for name in ("qpoch_poly_series", "rphis_series_in_t"):
+        assert len(logs[name]) == len(set(logs[name])), name
+    assert len(logs["rphis_series_in_t"]) == 4 and len(logs["qpoch_poly_series"]) == 8
+
+
+@pytest.mark.parametrize("q", [F(1, 2), F(-2, 3), F(5, 7), F(-1, 9), F(3, 2)])
+def test_rogers_szego_recurrence_equals_the_defining_sum(q):
+    rng = random.Random(str(q))
+    for _ in range(3):
+        t, omega = (verify.rand_rat(rng) for _ in range(2))
+        inner = verify._rogers_szego_sum(t, omega, q)
+        for m in rng.sample(range(41), 41):
+            want = sum(
+                (t**n * omega ** (m - n) / (qpoch(q, q, n) * qpoch(q, q, m - n)) for n in range(m + 1)),
+                F(0),
+            )
+            assert inner(m) == want, (t, omega, m)
