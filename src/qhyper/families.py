@@ -2,7 +2,8 @@
 
 Each family is implemented directly from its own defining sum, never derived
 from the general polynomial, so that reduction tests compare independent
-implementations.
+implementations.  Only the arithmetic is shared: each sum forms its terms'
+factors as it always did and hands them to `scalars._sum_of_products`.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .scalars import Rat, _prefix_product, binom2, qbinom, qpoch, qpoch_multi, qpow
+from .scalars import (
+    Rat, _prefix_product, _sum_of_products, binom2, qbinom, qpoch, qpoch_multi, qpow,
+)
 
 
 class VanishingPochhammerError(ZeroDivisionError):
@@ -104,13 +107,14 @@ def psi_sweep(
     e = pv.bracket_exponent if bracket_exponent is None else bracket_exponent
     row: list[Rat] = []
 
+    def term(n: int, k: int) -> tuple:
+        binom = qbinom(n, k, q)
+        if k == len(row):
+            row.append(bracket_factor(k, q, e) * W_coeff(k, pv, q) * z**k)
+        return binom, row[k], cauchy_P(n - k, y, x, q)
+
     def psi(n: int) -> Rat:
-        acc = Fraction(0)
-        for k in range(n + 1):
-            binom = qbinom(n, k, q)
-            if k == len(row):
-                row.append(bracket_factor(k, q, e) * W_coeff(k, pv, q) * z**k)
-            acc += binom * row[k] * cauchy_P(n - k, y, x, q)
+        acc = _sum_of_products(term(n, k) for k in range(n + 1))
         return (-1) ** n * qpow(q, -binom2(n)) * acc
 
     return psi
@@ -129,10 +133,7 @@ def psi_general(
 
 def asc_phi(n: int, a: Rat, x: Rat, q: Rat) -> Rat:
     """Hahn / Al-Salam-Carlitz phi_n^{(a)}(x|q)."""
-    return sum(
-        (qbinom(n, k, q) * qpoch(a, q, k) * x**k for k in range(n + 1)),
-        Fraction(0),
-    )
+    return _sum_of_products((qbinom(n, k, q), qpoch(a, q, k), x**k) for k in range(n + 1))
 
 
 def asc_psi(n: int, a: Rat, x: Rat, q: Rat) -> Rat:
@@ -142,77 +143,59 @@ def asc_psi(n: int, a: Rat, x: Rat, q: Rat) -> Rat:
     (a;q^{-1})_k, so every k reads the one prefix table of (a, 1/q).
     """
     qinv = qpow(q, -1)
-    acc = Fraction(0)
-    for k in range(n + 1):
-        acc += qbinom(n, k, q) * qpow(q, k * (k - n)) * qpoch(a, qinv, k) * x**k
-    return acc
+    return _sum_of_products(
+        (qbinom(n, k, q), qpow(q, k * (k - n)), qpoch(a, qinv, k), x**k) for k in range(n + 1)
+    )
 
 
 def cao_phi3(n: int, a: Rat, b: Rat, c: Rat, x: Rat, y: Rat, q: Rat) -> Rat:
     """Three-parameter generalized Al-Salam-Carlitz phi_n^{(a,b,c)}(x,y|q)."""
-    acc = Fraction(0)
-    for k in range(n + 1):
+
+    def term(k: int) -> tuple:
         ck = qpoch(c, q, k)
         if ck == 0:
             raise VanishingPochhammerError(f"(c;q)_{k} = 0 for c = {c}")
-        acc += qbinom(n, k, q) * qpoch(a, q, k) * qpoch(b, q, k) / ck * x**k * y ** (n - k)
-    return acc
+        return qbinom(n, k, q), qpoch(a, q, k), qpoch(b, q, k), 1 / ck, x**k, y ** (n - k)
+
+    return _sum_of_products(term(k) for k in range(n + 1))
 
 
 def cao_psi3(n: int, a: Rat, b: Rat, c: Rat, x: Rat, y: Rat, q: Rat) -> Rat:
     """Three-parameter generalized Al-Salam-Carlitz psi_n^{(a,b,c)}(x,y|q)."""
-    acc = Fraction(0)
-    for k in range(n + 1):
+
+    def term(k: int) -> tuple:
         ck = qpoch(c, q, k)
         if ck == 0:
             raise VanishingPochhammerError(f"(c;q)_{k} = 0 for c = {c}")
-        acc += (
-            qbinom(n, k, q)
-            * (-1) ** k
-            * qpow(q, binom2(k + 1) - n * k)
-            * qpoch(a, q, k)
-            * qpoch(b, q, k)
-            / ck
-            * x**k
-            * y ** (n - k)
-        )
-    return acc
+        return (qbinom(n, k, q), (-1) ** k, qpow(q, binom2(k + 1) - n * k),
+                qpoch(a, q, k), qpoch(b, q, k), 1 / ck, x**k, y ** (n - k))
+
+    return _sum_of_products(term(k) for k in range(n + 1))
 
 
 def ext_phi5(n, a, b, c, d, e, x, y, q) -> Rat:
     """Five-parameter extension phi_n with upper (a,b,c) and lower (d,e)."""
-    acc = Fraction(0)
-    for k in range(n + 1):
+
+    def term(k: int) -> tuple:
         den = qpoch(d, q, k) * qpoch(e, q, k)
         if den == 0:
             raise VanishingPochhammerError(f"(d,e;q)_{k} = 0")
-        acc += (
-            qbinom(n, k, q)
-            * qpoch_multi((a, b, c), q, k)
-            / den
-            * x ** (n - k)
-            * y**k
-        )
-    return acc
+        return qbinom(n, k, q), qpoch_multi((a, b, c), q, k), 1 / den, x ** (n - k), y**k
+
+    return _sum_of_products(term(k) for k in range(n + 1))
 
 
 def ext_psi5(n, a, b, c, d, e, x, y, q) -> Rat:
     """Five-parameter extension psi_n, carrying (-1)^k q^{k(k-n)}."""
-    acc = Fraction(0)
-    for k in range(n + 1):
+
+    def term(k: int) -> tuple:
         den = qpoch(d, q, k) * qpoch(e, q, k)
         if den == 0:
             raise VanishingPochhammerError(f"(d,e;q)_{k} = 0")
-        acc += (
-            qbinom(n, k, q)
-            * (-1) ** k
-            * qpow(q, k * (k - n))
-            * qpoch_multi((a, b, c), q, k)
-            / den
-            * x ** (n - k)
-            * y**k
-        )
-    return acc
+        return (qbinom(n, k, q), (-1) ** k, qpow(q, k * (k - n)),
+                qpoch_multi((a, b, c), q, k), 1 / den, x ** (n - k), y**k)
+
+    return _sum_of_products(term(k) for k in range(n + 1))
 
 
 def _require_sa_arity(pv: ParamVector) -> None:
@@ -225,50 +208,40 @@ def _require_sa_arity(pv: ParamVector) -> None:
 def sa_phi(n: int, pv: ParamVector, x: Rat, y: Rat, q: Rat) -> Rat:
     """Multi-parameter phi_n^{(a,b)}(x,y|q) with r+1 upper / r lower."""
     _require_sa_arity(pv)
-    acc = Fraction(0)
-    for k in range(n + 1):
-        acc += qbinom(n, k, q) * W_coeff(k, pv, q) * x**k * y ** (n - k)
-    return acc
+    return _sum_of_products(
+        (qbinom(n, k, q), W_coeff(k, pv, q), x**k, y ** (n - k)) for k in range(n + 1)
+    )
 
 
 def sa_psi(n: int, pv: ParamVector, x: Rat, y: Rat, q: Rat) -> Rat:
     """Multi-parameter psi_n^{(a,b)}(x,y|q), carrying q^{binom(k+1,2)-nk}."""
     _require_sa_arity(pv)
-    acc = Fraction(0)
-    for k in range(n + 1):
-        acc += (
-            qbinom(n, k, q)
-            * W_coeff(k, pv, q)
-            * qpow(q, binom2(k + 1) - n * k)
-            * x**k
-            * y ** (n - k)
-        )
-    return acc
+    return _sum_of_products(
+        (qbinom(n, k, q), W_coeff(k, pv, q), qpow(q, binom2(k + 1) - n * k), x**k, y ** (n - k))
+        for k in range(n + 1)
+    )
 
 
 def v_poly(n: int, pv: ParamVector, x: Rat, y: Rat, z: Rat, q: Rat) -> Rat:
     """V_n^{(a,c)}(x,y,z|q) = sum_k [n k]_q W_k P_{n-k}(x,y) z^k."""
-    acc = Fraction(0)
-    for k in range(n + 1):
-        acc += qbinom(n, k, q) * W_coeff(k, pv, q) * cauchy_P(n - k, x, y, q) * z**k
-    return acc
+    return _sum_of_products(
+        (qbinom(n, k, q), W_coeff(k, pv, q), cauchy_P(n - k, x, y, q), z**k) for k in range(n + 1)
+    )
 
 
 def gen_hahn(n: int, x: Rat, y: Rat, a: Rat, b: Rat, q: Rat) -> Rat:
     """Generalized Hahn polynomial h_n(x,y,a,b|q) =
     sum_k [n k]_q (a;q)_k P_{n-k}(x,y) b^k."""
-    acc = Fraction(0)
-    for k in range(n + 1):
-        acc += qbinom(n, k, q) * qpoch(a, q, k) * cauchy_P(n - k, x, y, q) * b**k
-    return acc
+    return _sum_of_products(
+        (qbinom(n, k, q), qpoch(a, q, k), cauchy_P(n - k, x, y, q), b**k) for k in range(n + 1)
+    )
 
 
 def hahn2_phi(n: int, a: Rat, x: Rat, y: Rat, q: Rat) -> Rat:
     """Bivariate (second) Hahn phi_n^{(a)}(x,y|q) = sum [n k]_q (a;q)_k x^k y^{n-k}."""
-    acc = Fraction(0)
-    for k in range(n + 1):
-        acc += qbinom(n, k, q) * qpoch(a, q, k) * x**k * y ** (n - k)
-    return acc
+    return _sum_of_products(
+        (qbinom(n, k, q), qpoch(a, q, k), x**k, y ** (n - k)) for k in range(n + 1)
+    )
 
 
 def hahn2_psi(n: int, a: Rat, x: Rat, y: Rat, q: Rat) -> Rat:
@@ -276,9 +249,7 @@ def hahn2_psi(n: int, a: Rat, x: Rat, y: Rat, q: Rat) -> Rat:
     one-variable psi with y-powers; (a q^{1-k};q)_k is read as (a;q^{-1})_k,
     as in `asc_psi`."""
     qinv = qpow(q, -1)
-    acc = Fraction(0)
-    for k in range(n + 1):
-        acc += (
-            qbinom(n, k, q) * qpow(q, k * (k - n)) * qpoch(a, qinv, k) * x**k * y ** (n - k)
-        )
-    return acc
+    return _sum_of_products(
+        (qbinom(n, k, q), qpow(q, k * (k - n)), qpoch(a, qinv, k), x**k, y ** (n - k))
+        for k in range(n + 1)
+    )

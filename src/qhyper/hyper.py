@@ -12,10 +12,8 @@ adds a proven bound on the dropped tail to every rounding.  Its kernel,
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .families import ParamVector, W_coeff, bracket_factor
-from .scalars import Ball, Rat, ball_precision, qpoch
+from .scalars import Ball, Rat, _sum_of_products, ball_precision, qpoch
 from .series import TruncSeries
 
 #: Numeric truncation: stop at the first k >= TAIL_KMIN with two consecutive
@@ -70,7 +68,7 @@ def rphis_terminating(pv: ParamVector, q: Rat, z: Rat) -> Rat:
     n = terminating_index(pv, q)
     if n is None:
         raise ValueError("no upper parameter of the form q^{-n}")
-    return sum((phi_term(k, pv, q, z) for k in range(n + 1)), Fraction(0))
+    return _sum_of_products((phi_term(k, pv, q, z),) for k in range(n + 1))
 
 
 def rphis_series_in_t(pv: ParamVector, q: Rat, c: Rat, order: int) -> TruncSeries:

@@ -27,7 +27,7 @@ from .families import (
     sa_psi,
     v_poly,
 )
-from .scalars import Rat, binom2, max_deviation, qbinom, qpow
+from .scalars import Rat, _sum_of_products, binom2, max_deviation, qbinom, qpow
 
 N_MAX = 8
 
@@ -38,15 +38,10 @@ def _prefactor(n: int, q: Rat) -> Rat:
 
 def _trivariate_F(n: int, x: Rat, y: Rat, z: Rat, q: Rat) -> Rat:
     """The classical trivariate polynomial, from its own display."""
-    acc = Fraction(0)
-    for k in range(n + 1):
-        acc += (
-            qbinom(n, k, q)
-            * (-1) ** k
-            * q ** binom2(k)
-            * z**k
-            * cauchy_P(n - k, y, x, q)
-        )
+    acc = _sum_of_products(
+        (qbinom(n, k, q), (-1) ** k, q ** binom2(k), z**k, cauchy_P(n - k, y, x, q))
+        for k in range(n + 1)
+    )
     return _prefactor(n, q) * acc
 
 

@@ -16,6 +16,12 @@ within it.  The tables cannot change a result: each entry is the exact
 product the plain loop forms, and the bit-length cap is checked on every
 value `qpoch` returns, whether the value was read or computed.
 
+Every finite sum of products (each family sum, Psi_n, a terminating rPhis)
+goes through `_sum_of_products`.  `Fraction` reduces after every product and
+every sum, two gcds each; the kernel multiplies each term's numerators and
+denominators as ints, adds the term over one running denominator with one
+gcd, and reduces the total once.
+
 Every magnitude check applies the fixed cap `MAX_SCALAR_BITS` unless its
 caller passes another.  Only `qpoch_inf` does: it works out a larger cap from
 its own eps, so no check depends on which run is in progress.
@@ -140,6 +146,25 @@ def qpoch(a: Rat, q: Rat, n: int) -> Rat:
     if n < 0:
         raise ValueError("n must be nonnegative")
     return check_magnitude(_prefix_product(1, a, q, n))
+
+
+def _sum_of_products(terms: Iterable[tuple]) -> Rat:
+    """The Fraction sum over terms of prod(term), each term a tuple of int or
+    Fraction factors; Fraction(0) when there are none.  It is the same
+    Fraction that `acc += a * b * c` ends with, reduced once at the end."""
+    num, den = 0, 1
+    for term in terms:
+        n = d = 1
+        for f in term:
+            n *= f.numerator
+            d *= f.denominator
+        if d == den:
+            num += n
+        elif n:
+            g = gcd(den, d)
+            num = num * (d // g) + n * (den // g)
+            den *= d // g
+    return Fraction(num, den)
 
 
 def qpoch_multi(params: Iterable[Rat], q: Rat, n: int) -> Rat:

@@ -285,6 +285,22 @@ def test_importing_qhyper_keeps_the_int_digit_limit():
     assert out.stdout.strip() == "True"
 
 
+
+def test_python_m_qhyper_runs_the_cli():
+    """`python -m qhyper` is `qhyper.cli.main`, with its exit code."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "qhyper", "check", "--suite", "euler-pair",
+                               *argv], env=env, capture_output=True, text=True)
+
+    ok = run("--trials", "1")
+    assert ok.returncode == 0 and ok.stderr == ""
+    assert json.loads(ok.stdout)["reports"][0]["pass"] is True
+    bad = run("--order", "0")
+    assert (bad.returncode, bad.stdout, bad.stderr) == (2, "", "error: order must be in 1..64\n")
+
 def test_public_api_is_exactly_all():
     """Every name in `qhyper.__all__` resolves, once; every public name of
     the package is in it; and the only rphis sums left are the terminating,

@@ -9,19 +9,22 @@ finite sum over mpmath's finite `qp`.  The exact partial products of
 numeric trial reads (pinf, quotient and the `rphis_ball` values) must hold
 its value.  The parameters are a seeded mix: negative q, |q| near 1, a
 factor (c q^m = 1) that makes the product 0, and a terminating upper
-parameter q^-m.
+parameter q^-m.  The finite primitives `qpoch`, `qbinom` and `cauchy_P`, the
+factors of every exact family sum, are checked against mpmath's finite `qp`
+on the same kind of mix, with |q| > 1 as well.
 """
 
 import random
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 
 mpmath = pytest.importorskip("mpmath")
 
-from qhyper.families import ParamVector  # noqa: E402
+from qhyper.families import ParamVector, cauchy_P  # noqa: E402
 from qhyper.hyper import terminating_index  # noqa: E402
-from qhyper.scalars import ball_precision, qpoch_inf  # noqa: E402
+from qhyper.scalars import ball_precision, qbinom, qpoch, qpoch_inf  # noqa: E402
 from qhyper.verify import _Trial  # noqa: E402
 
 
@@ -129,3 +132,41 @@ def test_every_ball_of_a_trial_holds_the_mpmath_value():
                 assert holds(trial.phi(pv, z), qhyper(pv, q, z, m)), (pv.upper, pv.lower, q, z)
                 terminating += m is not None
     assert terminating > 0
+
+
+#: Bases for the finite primitives: negative q, q near 1, and |q| > 1.
+FINITE_BASES = [F(-2, 3), F(63, 64), F(-15, 16), F(3, 2), F(-7, 4), F(1, 3)]
+FINITE_TOL = F(1, 1 << (200 - 8))
+
+
+def agrees_with_qp(value, a, q, n, times=1):
+    """value = times (a;q)_n, against mpmath's finite qp, a product of the
+    1 - a q^j in binary floating point: to 2^-192 relative, or, where some
+    a q^j is 1, value is the exact 0 and the mpmath value is 0 up to rounding
+    on the scale |times| prod(1 + |a q^j|)."""
+    ref = exact(mp(times) * mpmath.qp(mp(a), mp(q), n))
+    if any(a * q**j == 1 for j in range(n)):
+        scale = abs(times) * prod(1 + abs(a * q**j) for j in range(n))
+        return value == 0 and type(value) is F and abs(ref) <= FINITE_TOL * scale
+    return abs(value - ref) <= FINITE_TOL * abs(ref)
+
+
+def test_finite_primitives_agree_with_mpmath():
+    """qpoch, qbinom and cauchy_P = x^n (y/x;q)_n against mpmath at 200 + 64
+    bits, with a factor a q^m = 1 in every base."""
+    rng = random.Random(2026)
+    zeros = 0
+    with mpmath.workprec(200 + 64):
+        for q in FINITE_BASES:
+            cases = [(rng.randint(0, 24), rand_rat(rng), rand_rat(rng), rand_rat(rng))
+                     for _ in range(6)]
+            m, x = rng.randint(0, 8), rand_rat(rng)
+            cases.append((m + rng.randint(1, 6), q**-m, x, x * q**-m))
+            for n, a, x, y in cases:
+                assert agrees_with_qp(qpoch(a, q, n), a, q, n), (a, q, n)
+                assert agrees_with_qp(cauchy_P(n, x, y, q), y / x, q, n, x**n), (x, y, q, n)
+                zeros += qpoch(a, q, n) == 0
+                k, mq = rng.randint(0, n), mp(q)
+                ref = exact(mpmath.qp(mq, mq, n) / (mpmath.qp(mq, mq, k) * mpmath.qp(mq, mq, n - k)))
+                assert abs(qbinom(n, k, q) - ref) <= FINITE_TOL * abs(ref), (n, k, q)
+    assert zeros >= len(FINITE_BASES)

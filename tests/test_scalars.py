@@ -597,3 +597,40 @@ def test_qbinom_overflow_is_raised_by_the_same_symbol(empty_tables):
         empty_tables()
         assert overflow_message(qbinom, n, k, q) == want
     assert qbinom(60, 20, q) == divided_qbinom(60, 20, q)
+
+
+# -- the exact sum-of-products kernel -------------------------------------------
+
+
+big_ints = st.integers(min_value=-(1 << 300), max_value=1 << 300)
+factors = st.one_of(
+    big_ints,
+    st.builds(F, big_ints, st.integers(min_value=1, max_value=1 << 300)),
+    st.sampled_from([0, F(0), 1, -1, F(1, 2), F(-3, 4)]),
+)
+
+
+@given(terms=st.lists(st.lists(factors, max_size=6).map(tuple), max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_sum_of_products_equals_the_fraction_sum(terms):
+    got = scalars._sum_of_products(iter(terms))
+    want = sum((prod(term, start=F(1)) for term in terms), F(0))
+    assert type(got) is F
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+@given(terms=st.lists(st.lists(big_ints, max_size=5).map(tuple), max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_sum_of_products_of_ints_is_a_fraction(terms):
+    got = scalars._sum_of_products(terms)
+    assert type(got) is F
+    assert got == sum(prod(term) for term in terms)
+    assert got.denominator == 1
+
+
+def test_sum_of_products_of_nothing_is_fraction_zero():
+    for terms in ([], (), iter([])):
+        got = scalars._sum_of_products(terms)
+        assert type(got) is F and got == 0 and got.denominator == 1
+    # an empty term is the empty product, 1
+    assert scalars._sum_of_products([(), (F(1, 3),)]) == F(4, 3)
