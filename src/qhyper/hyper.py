@@ -12,6 +12,8 @@ adds a proven bound on the dropped tail to every rounding.  Its kernel,
 
 from __future__ import annotations
 
+from itertools import count, islice
+
 from .families import ParamVector, W_coeff, bracket_factor
 from .scalars import Ball, Rat, _sum_of_products, ball_precision, qpoch
 from .series import TruncSeries
@@ -105,10 +107,12 @@ def _ratio_bound(pv: ParamVector, q: Rat, z: Rat, k: int) -> Rat | None:
 def _sum_ball(term, eps: Rat, kmin: int = TAIL_KMIN, ratio=None) -> Ball:
     """Sum term(k), k = 0, 1, ..., as a ball at precision `ball_precision(eps)`.
 
-    A term is a ball of that precision or an exact rational, and it is small
-    when its ball's upper bound is below eps.  The sum stops at the first
-    k >= kmin where terms k - 1 and k are both small, and raises
-    DivergentSeriesError if MAX_TERMS terms pass first.  With `ratio`, which
+    term is called once for each k, in order from k = 0; `rphis_ball` reads
+    its terms from a generator and checks that it does.  A term is a ball of
+    that precision or an exact rational, and it is small when its ball's
+    upper bound is below eps.  The sum stops at the first k >= kmin where
+    terms k - 1 and k are both small, and raises DivergentSeriesError if
+    MAX_TERMS terms pass first.  With `ratio`, which
     maps k to a bound rho on |term j+1 / term j| over every j >= k or to None,
     it stops there only when rho < 1 and adds |term k| rho / (1 - rho), a
     bound on the dropped tail, to the radius: the ball holds the true value.
@@ -142,21 +146,48 @@ def _sum_ball(term, eps: Rat, kmin: int = TAIL_KMIN, ratio=None) -> Ball:
     raise DivergentSeriesError("no two consecutive small terms within bounds")
 
 
-def rphis_ball(pv: ParamVector, q: Rat, z: Rat, eps: Rat) -> Ball:
+def _row_balls(row, z: Rat, p: int):
+    """Yield k and the ball of c_k z^k, k = 0, 1, ..., with c_k = row(k).
+
+    Term k enters its ball as the unreduced quotient num(c_k) num(z)^k over
+    den(c_k) den(z)^k (`Ball.of_ratio`), with the powers of z stepped once
+    per term: no gcd is taken, and the ball is that of the reduced term.
+    row(k) is read only when term k is asked for, so an error in it raises
+    at the same k as in the plain sum.
+    """
+    zn, zd = z.numerator, z.denominator
+    n = d = 1
+    for k in count():
+        c = row(k)
+        yield k, Ball.of_ratio(c.numerator * n, c.denominator * d, p)
+        n, d = n * zn, d * zd
+
+
+def rphis_ball(pv: ParamVector, q: Rat, z: Rat, eps: Rat, row=None) -> Ball:
     """rPhis[a; b; q; z] as a ball at precision `ball_precision(eps)`.
 
-    It sums the balls of the exact terms `phi_term(k)`.  A terminating series
-    is summed to its last nonzero term.  Otherwise, with r <= s+1, |z| < 1
-    when r = s+1, and 0 < |q| < 1, `_sum_ball` sums it with `_ratio_bound`
-    as its ratio, so the ball holds the partial sum and the true value.
+    Term k is c_k z^k with c_k = `phi_term(k, pv, q, 1)`, read from `row`,
+    the function k -> c_k.  A caller that sums one pv at many z passes one
+    row for all of them (a numeric trial does); without one, the sum makes
+    its own.  Each term is rounded into its ball by `_row_balls`.  A
+    terminating series is summed to its last nonzero term.  Otherwise, with
+    r <= s+1, |z| < 1 when r = s+1, and 0 < |q| < 1, `_sum_ball` sums it with
+    `_ratio_bound` as its ratio, so the ball holds the partial sum and the
+    true value.
     """
+    p = ball_precision(eps)
+    terms = _row_balls(row or (lambda k: phi_term(k, pv, q, 1)), z, p)
     n = terminating_index(pv, q)
     if n is not None:
-        p = ball_precision(eps)
-        return sum((Ball.of(phi_term(k, pv, q, z), p) for k in range(n + 1)), Ball(0, 0, p))
+        return sum((ball for _, ball in islice(terms, n + 1)), Ball(0, 0, p))
     _require_convergent(pv, z)
     if not 0 < abs(q) < 1:
         raise ValueError("the tail bound needs 0 < |q| < 1")
-    return _sum_ball(
-        lambda k: phi_term(k, pv, q, z), eps, ratio=lambda k: _ratio_bound(pv, q, z, k)
-    )
+
+    def term(k):
+        j, ball = next(terms)
+        if j != k:
+            raise AssertionError(f"term {k} asked for where term {j} was next")
+        return ball
+
+    return _sum_ball(term, eps, ratio=lambda k: _ratio_bound(pv, q, z, k))

@@ -257,6 +257,20 @@ def ball_precision(eps: Rat) -> int:
     return b + GUARD_BITS
 
 
+def _mul_mid_rad(m1: int, r1: int, m2: int, r2: int, p: int) -> tuple[int, int]:
+    """(mid, rad) of the product of the p-bit balls (m1, r1) and (m2, r2)."""
+    product = m1 * m2
+    err = abs(m1) * r2 + r1 * abs(m2) + r1 * r2
+    rounded = 1 if product & ((1 << p) - 1) else 0
+    return product >> p, -(-err >> p) + rounded
+
+
+def _scaled_mid_rad(mid: int, rad: int, n: int, d: int) -> tuple[int, int]:
+    """(mid, rad) of the ball (mid, rad) times n/d, for d > 0."""
+    mid, rest = divmod(mid * n, d)
+    return mid, -(-rad * abs(n) // d) + (1 if rest else 0)
+
+
 class Ball:
     """The real interval [(mid - rad) 2^-prec, (mid + rad) 2^-prec].
 
@@ -282,7 +296,17 @@ class Ball:
         """The ball of an exact rational x (a ball is returned as it is)."""
         if isinstance(x, Ball):
             return x
-        mid, rest = divmod(x.numerator << prec, x.denominator)
+        return cls.of_ratio(x.numerator, x.denominator, prec)
+
+    @classmethod
+    def of_ratio(cls, n: int, d: int, prec: int) -> Ball:
+        """The ball of n/d for ints n and d > 0, in lowest terms or not.
+
+        A common factor g leaves the floor of n 2^prec / d as it is and
+        multiplies the remainder by g, so the ball is the one of the reduced
+        rational, and no gcd is taken.
+        """
+        mid, rest = divmod(n << prec, d)
         return cls(mid, 1 if rest else 0, prec)
 
     def _other(self, x) -> Ball | None:
@@ -302,8 +326,7 @@ class Ball:
 
     def _scaled(self, n: int, d: int) -> Ball:
         """The ball times n/d, for d > 0."""
-        mid, rest = divmod(self.mid * n, d)
-        return Ball(mid, -(-self.rad * abs(n) // d) + (1 if rest else 0), self.prec)
+        return Ball(*_scaled_mid_rad(self.mid, self.rad, n, d), self.prec)
 
     def __mul__(self, x):
         if isinstance(x, (int, Fraction)):
@@ -312,10 +335,7 @@ class Ball:
             return NotImplemented
         x = self._other(x)
         p = self.prec
-        product = self.mid * x.mid
-        err = abs(self.mid) * x.rad + self.rad * abs(x.mid) + self.rad * x.rad
-        rounded = 1 if product & ((1 << p) - 1) else 0
-        return Ball(product >> p, -(-err >> p) + rounded, p)
+        return Ball(*_mul_mid_rad(self.mid, self.rad, x.mid, x.rad, p), p)
 
     __rmul__ = __mul__
 
@@ -362,7 +382,11 @@ def qpoch_inf_ball(a: Rat, q: Rat, eps: Rat) -> Ball:
     It multiplies the factors 1 - a q^k that `qpoch_inf` multiplies, those with
     |a q^k| >= eps, each as a ball product on p-bit integers: a q^k is itself
     a ball, stepped by one multiply-and-floor by the small integers of q.  The
-    walk goes on past eps, should eps be that large, until sigma = |a q^K| /
+    walk keeps the midpoints and radii of the product and of a q^k as plain
+    ints and rounds them with `_mul_mid_rad` and `_scaled_mid_rad`, the
+    rounding of `Ball.__mul__` and `Ball._scaled`, so it gives the ball
+    those operations give without making two balls per factor.  The walk
+    goes on past eps, should eps be that large, until sigma = |a q^K| /
     (1 - |q|) <= 1/2.  Then |(a q^K;q)_inf - 1| <= exp(sigma) - 1 <= 2 sigma,
     and the radius grows by 2 sigma times the partial product's bound, so
     the ball holds the partial product and the true value alike.  A factor
@@ -379,16 +403,18 @@ def qpoch_inf_ball(a: Rat, q: Rat, eps: Rat) -> Ball:
     gap = dq - abs(nq)  # 1 - |q| = gap / dq
     num, den = a.numerator, a.denominator  # a q^k = num/den, not reduced
     y = Ball.of(a, p)
-    value = Ball(one, 0, p)
+    y_mid, y_rad = y.mid, y.rad  # the ball of a q^k
+    mid, rad = one, 0  # the ball of the partial product
     while abs(num) * de >= ne * den or 2 * abs(num) * dq > den * gap:
         if num == den:
             return Ball(0, 0, p)
-        value = value * Ball(one - y.mid, y.rad, p)
+        # the factor 1 - a q^k is the ball (one - y_mid, y_rad)
+        mid, rad = _mul_mid_rad(mid, rad, one - y_mid, y_rad, p)
         num, den = num * nq, den * dq
-        y = y._scaled(nq, dq)
+        y_mid, y_rad = _scaled_mid_rad(y_mid, y_rad, nq, dq)
     # the dropped tail: |P - P_K| <= |P_K| 2 sigma, sigma = |num| dq / (den gap)
-    bound = abs(value.mid) + value.rad
-    return Ball(value.mid, value.rad - (-bound * 2 * abs(num) * dq // (den * gap)), p)
+    bound = abs(mid) + rad
+    return Ball(mid, rad - (-bound * 2 * abs(num) * dq // (den * gap)), p)
 
 
 def qbinom(n: int, k: int, q: Rat) -> Rat:

@@ -19,17 +19,19 @@ A numeric trial reads its primitives through one `_Trial(q, eps)`: the
 once per trial and shared by the cross-checks, and the outer sums
 (`truncated_sum`), which run the kernel of `rphis_ball`, `hyper._sum_ball`,
 without its ratio bound, and raise the same `DivergentSeriesError`, which a
-trial reports as errored.  Every exact factor of a term (`asc_psi`, `qpoch`,
-`psi_sweep`, q-powers, `phi_term`) stays a `Fraction` and enters a ball only
-when it meets one.  A ball's radius covers every rounding, the tails of the
-(c;q)_inf products and the tails of the rphis sums, so each ball holds the
-true value of its part.  It does not cover the truncation of the outer sums,
-whose terms decay and then regrow for the asymptotic series: those keep the
-two-small-terms rule.  A numeric pass therefore says that the upper bound on
-|lhs - rhs| is at most 2^-40 times the lower bound of the scale, up to that
-outer truncation.  Every exact value is checked against the fixed
-`MAX_SCALAR_BITS`; a ball carries about p bits plus those of its magnitude
-and needs no cap.
+trial reports as errored.  The exact factors of an outer term (`asc_psi`,
+`qpoch`, `psi_sweep`, q-powers) stay `Fraction`s and enter a ball only when
+they meet one.  The rphis coefficients c_k = `phi_term(k, pv, q, 1)` are
+formed once per parameter vector and trial, and each term c_k z^k goes into
+its ball straight from its unreduced integer quotient.  A ball's radius
+covers every rounding, the tails of the (c;q)_inf products and the tails of
+the rphis sums, so each ball holds the true value of its part.  It does not
+cover the truncation of the outer sums, whose terms decay and then regrow
+for the asymptotic series: those keep the two-small-terms rule.  A numeric
+pass therefore says that the upper bound on |lhs - rhs| is at most 2^-40
+times the lower bound of the scale, up to that outer truncation.  Every
+exact value is checked against the fixed `MAX_SCALAR_BITS`; a ball carries
+about p bits plus those of its magnitude and needs no cap.
 
 Several of the bilinear series (the ones pairing the degree-lowering
 polynomial family with the one-parameter psi family) are asymptotic rather
@@ -63,6 +65,7 @@ from .hyper import (
     TAIL_KMIN,
     DivergentSeriesError,
     _sum_ball,
+    phi_term,
     rphis_ball,
     rphis_series_in_t,
     rphis_terminating,
@@ -146,11 +149,20 @@ def rand_in(rng: random.Random, lo: Fraction, hi: Fraction, signed=False) -> Fra
     """Rational with |value| in [lo, hi], numerator/denominator <= 64."""
     # narrow bands like [1/64, 1/40] hit only ~0.6% of num/den pairs, so
     # give the rejection loop a generous budget, and test lo <= num/den <= hi
-    # on integer cross-products: a Fraction is built only for a hit
+    # on integer cross-products: a Fraction is built only for a hit.  Each of
+    # num and den is drawn as randint(1, 64) draws it, 7 random bits redrawn
+    # while they reach 64, plus 1, so the values and the state of rng are
+    # those of randint
     lo_num, lo_den, hi_num, hi_den = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    getrandbits = rng.getrandbits
     for _ in range(20000):
-        num = rng.randint(1, 64)
-        den = rng.randint(1, 64)
+        num = getrandbits(7)
+        while num >= 64:
+            num = getrandbits(7)
+        den = getrandbits(7)
+        while den >= 64:
+            den = getrandbits(7)
+        num, den = num + 1, den + 1
         if lo_num * den <= num * lo_den and num * hi_den <= hi_num * den:
             v = Fraction(num, den)
             if signed and rng.random() < 0.5:
@@ -488,10 +500,19 @@ def run_lemma1_c(rng, config):
     pv, q, x0, y0, z = s["pv"], s["q"], s["x0"], s["y0"], s["z"]
     N = config.order
     rhs = _extended_gf_rhs(pv, x0, y0, z, q, N)
+    # the four shifted series span P_0..P_{N+3}: apply the operator to each
+    # P_m once, evaluate it, and read every series through these images by
+    # linearity
+    basis = TruncSeries([CauchyPoly.basis(m) for m in range(N + 4)])
+    image = evaluate_series(op_apply_series(pv, z, basis, q), x0, y0, q).coeffs
     out = []
     for k in range(4):
-        applied = op_apply_series(pv, z, shifted_cauchy_series(k, N, q), q)
-        lhs = evaluate_series(applied, x0, y0, q).shift(k)
+        lhs = TruncSeries(
+            [
+                sum((c * image[m] for m, c in f.coeffs.items()), Fraction(0))
+                for f in shifted_cauchy_series(k, N, q).coeffs
+            ]
+        ).shift(k)
         out.append(_formal_result(f"lemma1-c:k{k}", lhs, rhs(k), f"r={pv.r} s={pv.s}"))
     return out
 
@@ -647,7 +668,12 @@ class _Trial:
     quotient(top, bottom) the product of pinf over the tuple top divided by
     the same over bottom (top walked first), phi(pv, w) the rphis of pv at w
     from `rphis_ball`; each is memoised, so a cross-check reads what its
-    trial already has, and the ball of each holds its true value.
+    trial already has, and the ball of each holds its true value.  The
+    suites sum one pv at a new w for each n (Theorem 3's
+    rphis(pv; x z t q^{1-n}), and the same shape in Theorems 2 and 4), so
+    phi hands `rphis_ball` one coefficient row per pv, k -> c_k =
+    `phi_term(k, pv, q, 1)`, memoised too: each c_k is formed where a sum
+    first reaches it, and once per trial.
     sum(term, kmin) is `truncated_sum` at eps, the same kernel without a
     ratio bound: its ball holds the partial sum, not the dropped terms.
 
@@ -670,7 +696,8 @@ class _Trial:
             return value
 
         self.quotient = quotient
-        self.phi = functools.cache(lambda pv, w: rphis_ball(pv, q, w, eps))
+        row = functools.cache(lambda pv: functools.cache(lambda k: phi_term(k, pv, q, 1)))
+        self.phi = functools.cache(lambda pv, w: rphis_ball(pv, q, w, eps, row(pv)))
 
     def sum(self, term, kmin: int = TAIL_KMIN) -> Ball:
         return truncated_sum(term, self.eps, kmin)

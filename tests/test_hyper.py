@@ -137,6 +137,21 @@ def test_sum_ball_stops_only_on_a_ratio_below_one(monkeypatch, rho):
     assert seen == list(range(40))
 
 
+def test_rphis_ball_refuses_a_kernel_that_reads_terms_out_of_order(monkeypatch):
+    """rphis_ball hands `_sum_ball` terms from a generator, which is right
+    only while the kernel reads each k once, in order from 0: a kernel that
+    skips a term makes the sum raise instead of adding the wrong terms."""
+    pv, q, z, eps = ParamVector((F(1, 3),), ()), F(1, 2), F(1, 2), F(1, 1 << 40)
+    kernel = hyper._sum_ball
+
+    def skipping(term, *args, **kwargs):
+        return kernel(lambda k: term(k + 1), *args, **kwargs)
+
+    monkeypatch.setattr(hyper, "_sum_ball", skipping)
+    with pytest.raises(AssertionError, match="term 1 asked for where term 0 was next"):
+        rphis_ball(pv, q, z, eps)
+
+
 def test_numeric_q_binomial_theorem():
     # 1Phi0[a;;q;z] = (az;q)_inf / (z;q)_inf
     q, a, z = F(1, 2), F(1, 3), F(2, 5)

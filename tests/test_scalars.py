@@ -275,6 +275,69 @@ def test_qpoch_inf_ball_holds_the_partial_product_and_the_limit():
         qpoch_inf_ball(F(1, 2), F(2), F(1, 1 << 20))
 
 
+def frozen_qpoch_inf_ball(a, q, eps):
+    """qpoch_inf_ball as it was when its walk made two Balls per factor."""
+    p = scalars.ball_precision(eps)
+    one = 1 << p
+    nq, dq = q.numerator, q.denominator
+    ne, de = eps.numerator, eps.denominator
+    gap = dq - abs(nq)
+    num, den = a.numerator, a.denominator
+    y = Ball.of(a, p)
+    value = Ball(one, 0, p)
+    while abs(num) * de >= ne * den or 2 * abs(num) * dq > den * gap:
+        if num == den:
+            return Ball(0, 0, p)
+        value = value * Ball(one - y.mid, y.rad, p)
+        num, den = num * nq, den * dq
+        y = y._scaled(nq, dq)
+    bound = abs(value.mid) + value.rad
+    return Ball(value.mid, value.rad - (-bound * 2 * abs(num) * dq // (den * gap)), p)
+
+
+def test_qpoch_inf_ball_equals_the_ball_operations_walk():
+    """The walk on plain ints gives the (mid, rad, prec) that the walk by
+    Ball products gives: negative a and q, q = 63/64, a factor a q^k = 1,
+    and eps = 1/2, where the walk goes on past eps until sigma <= 1/2."""
+    q = F(-2, 3)
+    calls = [
+        (q**-3, q, F(1, 1 << 40)),
+        (F(63, 64) ** -5, F(63, 64), F(1, 2)),
+        (F(-7, 3), F(63, 64), F(1, 2)),
+        (F(5, 2), F(-63, 64), F(1, 1 << 100)),
+        (F(0), F(1, 2), F(1, 2)),
+    ]
+    rng = random.Random(24)
+    for _ in range(200):
+        m = rng.randint(2, 64)
+        q = F(rng.randint(1, m - 1), m) * rng.choice((1, -1))
+        a = F(rng.randint(-3 * m, 3 * m), rng.randint(1, m))
+        eps = F(1, 2) if rng.random() < 0.25 else F(rng.randint(1, 3), 1 << rng.choice((8, 40, 200)))
+        calls.append((a, q, eps))
+    zeros = 0
+    for a, q, eps in calls:
+        ball, frozen = qpoch_inf_ball(a, q, eps), frozen_qpoch_inf_ball(a, q, eps)
+        assert (ball.mid, ball.rad, ball.prec) == (frozen.mid, frozen.rad, frozen.prec), (a, q, eps)
+        zeros += ball.mid == ball.rad == 0
+    assert zeros >= 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=-(1 << 300), max_value=1 << 300),
+    st.integers(min_value=1, max_value=1 << 300),
+    st.integers(min_value=1, max_value=1 << 200),
+    st.sampled_from([64, 224, 600]),
+)
+def test_ball_of_an_unreduced_ratio_is_the_ball_of_the_fraction(n, d, g, prec):
+    """Ball.of_ratio(n g, d g) is Ball.of(n / d): the common factor g moves
+    neither the floor nor whether the remainder is 0."""
+    ball, want = Ball.of_ratio(n * g, d * g, prec), Ball.of(F(n, d), prec)
+    assert (ball.mid, ball.rad, ball.prec) == (want.mid, want.rad, want.prec)
+    zero = Ball.of_ratio(0, d * g, prec)
+    assert (zero.mid, zero.rad) == (0, 0)
+
+
 def test_ball_precision_is_64_bits_below_eps():
     for eps, bits in ((F(1, 1 << 80), 80), (F(3, 8), 2), (F(1, 3), 2), (F(1), 0), (F(5), 0)):
         assert scalars.ball_precision(eps) == bits + 64

@@ -242,6 +242,31 @@ def test_each_product_and_phi_is_computed_once_per_trial(monkeypatch, suite_id):
         assert made and len(made) == len(set(made)), name
 
 
+@pytest.mark.parametrize("suite_id", ["cor1-bilinear-hahn", "thm3-bilinear", "thm4-transform"])
+def test_each_rphis_coefficient_is_formed_once_per_trial(monkeypatch, suite_id):
+    """A trial keeps one coefficient row per parameter vector: every rphis it
+    sums, at whatever argument, reads c_k = phi_term(k, pv, q, 1) from that
+    row, so each (pv, k) is formed once, and rphis_ball forms none itself."""
+    made = []
+    original = verify.phi_term
+
+    def record(k, pv, q, z):
+        made.append((k, pv, q, z))
+        return original(k, pv, q, z)
+
+    def forbidden(*args):
+        raise AssertionError("rphis_ball formed a term of its own")
+
+    monkeypatch.setattr(verify, "phi_term", record)
+    monkeypatch.setattr(hyper, "phi_term", forbidden)
+    for seed in range(3):
+        made.clear()
+        rows = run_suite(suite_id, RunConfig(trials=1, seed=seed))
+        assert all(r.passed for r in rows)
+        assert made and len(made) == len(set(made)), seed
+        assert {z for *_, z in made} == {1}
+
+
 def test_cor1_cross_check_is_given_the_bilinear_prefactor(monkeypatch):
     """Corollary 1's cross-check reads its Theorem 3 prefactor from the
     trial's quotient memo, a ball that holds the quotient of the exact
@@ -439,12 +464,12 @@ def test_lemma1_c_errors_on_a_vanishing_lower_parameter_with_the_same_note(monke
 
 
 def test_lemma1_c_forms_each_operator_coefficient_and_j_term_once(monkeypatch):
-    """One trial applies the operator to four shifted basis series, of degrees
-    k..N+k.  Each application forms coefficient j of its row once, however
-    many basis elements read it, so j is formed once per series that reaches
-    it; each (y0 t;q)_j / (x0 t;q)_j rphis(z q^j t) is formed once for all
-    four k.  W_j is then formed by those rows and by the four j-terms' rphis
-    series, which stop at the order, and by nothing else."""
+    """One trial applies the operator once, to the basis P_0..P_{N+3} that
+    the four shifted basis series of degrees k..N+k span, so coefficient j
+    of the operator's row is formed once for all four k; each
+    (y0 t;q)_j / (x0 t;q)_j rphis(z q^j t) is formed once for all four k.
+    W_j is then formed by that row and by the four j-terms' rphis series,
+    which stop at the order, and by nothing else."""
     logs = {"phi_term": [], "W_coeff": [], "qpoch_poly_series": [], "rphis_series_in_t": []}
 
     def recording(module, name):
@@ -463,14 +488,12 @@ def test_lemma1_c_forms_each_operator_coefficient_and_j_term_once(monkeypatch):
     N = 12
     rows = run_suite("lemma1-c", RunConfig(trials=1, seed=3, order=N))
     assert len(rows) == 4 and all(r.passed for r in rows)
-    rows_reaching = [sum(j <= N + k for k in range(4)) for j in range(N + 4)]
-    assert [sum(args[0] == j for args in logs["phi_term"]) for j in range(N + 4)] == rows_reaching
-    assert len(logs["phi_term"]) == sum(rows_reaching)
+    assert sorted(args[0] for args in logs["phi_term"]) == list(range(N + 4))
     j_terms = [4 * (j <= N) for j in range(N + 4)]
     assert [sum(args[0] == j for args in logs["W_coeff"]) for j in range(N + 4)] == [
-        a + b for a, b in zip(rows_reaching, j_terms)
+        1 + n for n in j_terms
     ]
-    assert len(logs["W_coeff"]) == sum(rows_reaching) + sum(j_terms)
+    assert len(logs["W_coeff"]) == (N + 4) + sum(j_terms)
     for name in ("qpoch_poly_series", "rphis_series_in_t"):
         assert len(logs[name]) == len(set(logs[name])), name
     assert len(logs["rphis_series_in_t"]) == 4 and len(logs["qpoch_poly_series"]) == 8
