@@ -64,17 +64,30 @@ def cauchy_P(n: int, x: Rat, y: Rat, q: Rat) -> Rat:
     return _prefix_product(x, y, q, n)
 
 
-def W_coeff(k: int, pv: ParamVector, q: Rat) -> Rat:
-    """W_k = (a_1..a_r;q)_k / (b_1..b_s;q)_k."""
-    den = Fraction(1)
+def _W_num_den(k: int, pv: ParamVector, q: Rat) -> tuple[int, int]:
+    """W_k as ints (num, den), not reduced and den possibly negative.
+
+    It reads (b;q)_k for every lower parameter, raising on a zero one, and
+    then (a;q)_k for every upper one, so that a caller which finishes the
+    quotient with further factors takes one gcd for all of them.
+    """
+    num = den = 1
     for b in pv.lower:
         p = qpoch(b, q, k)
         if p == 0:
             raise VanishingPochhammerError(
                 f"lower parameter {b} gives ({b};q)_{k} = 0"
             )
-        den *= p
-    return qpoch_multi(pv.upper, q, k) / den
+        num, den = num * p.denominator, den * p.numerator
+    for a in pv.upper:
+        p = qpoch(a, q, k)
+        num, den = num * p.numerator, den * p.denominator
+    return num, den
+
+
+def W_coeff(k: int, pv: ParamVector, q: Rat) -> Rat:
+    """W_k = (a_1..a_r;q)_k / (b_1..b_s;q)_k."""
+    return Fraction(*_W_num_den(k, pv, q))
 
 
 def bracket_factor(k: int, q: Rat, exponent: int) -> Rat:

@@ -12,10 +12,11 @@ adds a proven bound on the dropped tail to every rounding.  Its kernel,
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import count, islice
 
-from .families import ParamVector, W_coeff, bracket_factor
-from .scalars import Ball, Rat, _sum_of_products, ball_precision, qpoch
+from .families import ParamVector, _W_num_den, bracket_factor
+from .scalars import Ball, Rat, _scaled_mid_rad, _sum_of_products, ball_precision, qpoch
 from .series import TruncSeries
 
 #: Numeric truncation: stop at the first k >= TAIL_KMIN with two consecutive
@@ -34,12 +35,16 @@ class DivergentSeriesError(ArithmeticError):
 
 
 def phi_term(k: int, pv: ParamVector, q: Rat, z: Rat) -> Rat:
-    """Term k of rPhis[a; b; q; z]."""
-    return (
-        W_coeff(k, pv, q)
-        * z**k
-        / qpoch(q, q, k)
-        * bracket_factor(k, q, pv.bracket_exponent)
+    """Term k of rPhis[a; b; q; z], W_k z^k / (q;q)_k times the bracket power.
+
+    The factors are multiplied as ints, W_k's unreduced, and reduced once.
+    """
+    num, den = _W_num_den(k, pv, q)
+    zk, qq = z**k, qpoch(q, q, k)
+    bracket = bracket_factor(k, q, pv.bracket_exponent)
+    return Fraction(
+        num * zk.numerator * qq.denominator * bracket.numerator,
+        den * zk.denominator * qq.numerator * bracket.denominator,
     )
 
 
@@ -104,13 +109,30 @@ def _ratio_bound(pv: ParamVector, q: Rat, z: Rat, k: int) -> Rat | None:
     return bound
 
 
+def _tuple_ball(factors: tuple, p: int) -> Ball:
+    """The ball at precision p of the product of `factors`, exact ints and
+    Fractions that may end in one ball, with one rounding."""
+    n = d = 1
+    ball = factors[-1] if isinstance(factors[-1], Ball) else None
+    for f in factors[:-1] if ball else factors:
+        n *= f.numerator
+        d *= f.denominator
+    if ball is None:
+        return Ball.of_ratio(n, d, p)
+    return Ball(*_scaled_mid_rad(ball.mid, ball.rad, n, d), ball.prec)
+
+
 def _sum_ball(term, eps: Rat, kmin: int = TAIL_KMIN, ratio=None) -> Ball:
     """Sum term(k), k = 0, 1, ..., as a ball at precision `ball_precision(eps)`.
 
     term is called once for each k, in order from k = 0; `rphis_ball` reads
     its terms from a generator and checks that it does.  A term is a ball of
-    that precision or an exact rational, and it is small when its ball's
-    upper bound is below eps.  The sum stops at the first k >= kmin where
+    that precision, an exact rational, or a tuple of exact int or Fraction
+    factors, the last of which may be such a ball.  A tuple's numerators and
+    denominators are multiplied as ints and rounded once (`_tuple_ball`); a
+    common factor changes neither rounding, so its ball is the ball of the
+    reduced product.  A term is small when its ball's upper bound is below
+    eps.  The sum stops at the first k >= kmin where
     terms k - 1 and k are both small, and raises DivergentSeriesError if
     MAX_TERMS terms pass first.  With `ratio`, which
     maps k to a bound rho on |term j+1 / term j| over every j >= k or to None,
@@ -127,7 +149,8 @@ def _sum_ball(term, eps: Rat, kmin: int = TAIL_KMIN, ratio=None) -> Ball:
     prev_small = False
     peak = 1 << p
     for k in range(MAX_TERMS):
-        t = Ball.of(term(k), p)
+        t = term(k)
+        t = _tuple_ball(t, p) if type(t) is tuple else Ball.of(t, p)
         acc = acc + t
         upper = abs(t.mid) + t.rad
         if k <= kmin and upper > peak:

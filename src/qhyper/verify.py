@@ -19,9 +19,11 @@ A numeric trial reads its primitives through one `_Trial(q, eps)`: the
 once per trial and shared by the cross-checks, and the outer sums
 (`truncated_sum`), which run the kernel of `rphis_ball`, `hyper._sum_ball`,
 without its ratio bound, and raise the same `DivergentSeriesError`, which a
-trial reports as errored.  The exact factors of an outer term (`asc_psi`,
-`qpoch`, `psi_sweep`, q-powers) stay `Fraction`s and enter a ball only when
-they meet one.  The rphis coefficients c_k = `phi_term(k, pv, q, 1)` are
+trial reports as errored.  An outer term is a tuple of its exact factors
+(psi_n^{(a)} from its recurrence, `qpoch`, `psi_sweep`, q-powers, a divisor
+as 1 / x), ending in the one ball it meets, if any: the kernel multiplies
+their numerators and denominators as ints and rounds the term into its ball
+once, with no gcd.  The rphis coefficients c_k = `phi_term(k, pv, q, 1)` are
 formed once per parameter vector and trial, and each term c_k z^k goes into
 its ball straight from its unreduced integer quotient.  A ball's radius
 covers every rounding, the tails of the (c;q)_inf products and the tails of
@@ -54,7 +56,6 @@ from . import reductions
 from .families import (
     ParamVector,
     asc_phi,
-    asc_psi,
     cao_phi3,
     cao_psi3,
     cauchy_P,
@@ -232,9 +233,13 @@ def sample_reduction_params(rng: random.Random) -> tuple[dict, Rat]:
             continue
         if sample["x"] == sample["y"]:
             continue
-        # lower-parameter symbols must stay clear of 1 (and of q^{-j}, which
-        # cannot occur for draws inside (-1, 1))
-        if any(sample[k] == 1 for k in "cde"):
+        # lower-parameter symbols must stay clear of q^{-j} for j < N_MAX,
+        # where (v;q)_{j+1} vanishes; rand_rat draws up to 64 in magnitude,
+        # so v = q^{-j} with j >= 1 does occur
+        if any(
+            sample[k] == 1 or is_q_power(1 / sample[k], q, reductions.N_MAX - 1)
+            for k in "cde"
+        ):
             continue
         return sample, q
 
@@ -256,7 +261,8 @@ def truncated_sum(term_fn, eps: Fraction, kmin: int = TAIL_KMIN) -> Ball:
     terms drop below eps: `hyper._sum_ball` without a ratio bound, under the
     name and the `term_fn` argument that `bench/tracer.py` times and counts.
 
-    A term is a ball of that precision or an exact rational.  Raises
+    A term is a ball of that precision, an exact rational, or a tuple of
+    exact factors that may end in such a ball, rounded once.  Raises
     DivergentSeriesError when the terms regrow hopelessly or the term budget
     runs out; used for the outer sums of the numeric suites.  The ball holds
     the partial sum; the terms not summed are not in its radius.
@@ -673,9 +679,11 @@ class _Trial:
     rphis(pv; x z t q^{1-n}), and the same shape in Theorems 2 and 4), so
     phi hands `rphis_ball` one coefficient row per pv, k -> c_k =
     `phi_term(k, pv, q, 1)`, memoised too: each c_k is formed where a sum
-    first reaches it, and once per trial.
+    first reaches it, and once per trial.  psi(a, x) is the memoised
+    `_asc_psi_sweep` of (a, x), so the sums of one trial share each psi_n.
     sum(term, kmin) is `truncated_sum` at eps, the same kernel without a
-    ratio bound: its ball holds the partial sum, not the dropped terms.
+    ratio bound: its ball holds the partial sum, not the dropped terms; a
+    term may be a tuple of exact factors that ends in a ball (`_sum_ball`).
 
     The primitives are looked up in this module when called, so a wrapper
     installed on it sees every call; the memos close over locals, not over
@@ -698,6 +706,7 @@ class _Trial:
         self.quotient = quotient
         row = functools.cache(lambda pv: functools.cache(lambda k: phi_term(k, pv, q, 1)))
         self.phi = functools.cache(lambda pv, w: rphis_ball(pv, q, w, eps, row(pv)))
+        self.psi = functools.cache(lambda a, x: _asc_psi_sweep(a, x, q))
 
     def sum(self, term, kmin: int = TAIL_KMIN) -> Ball:
         return truncated_sum(term, self.eps, kmin)
@@ -720,6 +729,27 @@ def _rogers_szego_sum(t: Rat, omega: Rat, q: Rat) -> Callable[[int], Rat]:
         return h[m] / qpoch(q, q, m)
 
     return inner
+
+
+def _asc_psi_sweep(a: Rat, x: Rat, q: Rat) -> Callable[[int], Rat]:
+    """n -> psi_n^{(a)}(x|q), the Fraction `families.asc_psi` gives.
+
+    The generating function (a x t;q)_inf / ((t;q)_inf (x t;q)_inf) of
+    phi_n^{(a)}(x|q), read at q^{-1} (Koekoek-Lesky-Swarttouw), gives
+    psi_0 = 1, psi_1 = 1 + x - a x and psi_n = (1 + x - a x q^{1-n})
+    psi_{n-1} - x (1 - q^{1-n}) psi_{n-2}; at a = 0 this is the Rogers-Szego
+    recurrence of `_rogers_szego_sum`.  The returned function keeps the
+    psi_n it has formed.
+    """
+    psi = [Fraction(1), 1 + x - a * x]
+
+    def value(n):
+        while len(psi) <= n:
+            p = qpow(q, 1 - len(psi))
+            psi.append((1 + x - a * x * p) * psi[-1] - x * (1 - p) * psi[-2])
+        return psi[n]
+
+    return value
 
 
 @suite("thm2-rogers", "numeric")
@@ -760,21 +790,19 @@ def run_thm2(rng, config):
     inner = _rogers_szego_sum(t, omega, q)
 
     def lhs_term(m):
-        return inner(m) * psi(m) * (-1) ** m * q ** binom2(m)
+        return inner(m), psi(m), (-1) ** m, q ** binom2(m)
 
     lhs = trial.sum(lhs_term)
     pref = trial.quotient((x * omega,), (t / omega, y * omega))
 
     def rhs_term(k):
         return (
-            qpoch(y * omega, q, k)
-            * q**k
-            / (
-                qpoch(q * omega / t, q, k)
-                * qpoch(x * omega, q, k)
-                * qpoch(q, q, k)
-            )
-            * trial.phi(pv, z * omega * q**k)
+            qpoch(y * omega, q, k),
+            q**k,
+            1 / qpoch(q * omega / t, q, k),
+            1 / qpoch(x * omega, q, k),
+            1 / qpoch(q, q, k),
+            trial.phi(pv, z * omega * q**k),
         )
 
     rhs = pref * trial.sum(rhs_term)
@@ -806,14 +834,10 @@ def run_lemma2_psi(rng, config):
     s = _lemma2_psi_sample(rng)
     q, alpha, x, lam, t = s["q"], s["alpha"], s["x"], s["lam"], s["t"]
     trial = _Trial(q, config.eps)
+    psi = trial.psi(alpha, x)
 
     def lhs_term(n):
-        return (
-            asc_psi(n, alpha, x, q)
-            * qpoch(1 / lam, q, n)
-            * (lam * t * q) ** n
-            / qpoch(q, q, n)
-        )
+        return psi(n), qpoch(1 / lam, q, n), (lam * t * q) ** n, 1 / qpoch(q, q, n)
 
     lhs = trial.sum(lhs_term)
     pv = ParamVector((1 / lam, 1 / (alpha * x)), (1 / (lam * x * t),))
@@ -824,14 +848,9 @@ def run_lemma2_psi(rng, config):
 def _bilinear_lhs(trial, alpha, x, t, other):
     """sum_n psi_n^{(alpha)}(x) other(n) (-1)^n q^{binom(n+1,2)} t^n / (q;q)_n,
     the left side of the bilinear theorem, of its corollary and of (5.2)."""
-    q = trial.q
+    q, psi = trial.q, trial.psi(alpha, x)
     return trial.sum(
-        lambda n: asc_psi(n, alpha, x, q)
-        * other(n)
-        * (-1) ** n
-        * q ** binom2(n + 1)
-        * t**n
-        / qpoch(q, q, n)
+        lambda n: (psi(n), other(n), (-1) ** n, q ** binom2(n + 1), t**n, 1 / qpoch(q, q, n))
     )
 
 
@@ -841,19 +860,16 @@ def _thm3_rhs(trial, alpha, x, u, v, z, t, pv):
     pref = trial.quotient((q / x, u * x * t * q), (alpha * q, v * x * t * q))
 
     def term(n):
-        num = qpoch(1 / (alpha * x), q, n) * qpoch(1 / (u * x * t), q, n)
-        den = (
-            qpoch(q / x, q, n)
-            * qpoch(1 / (v * x * t), q, n)
-            * qpoch(q, q, n)
-        )
         return (
-            (-1) ** n
-            * q ** binom2(n)
-            * num
-            / den
-            * (alpha * u * q / v) ** n
-            * trial.phi(pv, x * z * t * qpow(q, 1 - n))
+            (-1) ** n,
+            q ** binom2(n),
+            qpoch(1 / (alpha * x), q, n),
+            qpoch(1 / (u * x * t), q, n),
+            1 / qpoch(q / x, q, n),
+            1 / qpoch(1 / (v * x * t), q, n),
+            1 / qpoch(q, q, n),
+            (alpha * u * q / v) ** n,
+            trial.phi(pv, x * z * t * qpow(q, 1 - n)),
         )
 
     return pref * trial.sum(term)
@@ -921,7 +937,7 @@ def run_cor1(rng, config):
     s = resample(rng, draw, ok)
     q, alpha, a, x, y, t = s["q"], s["alpha"], s["a"], s["x"], s["y"], s["t"]
     trial = _Trial(q, config.eps)
-    lhs = _bilinear_lhs(trial, alpha, x, t, lambda n: asc_psi(n, a, y, q))
+    lhs = _bilinear_lhs(trial, alpha, x, t, trial.psi(a, y))
     xytq, axytq = x * y * t * q, a * x * y * t * q
     # the bilinear theorem's prefactor at u = y, v = a y, times (x t q;q)_inf
     pref = trial.quotient((q / x, xytq), (alpha * q, axytq)) * trial.pinf(x * t * q)
@@ -972,9 +988,10 @@ def run_thm4(rng, config):
     alpha, x, lam, t, z = s["alpha"], s["x"], s["lam"], s["t"], s["z"]
     trial = _Trial(q, config.eps)
     u, v = Fraction(1), lam
+    psi = trial.psi(alpha, x)
 
     def A(n):
-        return asc_psi(n, alpha, x, q) * (q * t) ** n / qpoch(q, q, n)
+        return psi(n), (q * t) ** n, 1 / qpoch(q, q, n)
 
     @functools.cache
     def B(n):
@@ -983,12 +1000,12 @@ def run_thm4(rng, config):
         def term(j):
             k = n + j  # (q^{-k};q)_n vanishes below k = n
             return (
-                qpoch(1 / (alpha * x), q, k)
-                * (alpha * q) ** k
-                / qpoch(q, q, k)
-                * qpoch(qpow(q, -k), q, n)
-                * qpow(q, n * k)
-                / qpoch(q, q, n)
+                qpoch(1 / (alpha * x), q, k),
+                (alpha * q) ** k,
+                1 / qpoch(q, q, k),
+                qpoch(qpow(q, -k), q, n),
+                qpow(q, n * k),
+                1 / qpoch(q, q, n),
             )
 
         return trial.sum(term, kmin=4)
@@ -1007,8 +1024,8 @@ def run_thm4(rng, config):
         return ratios[n]
 
     # (5.1): the A/B relationship itself
-    lhs1 = trial.sum(lambda n: A(n) * cauchy_P(n, v, u, q))
-    rhs1 = base * trial.sum(lambda n: B(n) * ratio(n), kmin=4)
+    lhs1 = trial.sum(lambda n: A(n) + (cauchy_P(n, v, u, q),))
+    rhs1 = base * trial.sum(lambda n: (ratio(n), B(n)), kmin=4)
 
     # (5.2): the transformed identity; q^{binom(n,2)} (q t)^n = q^{binom(n+1,2)} t^n
     lhs2 = _bilinear_lhs(trial, alpha, x, t, psi_sweep(u, v, z, pv, q))

@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction as F
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhyper import hyper
 from qhyper.families import ParamVector
@@ -15,7 +18,7 @@ from qhyper.hyper import (
     rphis_terminating,
     terminating_index,
 )
-from qhyper.scalars import qpoch, qpoch_inf_ball, qpow
+from qhyper.scalars import Ball, qpoch, qpoch_inf_ball, qpow
 
 
 def mid(ball):
@@ -135,6 +138,46 @@ def test_sum_ball_stops_only_on_a_ratio_below_one(monkeypatch, rho):
     with pytest.raises(DivergentSeriesError, match="no two consecutive"):
         hyper._sum_ball(zero, eps, ratio=lambda k: rho)
     assert seen == list(range(40))
+
+
+#: Exact factors for a tuple term: ints from -64 to 64 (0 among them), and
+#: pairs n/g, 6g/d whose unreduced product shares the factor g and a 2 or 3.
+EXACT_FACTORS = st.lists(
+    st.one_of(
+        st.integers(-64, 64).map(lambda n: (n,)),
+        st.tuples(
+            st.integers(-(1 << 80), 1 << 80), st.integers(1, 1 << 80), st.integers(1, 1 << 40)
+        ).map(lambda t: (F(t[0], t[2]), F(6 * t[2], t[1]))),
+    ),
+    min_size=1,
+    max_size=5,
+).map(lambda groups: tuple(f for group in groups for f in group))
+
+
+def one_term_ball(term, prec):
+    """The ball `_sum_ball` makes of `term` as its only nonzero term, at
+    precision prec = ball_precision(2^-(prec - 64))."""
+    eps = F(1, 1 << (prec - 64))
+    return hyper._sum_ball(lambda k: term if k == 0 else 0, eps, kmin=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    EXACT_FACTORS,
+    st.integers(-(1 << 700), 1 << 700),
+    st.integers(0, 1 << 600),
+    st.sampled_from([64, 224, 600]),
+)
+def test_sum_ball_rounds_a_factor_tuple_once(factors, mid, rad, prec):
+    """A tuple of exact factors enters its ball as the Fraction product does,
+    and a tuple ending in a ball gives that product times the ball: the
+    unreduced integer products round as the reduced ones."""
+    product = prod(factors, start=F(1))
+    got, want = one_term_ball(factors, prec), Ball.of(product, prec)
+    assert (got.mid, got.rad, got.prec) == (want.mid, want.rad, want.prec)
+    ball = Ball(mid, rad, prec)
+    got, want = one_term_ball(factors + (ball,), prec), product * ball
+    assert (got.mid, got.rad, got.prec) == (want.mid, want.rad, want.prec)
 
 
 def test_rphis_ball_refuses_a_kernel_that_reads_terms_out_of_order(monkeypatch):

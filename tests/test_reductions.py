@@ -114,3 +114,16 @@ def test_a_vanishing_lower_parameter_raises_at_the_same_k(monkeypatch):
         "pass": False, "deviation_num": None, "deviation_den": None,
         "notes": "errored: lower parameter 8 gives (8;q)_4 = 0",
     }
+
+
+def test_the_sampler_redraws_a_lower_parameter_that_vanishes():
+    """At master seed 455267932 the first draw has q = 1/3 and e = 3 = q^-1,
+    so (e;q)_2 = 0 at a true reduction: the sampler draws again, and every
+    drawn c, d, e stays clear of q^-j, j < N_MAX."""
+    rng = random.Random(verify.derive_seed(455267932, "remark2", 0))
+    sample, q = sample_reduction_params(rng)
+    assert all(
+        sample[k] * q**j != 1 for k in "cde" for j in range(reductions.N_MAX)
+    ), (sample, q)
+    rows = run_suite("remark2", RunConfig(trials=1, seed=455267932))
+    assert len(rows) == 11 and all(r.passed for r in rows)

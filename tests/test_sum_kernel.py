@@ -152,6 +152,22 @@ def frozen_trivariate_F(n, x, y, z, q):
     return (-1) ** n * qpow(q, -binom2(n)) * acc
 
 
+def frozen_W_coeff(k, pv, q):
+    den = F(1)
+    for b in pv.lower:
+        p = qpoch(b, q, k)
+        if p == 0:
+            raise VanishingPochhammerError(f"lower parameter {b} gives ({b};q)_{k} = 0")
+        den *= p
+    return qpoch_multi(pv.upper, q, k) / den
+
+
+def frozen_phi_term(k, pv, q, z):
+    return (
+        frozen_W_coeff(k, pv, q) * z**k / qpoch(q, q, k) * bracket_factor(k, q, pv.bracket_exponent)
+    )
+
+
 def frozen_rphis_terminating(pv, q, z):
     n = terminating_index(pv, q)
     return sum((phi_term(k, pv, q, z) for k in range(n + 1)), F(0))
@@ -286,3 +302,67 @@ def test_an_oversized_pochhammer_raises_the_same_overflow(empty_tables):
         assert raised(ScalarOverflowError, frozen, *args) == message
         empty_tables()
         assert raised(ScalarOverflowError, fn, *args) == message
+
+
+# -- the rphis coefficient, reduced once ----------------------------------------
+
+
+def coefficient_outcomes(pv, q, z, ks, exact=True):
+    """Pairs of outcomes of (W_coeff, phi_term) and their frozen copies over
+    ks; without `exact`, only the type of what was raised is compared."""
+    pairs = []
+    for k in ks:
+        for fn, frozen, args in (
+            (W_coeff, frozen_W_coeff, (k, pv, q)),
+            (phi_term, frozen_phi_term, (k, pv, q, z)),
+        ):
+            got, want = outcome(fn, *args), outcome(frozen, *args)
+            if not exact and issubclass(want[0], ArithmeticError):
+                got, want = got[0], want[0]
+            pairs.append((got, want))
+    return pairs
+
+
+@pytest.mark.parametrize("q", QS)
+def test_phi_term_and_W_coeff_equal_their_frozen_products(q):
+    rng = random.Random(str(q))
+    values = 0
+    for a, b, c, d, e, x, y, z in _points(rng):
+        for pv in (
+            ParamVector((a, b, c), (d, e)),
+            ParamVector((a,), (0, e)),
+            ParamVector(),
+            ParamVector((), (d, e, F(1, 3))),
+        ):
+            for got, want in coefficient_outcomes(pv, q, z, range(13)):
+                assert got == want, (pv, z)
+                values += want[0] is F
+    assert values >= 300
+
+
+def test_phi_term_raises_the_frozen_errors():
+    """A lower parameter q^-3 vanishes at k = 4 with the same message; at
+    q = -1, (q;q)_k vanishes from k = 2 and both divide by zero."""
+    q, z = F(1, 2), F(-3, 5)
+    pv = ParamVector((F(1, 3), F(-2, 5)), (F(3, 7), q**-3))
+    pairs = coefficient_outcomes(pv, q, z, range(8))
+    assert all(got == want for got, want in pairs)
+    assert pairs[8][0] == (VanishingPochhammerError, "lower parameter 8 gives (8;q)_4 = 0")
+    pv = ParamVector((F(1, 3),), (F(2, 5),))
+    pairs = coefficient_outcomes(pv, F(-1), z, range(6), exact=False)
+    assert all(got == want for got, want in pairs)
+    assert [got for got, _ in pairs[1::2]][2:] == [ZeroDivisionError] * 4
+
+
+def test_phi_term_raises_the_frozen_overflow(empty_tables):
+    """(a;q)_k with a = 3^-5000 at q = 63/64 passes the 2^16-bit cap at
+    k = 9; a lower parameter q^-10 is read first and vanishes from k = 11."""
+    q, a, z = F(63, 64), F(1, 3**5000), F(2, 3)
+    message = "rational exceeds 65536 bits (num 71421b / den 71421b)"
+    for pv in (ParamVector((F(1, 3), a), (F(2, 5),)), ParamVector((a,), (F(2, 5), q**-10))):
+        want = [w for _, w in coefficient_outcomes(pv, q, z, range(13))]
+        empty_tables()
+        got = [g for g, _ in coefficient_outcomes(pv, q, z, range(13))]
+        assert got == want, pv
+        assert (ScalarOverflowError, message) in want
+    assert want[-1][0] is VanishingPochhammerError

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qhyper import hyper, operators, verify
+from qhyper import families, hyper, operators, verify
 from qhyper.families import ParamVector
 from qhyper.hyper import DivergentSeriesError, rphis_series_in_t
 from qhyper.scalars import check_magnitude, qpoch, qpoch_inf, qpow
@@ -468,9 +468,10 @@ def test_lemma1_c_forms_each_operator_coefficient_and_j_term_once(monkeypatch):
     the four shifted basis series of degrees k..N+k span, so coefficient j
     of the operator's row is formed once for all four k; each
     (y0 t;q)_j / (x0 t;q)_j rphis(z q^j t) is formed once for all four k.
-    W_j is then formed by that row and by the four j-terms' rphis series,
-    which stop at the order, and by nothing else."""
-    logs = {"phi_term": [], "W_coeff": [], "qpoch_poly_series": [], "rphis_series_in_t": []}
+    W_j (`phi_term`'s `_W_num_den`) is then formed by that row and by the
+    four j-terms' rphis series, which stop at the order, and by nothing
+    else."""
+    logs = {"phi_term": [], "_W_num_den": [], "qpoch_poly_series": [], "rphis_series_in_t": []}
 
     def recording(module, name):
         original = getattr(module, name)
@@ -482,7 +483,7 @@ def test_lemma1_c_forms_each_operator_coefficient_and_j_term_once(monkeypatch):
         monkeypatch.setattr(module, name, record)
 
     recording(operators, "phi_term")
-    recording(hyper, "W_coeff")
+    recording(hyper, "_W_num_den")
     recording(verify, "qpoch_poly_series")
     recording(verify, "rphis_series_in_t")
     N = 12
@@ -490,13 +491,75 @@ def test_lemma1_c_forms_each_operator_coefficient_and_j_term_once(monkeypatch):
     assert len(rows) == 4 and all(r.passed for r in rows)
     assert sorted(args[0] for args in logs["phi_term"]) == list(range(N + 4))
     j_terms = [4 * (j <= N) for j in range(N + 4)]
-    assert [sum(args[0] == j for args in logs["W_coeff"]) for j in range(N + 4)] == [
+    assert [sum(args[0] == j for args in logs["_W_num_den"]) for j in range(N + 4)] == [
         1 + n for n in j_terms
     ]
-    assert len(logs["W_coeff"]) == (N + 4) + sum(j_terms)
+    assert len(logs["_W_num_den"]) == (N + 4) + sum(j_terms)
     for name in ("qpoch_poly_series", "rphis_series_in_t"):
         assert len(logs[name]) == len(set(logs[name])), name
     assert len(logs["rphis_series_in_t"]) == 4 and len(logs["qpoch_poly_series"]) == 8
+
+
+#: Per numeric suite, the c of every divisor (c q^j; q)_n or 1 - c q^{-j}
+#: of an outer term, as a function of the drawn sample: (q omega/t;q)_k,
+#: (q/x;q)_n and (1/(v x t);q)_n at the suites' u and v, and thm4's ratio.
+DIVISOR_HAZARDS = {
+    "thm2-rogers": lambda s: [s["t"] / s["omega"]],
+    "thm3-bilinear": lambda s: [s["x"], s["v"] * s["x"] * s["t"]],
+    "cor1-bilinear-hahn": lambda s: [s["x"], s["a"] * s["x"] * s["y"] * s["t"]],
+    "thm4-transform": lambda s: [s["lam"] * s["x"] * s["t"]],
+}
+
+
+@pytest.mark.parametrize("suite_id", sorted(DIVISOR_HAZARDS))
+def test_numeric_samplers_rule_out_every_zero_divisor(monkeypatch, suite_id):
+    """An outer term writes its divisors as 1 / x, which is safe only if no
+    x is 0 at any n: each hazard c has 0 < |c| < 1, is_q_power rejects
+    c = q^m for m <= 120, and |q|^121 < |c| leaves no larger m."""
+    samples, resample = [], verify.resample
+
+    def record(rng, draw, ok):
+        samples.append(resample(rng, draw, ok))
+        raise RuntimeError("sample recorded")
+
+    monkeypatch.setattr(verify, "resample", record)
+    run_suite(suite_id, RunConfig(trials=200, seed=11))
+    assert len(samples) == 200
+    for s in samples:
+        q = s["q"]
+        for c in DIVISOR_HAZARDS[suite_id](s):
+            assert 0 < abs(c) < 1 and abs(q) ** 121 < abs(c), (suite_id, s)
+            assert not is_q_power(c, q), (suite_id, s)
+
+
+def test_thm4_with_x_a_power_of_q_ends_as_the_same_errored_row(monkeypatch):
+    """thm4's sampler does not reject x = q^m, so trial 507 at seed 42 draws
+    q = 1/2, x = 1/64 and its cross-check divides by (q/x;q)_6 = 0.  The
+    factor 1 / (q/x;q)_n raises the ZeroDivisionError that the quotient
+    over all five Pochhammers raised, with the note "Fraction(1, 0)": the
+    n = 6 numerator is positive."""
+    seed = derive_seed(42, "thm4-transform", 507)
+    monkeypatch.setattr(verify, "derive_seed", lambda master, suite_id, trial: seed)
+    [row] = run_suite("thm4-transform", RunConfig(trials=1, epsilon_bits=160))
+    assert (row.passed, row.deviation, row.notes) == (False, None, "errored: Fraction(1, 0)")
+
+
+@pytest.mark.parametrize("q", [F(1, 2), F(-2, 3), F(5, 7), F(-1, 9), F(3, 2)])
+def test_asc_psi_recurrence_equals_the_defining_sum(q):
+    """The three-term recurrence gives the very Fraction of the defining sum
+    `families.asc_psi`, whether the n are asked for rising or n = 40 first."""
+    rng = random.Random(repr(q))
+    cases = [(verify.rand_rat(rng), verify.rand_rat(rng)) for _ in range(3)]
+    cases += [(F(0), verify.rand_rat(rng)), (verify.rand_rat(rng), F(0)), (F(1), F(-3, 5))]
+    for a, x in cases:
+        want = [families.asc_psi(n, a, x, q) for n in range(41)]
+        rising, top_first = verify._asc_psi_sweep(a, x, q), verify._asc_psi_sweep(a, x, q)
+        assert top_first(40) == want[40], (a, x)
+        for n in range(41):
+            for got in (rising(n), top_first(n)):
+                assert (type(got), got.numerator, got.denominator) == (
+                    F, want[n].numerator, want[n].denominator
+                ), (a, x, n)
 
 
 @pytest.mark.parametrize("q", [F(1, 2), F(-2, 3), F(5, 7), F(-1, 9), F(3, 2)])
