@@ -9,12 +9,13 @@ radius.
 `qpoch` serves (a;q)_n = P_n(1, a) from a prefix table of the products
 P_n(x, y) = prod_{j<n} (x - y q^j), which holds P_0..P_m and is extended only
 when a larger n is asked for; the Cauchy polynomials of `families.cauchy_P`
-are served from the same kind of table.  All tables share one budget, counted
-in bits of the stored numerators and denominators plus a fixed overhead per
-stored rational, and the least recently used tables are dropped to stay
-within it.  The tables cannot change a result: each entry is the exact
-product the plain loop forms, and the bit-length cap is checked on every
-value `qpoch` returns, whether the value was read or computed.
+are served from the same kind of table.  The tables live as long as the
+process; when a new one is about to be made and their charge (stored bits
+plus a fixed overhead per rational) is past the budget, all are dropped.  So
+the store passes its budget only by the growth of the tables in use since
+the last new one, which the CLI's `MAX_DEGREE` and `MAX_ORDER` bound.  The
+tables cannot change a result: each entry is the exact product the plain
+loop forms, and the bit-length cap is checked on every value `qpoch` returns.
 
 Every finite sum of products (each family sum, Psi_n, a terminating rPhis)
 goes through `_sum_of_products`.  `Fraction` reduces after every product and
@@ -80,15 +81,12 @@ def max_deviation(pairs: Iterable[tuple[Rat, Rat]]) -> Rat:
     return max((abs(lhs - rhs) for lhs, rhs in pairs), default=Fraction(0))
 
 
-#: Prefix tables of `_prefix_product`, in least-recently-used order.  The
-#: table of P_n(x, y) = prod_{j<n} (x - y q^j) is keyed on (y.numerator,
-#: y.denominator, q.numerator, q.denominator) when x = 1, so that the table of
-#: (a;q)_n = P_n(1, a) keeps the key of (a, q), and on those four followed by
-#: (x.numerator, x.denominator) otherwise; the key also fits int arguments
-#: and is cheaper to hash than a Fraction.  Each table is
-#: [[P_0, ..., P_m], y q^m, cost], where cost charges every stored rational
-#: its numerator and denominator bits plus `_QPOCH_ENTRY_BITS` of object
-#: overhead; `_qpoch_bits` is the sum of the costs.
+#: Prefix tables of `_prefix_product`, each [[P_0, ..., P_m], y q^m].  The
+#: key is (y.numerator, y.denominator, q.numerator, q.denominator), then
+#: (x.numerator, x.denominator) when x != 1, so (a;q)_n = P_n(1, a) keeps the
+#: key of (a, q); it also fits int arguments and hashes faster than a
+#: Fraction.  `_qpoch_bits` charges every stored rational its numerator and
+#: denominator bits plus `_QPOCH_ENTRY_BITS` of object overhead.
 _QPOCH_TABLES: dict[tuple[int, ...], list] = {}
 _QPOCH_BUDGET_BITS = 1 << 22
 _QPOCH_ENTRY_BITS = 1024
@@ -98,40 +96,38 @@ _qpoch_bits = 0
 def _prefix_product(x: Rat, y: Rat, q: Rat, n: int) -> Rat:
     """P_n(x, y) = prod_{j<n} (x - y q^j) for n >= 0, from its prefix table.
 
-    The table holds the products P_0..P_m and the next y q^m.  A call with
-    n > m extends it by the factors the plain loop would multiply; a call with
-    n <= m only reads it.  All tables share a budget of 2^22 bits and the
-    least recently used ones are dropped past it, so the table is a pure memo:
-    the value is the same whether it was read or rebuilt.
+    The table holds P_0..P_m and the next y q^m; a call with n > m extends it
+    by the factors the plain loop would multiply.  Only a new key drops
+    tables: all of them, when their charge is past 2^22 bits.  So the table in
+    use is kept, and the value is the same whether it was read or rebuilt.
     """
     global _qpoch_bits
     key = (y.numerator, y.denominator, q.numerator, q.denominator)
     if x != 1:
         key += (x.numerator, x.denominator)
-    table = _QPOCH_TABLES.pop(key, None)
+    table = _QPOCH_TABLES.get(key)
     if table is None:
+        if _qpoch_bits > _QPOCH_BUDGET_BITS:
+            _QPOCH_TABLES.clear()
+            _qpoch_bits = 0
+        table = _QPOCH_TABLES[key] = [[Fraction(1)], y]
         # P_0 = 1/1 and y, each charged its bits plus the overhead
-        cost = 2 * _QPOCH_ENTRY_BITS + 2 + y.numerator.bit_length() + y.denominator.bit_length()
-        table = [[Fraction(1)], y, cost]
-        _qpoch_bits += cost
-    _QPOCH_TABLES[key] = table
+        _qpoch_bits += (
+            2 * _QPOCH_ENTRY_BITS + 2 + y.numerator.bit_length() + y.denominator.bit_length()
+        )
     values = table[0]
     if n >= len(values):
         result, yq = values[-1], table[1]
-        cost = -yq.numerator.bit_length() - yq.denominator.bit_length()
+        _qpoch_bits -= yq.numerator.bit_length() + yq.denominator.bit_length()
         for _ in range(len(values), n + 1):
             result *= x - yq
             yq *= q
             values.append(result)
-            cost += (
+            _qpoch_bits += (
                 _QPOCH_ENTRY_BITS + result.numerator.bit_length() + result.denominator.bit_length()
             )
         table[1] = yq
-        cost += yq.numerator.bit_length() + yq.denominator.bit_length()
-        table[2] += cost
-        _qpoch_bits += cost
-    while _qpoch_bits > _QPOCH_BUDGET_BITS:
-        _qpoch_bits -= _QPOCH_TABLES.pop(next(iter(_QPOCH_TABLES)))[2]
+        _qpoch_bits += yq.numerator.bit_length() + yq.denominator.bit_length()
     return values[n]
 
 

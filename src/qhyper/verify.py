@@ -202,11 +202,14 @@ def rand_tiny(rng: random.Random, signed=False) -> Fraction:
 
 
 def is_q_power(x: Fraction, q: Fraction, limit: int = 120) -> bool:
-    """True when x = q^m for some 1 <= m <= limit (denominator hazards)."""
-    p = q
+    """True when x = q^m for some 1 <= m <= limit (denominator hazards); the
+    walk stops once |q^m| is past |x|, where |q| != 1 keeps every later power."""
+    p, ax, shrinking, growing = q, abs(x), abs(q) < 1, abs(q) > 1
     for _ in range(limit):
         if x == p:
             return True
+        if (shrinking and abs(p) < ax) or (growing and abs(p) > ax):
+            return False
         p *= q
     return False
 
@@ -975,13 +978,12 @@ def run_thm4(rng, config):
     def ok(d):
         if 0 in (d["alpha"], d["x"], d["lam"], d["t"]):
             return False
-        # the ratio denominators (x v t q^{1-n};q)_inf with u=1, v=lam must
-        # not vanish, nor may the numerator products hit exact zeros
-        if is_q_power(d["x"] * d["lam"] * d["t"], d["q"]):
-            return False
-        if is_q_power(d["x"] * d["t"], d["q"]):
-            return False
-        return True
+        # (q/x;q)_n of the bilinear cross-check and the ratio denominators
+        # (x v t q^{1-n};q)_inf with u=1, v=lam must not vanish, nor may the
+        # numerator products hit exact zeros
+        return not any(
+            is_q_power(c, d["q"]) for c in (d["x"], d["x"] * d["lam"] * d["t"], d["x"] * d["t"])
+        )
 
     s = resample(rng, draw, ok)
     pv, q = s["pv"], s["q"]

@@ -236,8 +236,9 @@ def test_asc_and_hahn2_psi_read_one_table(empty_tables):
     for fn, args in ((asc_psi, ()), (hahn2_psi, (F(-2, 5),))):
         empty_tables()
         fn(30, F(5, 7), F(3, 4), *args, F(2, 3))
-        # the (q;q) table of the q-binomials and the (a;1/q) table
-        assert len(scalars._QPOCH_TABLES) <= 2
+        # the (q;q) table of the q-binomials and the (a;1/q) table, both whole
+        tables = scalars._QPOCH_TABLES
+        assert len(tables) <= 2 and all(len(values) == 31 for values, _ in tables.values())
 
 
 def test_psi_gf_lhs_forms_each_W_once(monkeypatch):

@@ -449,12 +449,46 @@ def _bits(x):
     return x.numerator.bit_length() + x.denominator.bit_length() + scalars._QPOCH_ENTRY_BITS
 
 
-def assert_tables_within_budget():
-    tables = scalars._QPOCH_TABLES
-    for values, next_factor, cost in tables.values():
-        assert cost == sum(map(_bits, values)) + _bits(next_factor)
-    assert scalars._qpoch_bits == sum(t[2] for t in tables.values())
-    assert scalars._qpoch_bits <= scalars._QPOCH_BUDGET_BITS
+def assert_total_is_the_charge():
+    """The running total charges every rational the store holds."""
+    assert scalars._qpoch_bits == sum(
+        sum(map(_bits, values)) + _bits(next_factor)
+        for values, next_factor in scalars._QPOCH_TABLES.values()
+    )
+
+
+def table_key(x, y, q):
+    key = (F(y).numerator, F(y).denominator, q.numerator, q.denominator)
+    return key if x == 1 else key + (F(x).numerator, F(x).denominator)
+
+
+@pytest.fixture
+def watched_tables(monkeypatch):
+    """Check the store's one rule on every `_prefix_product` call: a read or
+    an extension keeps every table; a new key is added, after all tables are
+    dropped if the total was past the budget; the table in use ends at full
+    length; the total is the charge of what is held.  The value is the list
+    of keys that arrived over budget."""
+    inner, clears = scalars._prefix_product, []
+
+    def watched(x, y, q, n):
+        key, before, bits = table_key(x, y, q), list(scalars._QPOCH_TABLES), scalars._qpoch_bits
+        value = inner(x, y, q, n)
+        after = list(scalars._QPOCH_TABLES)
+        if key in before:
+            assert after == before
+        elif bits > scalars._QPOCH_BUDGET_BITS:
+            assert after == [key]
+            clears.append(key)
+        else:
+            assert after == before + [key]
+        assert len(scalars._QPOCH_TABLES[key][0]) > n
+        assert_total_is_the_charge()
+        return value
+
+    monkeypatch.setattr(scalars, "_prefix_product", watched)
+    monkeypatch.setattr(families, "_prefix_product", watched)
+    return clears
 
 
 def qpoch_calls():
@@ -468,17 +502,15 @@ def qpoch_calls():
     return args
 
 
-def test_qpoch_table_equals_plain_product(empty_tables, monkeypatch):
+def test_qpoch_table_equals_plain_product(empty_tables, watched_tables, monkeypatch):
     monkeypatch.setattr(scalars, "_QPOCH_BUDGET_BITS", 1 << 17)  # holds a few tables
-    built, reads_after_eviction = set(), 0
+    built, rebuilds = set(), 0
     for a, q, n in qpoch_calls():
-        key = (F(a).numerator, F(a).denominator, q.numerator, q.denominator)
-        reads_after_eviction += key in built and key not in scalars._QPOCH_TABLES
+        key = table_key(1, a, q)
+        rebuilds += key in built and key not in scalars._QPOCH_TABLES
         assert qpoch(a, q, n) == plain_qpoch(a, q, n)
-        assert next(reversed(scalars._QPOCH_TABLES)) == key  # most recently used
-        assert_tables_within_budget()
         built.add(key)
-    assert reads_after_eviction > 0
+    assert watched_tables and rebuilds > 0
 
 
 def test_qpoch_table_is_a_pure_memo(empty_tables):
@@ -511,21 +543,19 @@ def test_qpoch_overflow_verdict_does_not_depend_on_the_table(empty_tables):
     assert qpoch(q, q, 2) == plain_qpoch(q, q, 2)
 
 
-def test_qpoch_tables_stay_within_budget_over_asc_psi(empty_tables, monkeypatch):
-    seen = set()
-
-    def checked_qpoch(a, q, n):
-        value = qpoch(a, q, n)
-        seen.add((a, q))
-        assert_tables_within_budget()
-        return value
-
-    monkeypatch.setattr(families, "qpoch", checked_qpoch)
+def test_asc_psi_keeps_its_tables_at_full_length(empty_tables):
+    """At the CLI's largest degree the (q;q) and (a;1/q) tables of asc_psi
+    outgrow the budget together; both stay whole, so a second call only
+    reads them."""
     q, a, x = F(63, 64), F(5, 7), F(3, 4)
-    for n in (16, 128):
-        families.asc_psi(n, a, x, q)
-    assert_tables_within_budget()
-    assert len(scalars._QPOCH_TABLES) < len(seen)  # some tables were evicted
+    families.asc_psi(16, a, x, q)
+    value = families.asc_psi(128, a, x, q)
+    tables, bits = scalars._QPOCH_TABLES, scalars._qpoch_bits
+    assert list(tables) == [table_key(1, q, q), table_key(1, a, 1 / q)]
+    assert all(len(values) == 129 for values, _ in tables.values())
+    assert bits > scalars._QPOCH_BUDGET_BITS
+    assert_total_is_the_charge()
+    assert families.asc_psi(128, a, x, q) == value and scalars._qpoch_bits == bits
 
 
 # -- the Cauchy products P_n(x, y) share the tables ---------------------------
@@ -536,11 +566,6 @@ def plain_cauchy_P(n, x, y, q):
     for j in range(n):
         result *= x - y * q**j
     return result
-
-
-def table_key(x, y, q):
-    key = (F(y).numerator, F(y).denominator, q.numerator, q.denominator)
-    return key if x == 1 else key + (F(x).numerator, F(x).denominator)
 
 
 def cauchy_P_calls():
@@ -557,19 +582,17 @@ def cauchy_P_calls():
     return args
 
 
-def test_cauchy_P_table_equals_plain_product(empty_tables, monkeypatch):
+def test_cauchy_P_table_equals_plain_product(empty_tables, watched_tables, monkeypatch):
     monkeypatch.setattr(scalars, "_QPOCH_BUDGET_BITS", 1 << 17)  # holds a few tables
-    built, reads_after_eviction = set(), 0
+    built, rebuilds = set(), 0
     for n, x, y, q in cauchy_P_calls():
         key = table_key(x, y, q)
-        reads_after_eviction += key in built and key not in scalars._QPOCH_TABLES
+        rebuilds += key in built and key not in scalars._QPOCH_TABLES
         value = families.cauchy_P(n, x, y, q)
         assert type(value) is F and value == plain_cauchy_P(n, x, y, q), (n, x, y, q)
         if n > 0:
-            assert next(reversed(scalars._QPOCH_TABLES)) == key  # most recently used
             built.add(key)
-        assert_tables_within_budget()
-    assert reads_after_eviction > 0
+    assert watched_tables and rebuilds > 0
 
 
 def test_cauchy_P_table_is_a_pure_memo(empty_tables):
@@ -597,7 +620,7 @@ def test_cauchy_P_of_nonpositive_degree_is_one_and_builds_no_table(empty_tables)
     assert scalars._QPOCH_TABLES == {}
 
 
-def test_tables_stay_within_budget_over_a_mixed_sweep(empty_tables, monkeypatch):
+def test_tables_keep_one_rule_over_a_mixed_sweep(empty_tables, watched_tables, monkeypatch):
     monkeypatch.setattr(scalars, "_QPOCH_BUDGET_BITS", 1 << 17)
     pv = families.ParamVector((F(1, 3), F(-2)), (F(2, 5),))
     rng = random.Random(3)
@@ -610,7 +633,7 @@ def test_tables_stay_within_budget_over_a_mixed_sweep(empty_tables, monkeypatch)
     rng.shuffle(calls)
     for call in calls:
         call()
-        assert_tables_within_budget()
+    assert watched_tables
     assert any(len(key) == 4 for key in scalars._QPOCH_TABLES)
     assert any(len(key) == 6 for key in scalars._QPOCH_TABLES)
 

@@ -112,6 +112,25 @@ def test_is_q_power():
     assert not is_q_power(F(2), q)
 
 
+def full_walk_is_q_power(x, q, limit=120):
+    return any(x == q**m for m in range(1, limit + 1))
+
+
+def test_is_q_power_gives_the_full_walks_answer():
+    """The walk that stops once |q^m| is past |x| answers as the walk over
+    every m <= limit, on negative q, |q| > 1, q = 0, +-1 and x = 0, 1, -1."""
+    rng = random.Random(26)
+    qs = [F(1, 2), F(-2, 3), F(63, 64), F(-1, 9), F(3, 2), F(-5, 2), F(0), F(1), F(-1)]
+    qs += [verify.rand_rat(rng) for _ in range(6)]
+    for q in qs:
+        xs = [F(0), F(1), F(-1), F(1, 2), -q]
+        xs += [sign * q**m for m in (1, 2, 7, 8, 9, 119, 120, 121) for sign in (1, -1)]
+        xs += [verify.rand_rat(rng) for _ in range(6)]
+        for x in xs:
+            for limit in (8, 120):
+                assert is_q_power(x, q, limit) == full_walk_is_q_power(x, q, limit), (x, q, limit)
+
+
 def test_truncated_sum_geometric():
     total = truncated_sum(lambda k: F(1, 2**k), F(1, 1 << 30))
     # stops once two consecutive terms < eps; the dropped tail is below 2^-29
@@ -532,16 +551,15 @@ def test_numeric_samplers_rule_out_every_zero_divisor(monkeypatch, suite_id):
             assert not is_q_power(c, q), (suite_id, s)
 
 
-def test_thm4_with_x_a_power_of_q_ends_as_the_same_errored_row(monkeypatch):
-    """thm4's sampler does not reject x = q^m, so trial 507 at seed 42 draws
-    q = 1/2, x = 1/64 and its cross-check divides by (q/x;q)_6 = 0.  The
-    factor 1 / (q/x;q)_n raises the ZeroDivisionError that the quotient
-    over all five Pochhammers raised, with the note "Fraction(1, 0)": the
-    n = 6 numerator is positive."""
+def test_thm4_redraws_x_a_power_of_q(monkeypatch):
+    """Trial 507 at seed 42 first draws q = 1/2, x = 1/64, where the
+    cross-check's (q/x;q)_6 vanishes.  thm4's sampler rejects x = q^m, as
+    thm3's and cor1's do, so the trial gives its two rows."""
     seed = derive_seed(42, "thm4-transform", 507)
     monkeypatch.setattr(verify, "derive_seed", lambda master, suite_id, trial: seed)
-    [row] = run_suite("thm4-transform", RunConfig(trials=1, epsilon_bits=160))
-    assert (row.passed, row.deviation, row.notes) == (False, None, "errored: Fraction(1, 0)")
+    rows = run_suite("thm4-transform", RunConfig(trials=1, epsilon_bits=160))
+    assert sorted(row.id for row in rows) == ["thm4-transform:conclusion", "thm4-transform:premise"]
+    assert all(row.passed for row in rows), [row.notes for row in rows]
 
 
 @pytest.mark.parametrize("q", [F(1, 2), F(-2, 3), F(5, 7), F(-1, 9), F(3, 2)])
