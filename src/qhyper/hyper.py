@@ -1,13 +1,16 @@
 """Basic hypergeometric series in three regimes.
 
 terminating-exact, formal series in t, and convergent-numeric with a
-documented geometric tail rule.  All three share one term generator,
-`phi_term`, and so does the operator series of `operators`, whose coefficient
-k is `phi_term` at -z; so the sign convention cannot drift: term k carries
-[(-1)^k q^{binom(k,2)}]^{1+s-r}.  The convergent sum comes as a ball
-(`rphis_ball`) that holds the partial sum and the true value: its radius
-adds a proven bound on the dropped tail to every rounding.  Its kernel,
-`_sum_ball`, also sums the outer sums of the numeric suites, without a tail.
+documented geometric tail rule.  All three read their coefficients from one
+row, `phi_row`, and so does the operator series of `operators`, whose
+coefficient k is the row's at -z; so the sign convention cannot drift: term k
+carries [(-1)^k q^{binom(k,2)}]^{1+s-r}.  The row steps each coefficient to
+the next by the series' exact term ratio; `phi_term` forms one term from its
+definition and is the reference that the row is tested against.  The
+convergent sum comes as a ball (`rphis_ball`) that holds the partial sum and
+the true value: its radius adds a proven bound on the dropped tail to every
+rounding.  Its kernel, `_sum_ball`, also sums the outer sums of the numeric
+suites, without a tail.
 """
 
 from __future__ import annotations
@@ -15,8 +18,16 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import count, islice
 
-from .families import ParamVector, _W_num_den, bracket_factor
-from .scalars import Ball, Rat, _scaled_mid_rad, _sum_of_products, ball_precision, qpoch
+from .families import ParamVector, VanishingPochhammerError, _W_num_den, bracket_factor
+from .scalars import (
+    Ball,
+    Rat,
+    _scaled_mid_rad,
+    _sum_of_products,
+    ball_precision,
+    check_magnitude,
+    qpoch,
+)
 from .series import TruncSeries
 
 #: Numeric truncation: stop at the first k >= TAIL_KMIN with two consecutive
@@ -48,6 +59,56 @@ def phi_term(k: int, pv: ParamVector, q: Rat, z: Rat) -> Rat:
     )
 
 
+def phi_row(pv: ParamVector, q: Rat, z: Rat):
+    """The memoised row k -> c_k = `phi_term(k, pv, q, z)` of rPhis[a; b; q; z].
+
+    c_0 = 1, and c_{k+1} = c_k rho_k with the exact term ratio
+    rho_k = z (-q^k)^{1+s-r} prod(1 - a q^k) / (prod(1 - b q^k) (1 - q^{k+1})).
+    With q^k = Q/R, each factor 1 - c q^k is (den(c) R - num(c) Q) / (den(c) R)
+    and the powers of R cancel, so rho_k is one quotient of small ints, reduced
+    with one gcd, and c_k rho_k is one `Fraction` product, whose gcds pair
+    c_k with a part of rho_k.  The lower factors are tested first, as in
+    `phi_term`: a zero one raises the same VanishingPochhammerError.  A zero
+    1 - q^{k+1} (q = 1 or -1), or q^k = 0 under a negative exponent, divides
+    by zero.  The row never forms (a;q)_k, so the magnitude cap applies to
+    each c_k it keeps.  Each c_k is formed once, when first asked for.
+    """
+    e = pv.bracket_exponent
+    nq, dq = q.numerator, q.denominator
+    upper = [(a.numerator, a.denominator) for a in pv.upper]
+    lower = [(b, b.numerator, b.denominator) for b in pv.lower]
+    top, bottom = z.numerator * dq, z.denominator
+    for _, _, bd in lower:
+        top *= bd
+    for _, ad in upper:
+        bottom *= ad
+    coeffs = [Fraction(1)]
+    Q = R = 1  # q^k = Q/R for the last k in coeffs
+
+    def row(k: int) -> Rat:
+        nonlocal Q, R
+        while len(coeffs) <= k:
+            num, den = top, bottom * (dq * R - nq * Q)
+            for b, bn, bd in lower:
+                f = bd * R - bn * Q
+                if not f:
+                    raise VanishingPochhammerError(
+                        f"lower parameter {b} gives ({b};q)_{len(coeffs)} = 0"
+                    )
+                den *= f
+            for an, ad in upper:
+                num *= ad * R - an * Q
+            if e >= 0:
+                num *= (-Q) ** e
+            else:
+                den *= (-Q) ** -e
+            coeffs.append(check_magnitude(coeffs[-1] * Fraction(num, den)))
+            Q, R = Q * nq, R * dq
+        return coeffs[k]
+
+    return row
+
+
 def terminating_index(pv: ParamVector, q: Rat, limit: int = 512) -> int | None:
     """Smallest n <= limit with some upper parameter equal to q^{-n}, if any.
 
@@ -75,12 +136,14 @@ def rphis_terminating(pv: ParamVector, q: Rat, z: Rat) -> Rat:
     n = terminating_index(pv, q)
     if n is None:
         raise ValueError("no upper parameter of the form q^{-n}")
-    return _sum_of_products((phi_term(k, pv, q, z),) for k in range(n + 1))
+    row = phi_row(pv, q, z)
+    return _sum_of_products((row(k),) for k in range(n + 1))
 
 
 def rphis_series_in_t(pv: ParamVector, q: Rat, c: Rat, order: int) -> TruncSeries:
     """rPhis[a; b; q; c t] as a truncated series in t."""
-    return TruncSeries([phi_term(k, pv, q, c) for k in range(order + 1)])
+    row = phi_row(pv, q, c)
+    return TruncSeries([row(k) for k in range(order + 1)])
 
 
 def _require_convergent(pv: ParamVector, z: Rat) -> None:
@@ -192,14 +255,14 @@ def rphis_ball(pv: ParamVector, q: Rat, z: Rat, eps: Rat, row=None) -> Ball:
     Term k is c_k z^k with c_k = `phi_term(k, pv, q, 1)`, read from `row`,
     the function k -> c_k.  A caller that sums one pv at many z passes one
     row for all of them (a numeric trial does); without one, the sum makes
-    its own.  Each term is rounded into its ball by `_row_balls`.  A
+    its own, `phi_row(pv, q, 1)`.  Each term is rounded into its ball by `_row_balls`.  A
     terminating series is summed to its last nonzero term.  Otherwise, with
     r <= s+1, |z| < 1 when r = s+1, and 0 < |q| < 1, `_sum_ball` sums it with
     `_ratio_bound` as its ratio, so the ball holds the partial sum and the
     true value.
     """
     p = ball_precision(eps)
-    terms = _row_balls(row or (lambda k: phi_term(k, pv, q, 1)), z, p)
+    terms = _row_balls(row or phi_row(pv, q, 1), z, p)
     n = terminating_index(pv, q)
     if n is not None:
         return sum((ball for _, ball in islice(terms, n + 1)), Ball(0, 0, p))

@@ -3,19 +3,18 @@
 The operator is represented intrinsically on the Cauchy basis P_m(y,x), where
 it acts by degree-lowering; the pointwise divided-difference definition is
 kept as an independent cross-check oracle.  The operator series' coefficient
-k is `hyper.phi_term(k, pv, q, -z)`, the term of the rphis at -z (Lemma 1), so
-the operator and the series share one term generator; each application forms
-that row once and reads it for every basis element.
+k is c_k of `hyper.phi_row(pv, q, -z)`, the term of the rphis at -z (Lemma 1),
+so the operator and the series share one coefficient row; each application
+makes that row once and reads it for every basis element.
 """
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from typing import Callable
 
 from .families import ParamVector, cauchy_P
-from .hyper import phi_term
+from .hyper import phi_row
 from .scalars import Rat, qpoch
 from .series import TruncSeries
 
@@ -133,15 +132,15 @@ def _apply_row(coeff: Callable[[int], Rat], f: CauchyPoly, q: Rat) -> CauchyPoly
 def op_apply_poly(pv: ParamVector, z: Rat, f: CauchyPoly, q: Rat) -> CauchyPoly:
     """Apply the hypergeometric operator series
     sum_k W_k (-z Theta)^k / (q;q)_k [(-1)^k q^{binom(k,2)}]^{1+s-r}
-    to f.  Coefficient k is `phi_term(k, pv, q, -z)`, the rphis term at -z.
+    to f.  Coefficient k is c_k of `phi_row(pv, q, -z)`, the rphis term at -z.
     Theta is nilpotent on each basis element, so the sum is finite."""
-    return _apply_row(lambda k: phi_term(k, pv, q, -z), f, q)
+    return _apply_row(phi_row(pv, q, -z), f, q)
 
 
 def op_apply_series(pv: ParamVector, z: Rat, F: TruncSeries, q: Rat) -> TruncSeries:
     """Termwise operator application to a series with CauchyPoly coefficients;
     every coefficient reads one row of the operator's coefficients."""
-    coeff = functools.cache(lambda k: phi_term(k, pv, q, -z))
+    coeff = phi_row(pv, q, -z)
     return TruncSeries([_apply_row(coeff, c, q) for c in F.coeffs])
 
 

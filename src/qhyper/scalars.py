@@ -70,10 +70,13 @@ def binom2(n: int) -> int:
 
 
 def qpow(q: Rat, e: int) -> Rat:
-    """q**e for a possibly negative integer exponent."""
+    """q**e for a possibly negative integer exponent.
+
+    A negative power is `Fraction`'s own: it inverts q**-e without a gcd.
+    """
     if e >= 0:
         return q**e
-    return Fraction(1) / q ** (-e)
+    return Fraction(q) ** e
 
 
 def max_deviation(pairs: Iterable[tuple[Rat, Rat]]) -> Rat:

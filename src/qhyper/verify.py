@@ -23,17 +23,18 @@ trial reports as errored.  An outer term is a tuple of its exact factors
 (psi_n^{(a)} from its recurrence, `qpoch`, `psi_sweep`, q-powers, a divisor
 as 1 / x), ending in the one ball it meets, if any: the kernel multiplies
 their numerators and denominators as ints and rounds the term into its ball
-once, with no gcd.  The rphis coefficients c_k = `phi_term(k, pv, q, 1)` are
-formed once per parameter vector and trial, and each term c_k z^k goes into
-its ball straight from its unreduced integer quotient.  A ball's radius
-covers every rounding, the tails of the (c;q)_inf products and the tails of
-the rphis sums, so each ball holds the true value of its part.  It does not
-cover the truncation of the outer sums, whose terms decay and then regrow
-for the asymptotic series: those keep the two-small-terms rule.  A numeric
-pass therefore says that the upper bound on |lhs - rhs| is at most 2^-40
-times the lower bound of the scale, up to that outer truncation.  Every
-exact value is checked against the fixed `MAX_SCALAR_BITS`; a ball carries
-about p bits plus those of its magnitude and needs no cap.
+once, with no gcd.  The rphis coefficients c_k = `phi_term(k, pv, q, 1)` come
+from one `phi_row` per parameter vector and trial, each stepped from the last
+by the exact term ratio, and each term c_k z^k goes into its ball straight
+from its unreduced integer quotient.  A ball's radius covers every rounding,
+the tails of the (c;q)_inf products and the tails of the rphis sums, so each
+ball holds the true value of its part.  It does not cover the truncation of
+the outer sums, whose terms decay and then regrow for the asymptotic series:
+those keep the two-small-terms rule.  A numeric pass therefore says that the
+upper bound on |lhs - rhs| is at most 2^-40 times the lower bound of the
+scale, up to that outer truncation.  Every exact value is checked against the
+fixed `MAX_SCALAR_BITS`; a ball carries about p bits plus those of its
+magnitude and needs no cap.
 
 Several of the bilinear series (the ones pairing the degree-lowering
 polynomial family with the one-parameter psi family) are asymptotic rather
@@ -66,7 +67,7 @@ from .hyper import (
     TAIL_KMIN,
     DivergentSeriesError,
     _sum_ball,
-    phi_term,
+    phi_row,
     rphis_ball,
     rphis_series_in_t,
     rphis_terminating,
@@ -680,13 +681,13 @@ class _Trial:
     trial already has, and the ball of each holds its true value.  The
     suites sum one pv at a new w for each n (Theorem 3's
     rphis(pv; x z t q^{1-n}), and the same shape in Theorems 2 and 4), so
-    phi hands `rphis_ball` one coefficient row per pv, k -> c_k =
-    `phi_term(k, pv, q, 1)`, memoised too: each c_k is formed where a sum
-    first reaches it, and once per trial.  psi(a, x) is the memoised
-    `_asc_psi_sweep` of (a, x), so the sums of one trial share each psi_n.
-    sum(term, kmin) is `truncated_sum` at eps, the same kernel without a
-    ratio bound: its ball holds the partial sum, not the dropped terms; a
-    term may be a tuple of exact factors that ends in a ball (`_sum_ball`).
+    phi hands `rphis_ball` one coefficient row per pv, `phi_row(pv, q, 1)`,
+    which memoises itself: each c_k is formed where a sum first reaches it,
+    and once per trial.  psi(a, x) is the memoised `_asc_psi_sweep` of
+    (a, x), so the sums of one trial share each psi_n.  sum(term, kmin) is
+    `truncated_sum` at eps, the same kernel without a ratio bound: its ball
+    holds the partial sum, not the dropped terms; a term may be a tuple of
+    exact factors that ends in a ball (`_sum_ball`).
 
     The primitives are looked up in this module when called, so a wrapper
     installed on it sees every call; the memos close over locals, not over
@@ -707,7 +708,7 @@ class _Trial:
             return value
 
         self.quotient = quotient
-        row = functools.cache(lambda pv: functools.cache(lambda k: phi_term(k, pv, q, 1)))
+        row = functools.cache(lambda pv: phi_row(pv, q, 1))
         self.phi = functools.cache(lambda pv, w: rphis_ball(pv, q, w, eps, row(pv)))
         self.psi = functools.cache(lambda a, x: _asc_psi_sweep(a, x, q))
 

@@ -224,6 +224,18 @@ def test_expand_gf_psi_sides_agree(capsys):
     assert lhs == rhs
 
 
+def test_expand_rphis_past_the_cap_is_one_error_line(capsys):
+    """(a;q)_k with a = 3^-5000 at q = 63/64 carries about 7,900 bits per
+    factor, so the rphis row's c_9 passes the 2^16-bit cap."""
+    code, out, err = run(
+        ["expand", "rphis-t", "--order", "24", "--q", "63/64", f"--a=2/3,1/{3**5000}",
+         "--b=2/5", "--c=2/3"],
+        capsys,
+    )
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: rational exceeds 65536 bits (num 71674b / den 71650b)\n"
+
+
 PQ = ["--x", "1", "--y", "1/2"]
 
 #: (label, argv, environment, exit code) of inputs that once ended in a

@@ -9,16 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhyper import hyper
-from qhyper.families import ParamVector
+from qhyper.families import ParamVector, VanishingPochhammerError
 from qhyper.hyper import (
     DivergentSeriesError,
+    phi_row,
     phi_term,
     rphis_ball,
     rphis_series_in_t,
     rphis_terminating,
     terminating_index,
 )
-from qhyper.scalars import Ball, qpoch, qpoch_inf_ball, qpow
+from qhyper.scalars import Ball, ScalarOverflowError, qpoch, qpoch_inf_ball, qpow
 
 
 def mid(ball):
@@ -36,6 +37,77 @@ def test_phi_term_sign_bracket():
     pv = ParamVector((F(0),), (F(0),))
     q = F(1, 2)
     assert phi_term(1, pv, q, F(1, 3)) == -F(1, 3) / qpoch(q, q, 1)
+
+
+def row_outcomes(fn, kmax):
+    """fn(k) for k = 0..kmax in order, as (type, value), up to and including
+    the first error, as (type, message).  A plain ZeroDivisionError keeps only
+    its type: phi_term's names the unreduced numerator of its quotient, which
+    the row never forms."""
+    out = []
+    for k in range(kmax + 1):
+        try:
+            value = fn(k)
+        except ArithmeticError as exc:
+            out.append((type(exc),) if type(exc) is ZeroDivisionError else (type(exc), str(exc)))
+            break
+        out.append((type(value), value))
+    return out
+
+
+def phi_row_cases():
+    """Seeded (pv, q, z): r, s <= 3 with zero parameters, a terminating upper
+    q^-m, a vanishing lower q^-m, q of both signs and q = -1, z = 0, z < 0
+    and an int z."""
+    rng = random.Random(27)
+
+    def rat(bound):
+        return F(rng.randint(-bound, bound), rng.randint(1, bound))
+
+    for q in (F(1, 2), F(-2, 3), F(5, 3), F(-1)):
+        for z in (F(2, 3), F(-7, 5), F(0), 1):
+            for r in range(4):
+                s = rng.randint(0, 3)
+                upper = [rat(5) for _ in range(r)]
+                lower = [rat(5) for _ in range(s)]
+                yield ParamVector(upper, lower), q, z
+                yield ParamVector(upper[:1] + [F(0)], [F(0)] + lower[:1]), q, z
+                yield ParamVector(upper + [qpow(q, -rng.randint(0, 6))], lower), q, z
+                yield ParamVector(upper, lower + [qpow(q, -rng.randint(0, 6))]), q, z
+
+
+def test_phi_row_equals_phi_term():
+    """The row's c_k, asked for in order to k = 40, has phi_term's value and
+    type, and the row raises phi_term's first error at the same k."""
+    errors = set()
+    for pv, q, z in phi_row_cases():
+        want = row_outcomes(lambda k: phi_term(k, pv, q, z), 40)
+        assert row_outcomes(phi_row(pv, q, z), 40) == want, (pv, q, z)
+        errors.add(want[-1][0])
+    assert errors == {F, VanishingPochhammerError, ZeroDivisionError}
+
+
+def test_phi_row_forms_each_coefficient_once(monkeypatch):
+    """Asking again, or out of order, reads the memo: each c_k, k >= 1, is
+    checked against the cap once, when it is formed."""
+    checked = []
+    monkeypatch.setattr(hyper, "check_magnitude", lambda c: checked.append(c) or c)
+    pv, q = ParamVector((F(1, 3), F(-2, 5)), (F(3, 7),)), F(1, 2)
+    row = phi_row(pv, q, F(-3, 5))
+    values = [row(k) for k in (12, 3, 12, 0)] + [row(k) for k in range(14)]
+    assert values[:4] == [phi_term(k, pv, q, F(-3, 5)) for k in (12, 3, 12, 0)]
+    assert checked == values[5:]
+
+
+def test_phi_row_caps_the_coefficient_it_keeps():
+    """With a = 3^-5000 at q = 63/64, c_9 passes the 2^16-bit cap; the row
+    raises on it, and again when asked once more."""
+    pv = ParamVector((F(2, 3), F(1, 3**5000)), (F(2, 5),))
+    row = phi_row(pv, F(63, 64), F(2, 3))
+    assert row(8).numerator.bit_length() < 1 << 16
+    for _ in range(2):
+        with pytest.raises(ScalarOverflowError, match=r"\(num 71674b / den 71650b\)$"):
+            row(24)
 
 
 def test_terminating_index():

@@ -127,3 +127,25 @@ def test_the_sampler_redraws_a_lower_parameter_that_vanishes():
     ), (sample, q)
     rows = run_suite("remark2", RunConfig(trials=1, seed=455267932))
     assert len(rows) == 11 and all(r.passed for r in rows)
+
+
+#: item -> the family that its two readings compare against
+SHARED_TARGETS = {3: "sa_psi", 7: "ext_psi5", 8: "hahn2_phi", 9: "hahn2_psi", 10: "asc_phi"}
+
+
+@pytest.mark.parametrize("item", sorted(SHARED_TARGETS))
+def test_a_target_shared_by_two_readings_is_formed_once_per_n(monkeypatch, item):
+    """Both readings of the item read the same memoised target, so its
+    family runs once for each n, and the row is what it was."""
+    name = SHARED_TARGETS[item]
+    original = getattr(reductions, name)
+    made = []
+
+    def record(n, *args):
+        made.append(n)
+        return original(n, *args)
+
+    row = check_item(item, FIXED_SAMPLE, Q, n_max=6)
+    monkeypatch.setattr(reductions, name, record)
+    assert check_item(item, FIXED_SAMPLE, Q, n_max=6) == row
+    assert made == list(range(7))

@@ -419,6 +419,29 @@ def test_qpow_negative_exponent():
     assert qpow(F(2, 3), 2) == F(4, 9)
 
 
+def old_qpow(q, e):
+    """qpow as it was: a negative power as the quotient 1 / q**-e."""
+    return q**e if e >= 0 else F(1) / q ** (-e)
+
+
+def outcome_of(fn, *args):
+    try:
+        value = fn(*args)
+    except ZeroDivisionError as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+@pytest.mark.parametrize("q", [F(7, 5), F(-3, 8), F(1, 1), 3, -2, 1, F(0), 0])
+def test_qpow_gives_the_quotients_value_and_type(q):
+    """The same value and type as 1 / q**-e over e in -60..60, for Fraction
+    and int q of both signs; at q = 0 the same ZeroDivisionError message."""
+    for e in range(-60, 61):
+        assert outcome_of(qpow, q, e) == outcome_of(old_qpow, q, e), e
+    if q == 0:
+        assert outcome_of(qpow, q, -2) == (ZeroDivisionError, "Fraction(1, 0)")
+
+
 def test_binom2():
     assert [binom2(n) for n in range(6)] == [0, 0, 1, 3, 6, 10]
 

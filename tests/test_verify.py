@@ -264,20 +264,20 @@ def test_each_product_and_phi_is_computed_once_per_trial(monkeypatch, suite_id):
 @pytest.mark.parametrize("suite_id", ["cor1-bilinear-hahn", "thm3-bilinear", "thm4-transform"])
 def test_each_rphis_coefficient_is_formed_once_per_trial(monkeypatch, suite_id):
     """A trial keeps one coefficient row per parameter vector: every rphis it
-    sums, at whatever argument, reads c_k = phi_term(k, pv, q, 1) from that
-    row, so each (pv, k) is formed once, and rphis_ball forms none itself."""
+    sums, at whatever argument, reads c_k from that trial's phi_row(pv, q, 1),
+    which forms each c_k once, and rphis_ball makes no row of its own."""
     made = []
-    original = verify.phi_term
+    original = verify.phi_row
 
-    def record(k, pv, q, z):
-        made.append((k, pv, q, z))
-        return original(k, pv, q, z)
+    def record(pv, q, z):
+        made.append((pv, q, z))
+        return original(pv, q, z)
 
     def forbidden(*args):
-        raise AssertionError("rphis_ball formed a term of its own")
+        raise AssertionError("rphis_ball made a row of its own")
 
-    monkeypatch.setattr(verify, "phi_term", record)
-    monkeypatch.setattr(hyper, "phi_term", forbidden)
+    monkeypatch.setattr(verify, "phi_row", record)
+    monkeypatch.setattr(hyper, "phi_row", forbidden)
     for seed in range(3):
         made.clear()
         rows = run_suite(suite_id, RunConfig(trials=1, seed=seed))
@@ -484,13 +484,15 @@ def test_lemma1_c_errors_on_a_vanishing_lower_parameter_with_the_same_note(monke
 
 def test_lemma1_c_forms_each_operator_coefficient_and_j_term_once(monkeypatch):
     """One trial applies the operator once, to the basis P_0..P_{N+3} that
-    the four shifted basis series of degrees k..N+k span, so coefficient j
-    of the operator's row is formed once for all four k; each
-    (y0 t;q)_j / (x0 t;q)_j rphis(z q^j t) is formed once for all four k.
-    W_j (`phi_term`'s `_W_num_den`) is then formed by that row and by the
-    four j-terms' rphis series, which stop at the order, and by nothing
-    else."""
-    logs = {"phi_term": [], "_W_num_den": [], "qpoch_poly_series": [], "rphis_series_in_t": []}
+    the four shifted basis series of degrees k..N+k span, so the operator's
+    row is made once and coefficient j of it is formed once for all four k;
+    each (y0 t;q)_j / (x0 t;q)_j rphis(z q^j t) is formed once for all four k.
+    Every coefficient is then formed by that row or by the four j-terms' rphis
+    rows, which stop at the order, each once, and no row reads W_j
+    (`_W_num_den`)."""
+    logs = {name: [] for name in (
+        "phi_row", "check_magnitude", "_W_num_den", "qpoch_poly_series", "rphis_series_in_t"
+    )}
 
     def recording(module, name):
         original = getattr(module, name)
@@ -501,19 +503,18 @@ def test_lemma1_c_forms_each_operator_coefficient_and_j_term_once(monkeypatch):
 
         monkeypatch.setattr(module, name, record)
 
-    recording(operators, "phi_term")
+    recording(operators, "phi_row")
+    recording(hyper, "check_magnitude")
     recording(hyper, "_W_num_den")
     recording(verify, "qpoch_poly_series")
     recording(verify, "rphis_series_in_t")
     N = 12
     rows = run_suite("lemma1-c", RunConfig(trials=1, seed=3, order=N))
     assert len(rows) == 4 and all(r.passed for r in rows)
-    assert sorted(args[0] for args in logs["phi_term"]) == list(range(N + 4))
-    j_terms = [4 * (j <= N) for j in range(N + 4)]
-    assert [sum(args[0] == j for args in logs["_W_num_den"]) for j in range(N + 4)] == [
-        1 + n for n in j_terms
-    ]
-    assert len(logs["_W_num_den"]) == (N + 4) + sum(j_terms)
+    assert len(logs["phi_row"]) == 1
+    # a row checks each coefficient it forms past c_0 = 1 against the cap
+    assert len(logs["check_magnitude"]) == (N + 3) + 4 * N
+    assert logs["_W_num_den"] == []
     for name in ("qpoch_poly_series", "rphis_series_in_t"):
         assert len(logs[name]) == len(set(logs[name])), name
     assert len(logs["rphis_series_in_t"]) == 4 and len(logs["qpoch_poly_series"]) == 8
