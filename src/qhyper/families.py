@@ -2,8 +2,13 @@
 
 Each family is implemented directly from its own defining sum, never derived
 from the general polynomial, so that reduction tests compare independent
-implementations.  Only the arithmetic is shared: each sum forms its terms'
-factors as it always did and hands them to `scalars._sum_of_products`.
+implementations.  Only the arithmetic is shared: each sum fetches the rows of
+its factors [n k]_q, (a;q)_k and P_{n-k} once, at its top, reads them by
+index in the order of its defining sum, and hands the terms to
+`scalars._sum_of_products`.  A row that would hold an entry past the bit cap
+is read per k instead, so every error is raised at the same (n, k), with the
+same message, as by a sum that forms each factor afresh.  `psi_sweep` reads
+[n k]_q through `qbinom` per k, and every sum reads W_k through `W_coeff`.
 """
 
 from __future__ import annotations
@@ -13,7 +18,15 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .scalars import (
-    Rat, _prefix_product, _sum_of_products, binom2, qbinom, qpoch, qpoch_multi, qpow,
+    Rat,
+    _prefix_row,
+    _qbinom_reader,
+    _qpoch_reader,
+    _sum_of_products,
+    binom2,
+    qbinom,
+    qpoch,
+    qpow,
 )
 
 
@@ -61,7 +74,7 @@ def cauchy_P(n: int, x: Rat, y: Rat, q: Rat) -> Rat:
     """
     if n <= 0:
         return Fraction(1)
-    return _prefix_product(x, y, q, n)
+    return _prefix_row(x, y, q, n)[n]
 
 
 def _W_num_den(k: int, pv: ParamVector, q: Rat) -> tuple[int, int]:
@@ -116,18 +129,21 @@ def psi_sweep(
     it is asked for.  Entry k is formed at the point of the sum where the
     row first reaches it, right after [n k]_q, so an error of `W_coeff` is
     raised at the same (n, k) as by a sum that forms every term afresh.
+    Each Psi_n reads P_0..P_n(y, x) from the row fetched at its top, and
+    [n k]_q through `qbinom` per k.
     """
     e = pv.bracket_exponent if bracket_exponent is None else bracket_exponent
     row: list[Rat] = []
 
-    def term(n: int, k: int) -> tuple:
+    def term(n: int, k: int, P: list[Rat]) -> tuple:
         binom = qbinom(n, k, q)
         if k == len(row):
             row.append(bracket_factor(k, q, e) * W_coeff(k, pv, q) * z**k)
-        return binom, row[k], cauchy_P(n - k, y, x, q)
+        return binom, row[k], P[n - k]
 
     def psi(n: int) -> Rat:
-        acc = _sum_of_products(term(n, k) for k in range(n + 1))
+        P = _prefix_row(y, x, q, n)
+        acc = _sum_of_products(term(n, k, P) for k in range(n + 1))
         return (-1) ** n * qpow(q, -binom2(n)) * acc
 
     return psi
@@ -146,7 +162,8 @@ def psi_general(
 
 def asc_phi(n: int, a: Rat, x: Rat, q: Rat) -> Rat:
     """Hahn / Al-Salam-Carlitz phi_n^{(a)}(x|q)."""
-    return _sum_of_products((qbinom(n, k, q), qpoch(a, q, k), x**k) for k in range(n + 1))
+    binom, A = _qbinom_reader(n, q), _qpoch_reader(a, q, n)
+    return _sum_of_products((binom(k), A(k), x**k) for k in range(n + 1))
 
 
 def asc_psi(n: int, a: Rat, x: Rat, q: Rat) -> Rat:
@@ -156,57 +173,64 @@ def asc_psi(n: int, a: Rat, x: Rat, q: Rat) -> Rat:
     (a;q^{-1})_k, so every k reads the one prefix table of (a, 1/q).
     """
     qinv = qpow(q, -1)
-    return _sum_of_products(
-        (qbinom(n, k, q), qpow(q, k * (k - n)), qpoch(a, qinv, k), x**k) for k in range(n + 1)
-    )
+    binom, A = _qbinom_reader(n, q), _qpoch_reader(a, qinv, n)
+    return _sum_of_products((binom(k), qpow(q, k * (k - n)), A(k), x**k) for k in range(n + 1))
 
 
 def cao_phi3(n: int, a: Rat, b: Rat, c: Rat, x: Rat, y: Rat, q: Rat) -> Rat:
     """Three-parameter generalized Al-Salam-Carlitz phi_n^{(a,b,c)}(x,y|q)."""
+    binom, A, B, C = _qbinom_reader(n, q), *(_qpoch_reader(p, q, n) for p in (a, b, c))
 
     def term(k: int) -> tuple:
-        ck = qpoch(c, q, k)
+        ck = C(k)
         if ck == 0:
             raise VanishingPochhammerError(f"(c;q)_{k} = 0 for c = {c}")
-        return qbinom(n, k, q), qpoch(a, q, k), qpoch(b, q, k), 1 / ck, x**k, y ** (n - k)
+        return binom(k), A(k), B(k), 1 / ck, x**k, y ** (n - k)
 
     return _sum_of_products(term(k) for k in range(n + 1))
 
 
 def cao_psi3(n: int, a: Rat, b: Rat, c: Rat, x: Rat, y: Rat, q: Rat) -> Rat:
     """Three-parameter generalized Al-Salam-Carlitz psi_n^{(a,b,c)}(x,y|q)."""
+    binom, A, B, C = _qbinom_reader(n, q), *(_qpoch_reader(p, q, n) for p in (a, b, c))
 
     def term(k: int) -> tuple:
-        ck = qpoch(c, q, k)
+        ck = C(k)
         if ck == 0:
             raise VanishingPochhammerError(f"(c;q)_{k} = 0 for c = {c}")
-        return (qbinom(n, k, q), (-1) ** k, qpow(q, binom2(k + 1) - n * k),
-                qpoch(a, q, k), qpoch(b, q, k), 1 / ck, x**k, y ** (n - k))
+        return (binom(k), (-1) ** k, qpow(q, binom2(k + 1) - n * k),
+                A(k), B(k), 1 / ck, x**k, y ** (n - k))
 
     return _sum_of_products(term(k) for k in range(n + 1))
 
 
 def ext_phi5(n, a, b, c, d, e, x, y, q) -> Rat:
     """Five-parameter extension phi_n with upper (a,b,c) and lower (d,e)."""
+    binom, A, B, C, D, E = (
+        _qbinom_reader(n, q), *(_qpoch_reader(p, q, n) for p in (a, b, c, d, e))
+    )
 
     def term(k: int) -> tuple:
-        den = qpoch(d, q, k) * qpoch(e, q, k)
+        den = D(k) * E(k)
         if den == 0:
             raise VanishingPochhammerError(f"(d,e;q)_{k} = 0")
-        return qbinom(n, k, q), qpoch_multi((a, b, c), q, k), 1 / den, x ** (n - k), y**k
+        return binom(k), A(k), B(k), C(k), 1 / den, x ** (n - k), y**k
 
     return _sum_of_products(term(k) for k in range(n + 1))
 
 
 def ext_psi5(n, a, b, c, d, e, x, y, q) -> Rat:
     """Five-parameter extension psi_n, carrying (-1)^k q^{k(k-n)}."""
+    binom, A, B, C, D, E = (
+        _qbinom_reader(n, q), *(_qpoch_reader(p, q, n) for p in (a, b, c, d, e))
+    )
 
     def term(k: int) -> tuple:
-        den = qpoch(d, q, k) * qpoch(e, q, k)
+        den = D(k) * E(k)
         if den == 0:
             raise VanishingPochhammerError(f"(d,e;q)_{k} = 0")
-        return (qbinom(n, k, q), (-1) ** k, qpow(q, k * (k - n)),
-                qpoch_multi((a, b, c), q, k), 1 / den, x ** (n - k), y**k)
+        return (binom(k), (-1) ** k, qpow(q, k * (k - n)),
+                A(k), B(k), C(k), 1 / den, x ** (n - k), y**k)
 
     return _sum_of_products(term(k) for k in range(n + 1))
 
@@ -221,40 +245,39 @@ def _require_sa_arity(pv: ParamVector) -> None:
 def sa_phi(n: int, pv: ParamVector, x: Rat, y: Rat, q: Rat) -> Rat:
     """Multi-parameter phi_n^{(a,b)}(x,y|q) with r+1 upper / r lower."""
     _require_sa_arity(pv)
+    binom = _qbinom_reader(n, q)
     return _sum_of_products(
-        (qbinom(n, k, q), W_coeff(k, pv, q), x**k, y ** (n - k)) for k in range(n + 1)
+        (binom(k), W_coeff(k, pv, q), x**k, y ** (n - k)) for k in range(n + 1)
     )
 
 
 def sa_psi(n: int, pv: ParamVector, x: Rat, y: Rat, q: Rat) -> Rat:
     """Multi-parameter psi_n^{(a,b)}(x,y|q), carrying q^{binom(k+1,2)-nk}."""
     _require_sa_arity(pv)
+    binom = _qbinom_reader(n, q)
     return _sum_of_products(
-        (qbinom(n, k, q), W_coeff(k, pv, q), qpow(q, binom2(k + 1) - n * k), x**k, y ** (n - k))
+        (binom(k), W_coeff(k, pv, q), qpow(q, binom2(k + 1) - n * k), x**k, y ** (n - k))
         for k in range(n + 1)
     )
 
 
 def v_poly(n: int, pv: ParamVector, x: Rat, y: Rat, z: Rat, q: Rat) -> Rat:
     """V_n^{(a,c)}(x,y,z|q) = sum_k [n k]_q W_k P_{n-k}(x,y) z^k."""
-    return _sum_of_products(
-        (qbinom(n, k, q), W_coeff(k, pv, q), cauchy_P(n - k, x, y, q), z**k) for k in range(n + 1)
-    )
+    binom, P = _qbinom_reader(n, q), _prefix_row(x, y, q, n)
+    return _sum_of_products((binom(k), W_coeff(k, pv, q), P[n - k], z**k) for k in range(n + 1))
 
 
 def gen_hahn(n: int, x: Rat, y: Rat, a: Rat, b: Rat, q: Rat) -> Rat:
     """Generalized Hahn polynomial h_n(x,y,a,b|q) =
     sum_k [n k]_q (a;q)_k P_{n-k}(x,y) b^k."""
-    return _sum_of_products(
-        (qbinom(n, k, q), qpoch(a, q, k), cauchy_P(n - k, x, y, q), b**k) for k in range(n + 1)
-    )
+    binom, A, P = _qbinom_reader(n, q), _qpoch_reader(a, q, n), _prefix_row(x, y, q, n)
+    return _sum_of_products((binom(k), A(k), P[n - k], b**k) for k in range(n + 1))
 
 
 def hahn2_phi(n: int, a: Rat, x: Rat, y: Rat, q: Rat) -> Rat:
     """Bivariate (second) Hahn phi_n^{(a)}(x,y|q) = sum [n k]_q (a;q)_k x^k y^{n-k}."""
-    return _sum_of_products(
-        (qbinom(n, k, q), qpoch(a, q, k), x**k, y ** (n - k)) for k in range(n + 1)
-    )
+    binom, A = _qbinom_reader(n, q), _qpoch_reader(a, q, n)
+    return _sum_of_products((binom(k), A(k), x**k, y ** (n - k)) for k in range(n + 1))
 
 
 def hahn2_psi(n: int, a: Rat, x: Rat, y: Rat, q: Rat) -> Rat:
@@ -262,7 +285,7 @@ def hahn2_psi(n: int, a: Rat, x: Rat, y: Rat, q: Rat) -> Rat:
     one-variable psi with y-powers; (a q^{1-k};q)_k is read as (a;q^{-1})_k,
     as in `asc_psi`."""
     qinv = qpow(q, -1)
+    binom, A = _qbinom_reader(n, q), _qpoch_reader(a, qinv, n)
     return _sum_of_products(
-        (qbinom(n, k, q), qpow(q, k * (k - n)), qpoch(a, qinv, k), x**k, y ** (n - k))
-        for k in range(n + 1)
+        (binom(k), qpow(q, k * (k - n)), A(k), x**k, y ** (n - k)) for k in range(n + 1)
     )

@@ -113,21 +113,24 @@ def terminating_index(pv: ParamVector, q: Rat, limit: int = 512) -> int | None:
     """Smallest n <= limit with some upper parameter equal to q^{-n}, if any.
 
     The walk over a q^n stops early once |a q^n| lies on the same side of 1
-    as |q|: from there |a q^n| only moves away from 1.
+    as |q|: from there |a q^n| only moves away from 1.  It keeps a q^n as an
+    unreduced num/den with den > 0 and compares integers, with no gcd.
     """
+    nq, dq = q.numerator, q.denominator
+    contracting = abs(nq) < dq
     best = None
     for a in pv.upper:
         if a == 0:
             continue
-        p = a
+        num, den = a.numerator, a.denominator  # a q^n = num/den
         for n in range(limit + 1):
-            if p == 1:
+            if num == den:
                 if best is None or n < best:
                     best = n
                 break
-            if abs(q) != 1 and (abs(p) < 1) == (abs(q) < 1):
+            if abs(nq) != dq and (abs(num) < den) == contracting:
                 break
-            p *= q
+            num, den = num * nq, den * dq
     return best
 
 

@@ -15,7 +15,7 @@ from typing import Callable
 
 from .families import ParamVector, cauchy_P
 from .hyper import phi_row
-from .scalars import Rat, qpoch
+from .scalars import Rat, _qpoch_reader, qpoch
 from .series import TruncSeries
 
 
@@ -89,12 +89,14 @@ class CauchyPoly:
 def theta_basis(f: CauchyPoly, k: int, q: Rat) -> CauchyPoly:
     """k-fold operator action on the basis:
     Theta^k P_n(y,x) = (-1)^k (q;q)_n/(q;q)_{n-k} P_{n-k}(y,x);
-    basis terms of degree < k are annihilated."""
+    basis terms of degree < k are annihilated.  (q;q)_m and (q;q)_{m-k} are
+    read from the row of (q;q) fetched once."""
     out: dict[int, Rat] = {}
+    qq = _qpoch_reader(q, q, f.degree)
     for m, c in f.coeffs.items():
         if m < k:
             continue
-        factor = (-1) ** k * qpoch(q, q, m) / qpoch(q, q, m - k)
+        factor = (-1) ** k * qq(m) / qq(m - k)
         out[m - k] = out.get(m - k, Fraction(0)) + c * factor
     return CauchyPoly(out)
 

@@ -17,7 +17,6 @@ from .families import (
     ParamVector,
     asc_phi,
     asc_psi,
-    cauchy_P,
     ext_phi5,
     ext_psi5,
     gen_hahn,
@@ -28,7 +27,9 @@ from .families import (
     sa_psi,
     v_poly,
 )
-from .scalars import Rat, _sum_of_products, binom2, max_deviation, qbinom, qpow
+from .scalars import (
+    Rat, _prefix_row, _qbinom_reader, _sum_of_products, binom2, max_deviation, qpow,
+)
 
 N_MAX = 8
 
@@ -39,9 +40,9 @@ def _prefactor(n: int, q: Rat) -> Rat:
 
 def _trivariate_F(n: int, x: Rat, y: Rat, z: Rat, q: Rat) -> Rat:
     """The classical trivariate polynomial, from its own display."""
+    binom, P = _qbinom_reader(n, q), _prefix_row(y, x, q, n)
     acc = _sum_of_products(
-        (qbinom(n, k, q), (-1) ** k, q ** binom2(k), z**k, cauchy_P(n - k, y, x, q))
-        for k in range(n + 1)
+        (binom(k), (-1) ** k, q ** binom2(k), z**k, P[n - k]) for k in range(n + 1)
     )
     return _prefactor(n, q) * acc
 

@@ -9,13 +9,23 @@ radius.
 `qpoch` serves (a;q)_n = P_n(1, a) from a prefix table of the products
 P_n(x, y) = prod_{j<n} (x - y q^j), which holds P_0..P_m and is extended only
 when a larger n is asked for; the Cauchy polynomials of `families.cauchy_P`
-are served from the same kind of table.  The tables live as long as the
-process; when a new one is about to be made and their charge (stored bits
-plus a fixed overhead per rational) is past the budget, all are dropped.  So
-the store passes its budget only by the growth of the tables in use since
-the last new one, which the CLI's `MAX_DEGREE` and `MAX_ORDER` bound.  The
-tables cannot change a result: each entry is the exact product the plain
-loop forms, and the bit-length cap is checked on every value `qpoch` returns.
+are served from the same kind of table.  A table counts its leading entries
+that passed the bit-length cap, so `qpoch` checks each entry once, and an
+entry past the cap is checked, and raises, on every read.  The same store
+keeps the q-binomial rows [n 0..n]_q, each divided once from the (q;q)
+table.  Entries live as long as the process; when a new one is about to be
+made and the charge (stored bits plus a fixed overhead per rational) is past
+the budget, all are dropped.  So the store passes its budget only by the
+growth of the entries in use since the last new one, which the CLI's
+`MAX_DEGREE` and `MAX_ORDER` bound.  The store cannot change a result: each
+entry is the exact value the plain loop forms.
+
+A finite sum over k fetches its rows once, at its top, and reads [n k]_q,
+(a;q)_k and P_{n-k} by index (`_qbinom_reader`, `_qpoch_reader`,
+`_prefix_row`).  A fetch never raises.  A row that holds an entry the sum
+could not read without an error is not handed out: the sum then reads
+`qbinom` or `qpoch` per k, so each error is raised at the same k, with the
+same message, as by a sum that reads every factor afresh.
 
 Every finite sum of products (each family sum, Psi_n, a terminating rPhis)
 goes through `_sum_of_products`.  `Fraction` reduces after every product and
@@ -38,7 +48,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable
+from typing import Callable, Iterable
 
 Rat = Fraction
 
@@ -84,25 +94,46 @@ def max_deviation(pairs: Iterable[tuple[Rat, Rat]]) -> Rat:
     return max((abs(lhs - rhs) for lhs, rhs in pairs), default=Fraction(0))
 
 
-#: Prefix tables of `_prefix_product`, each [[P_0, ..., P_m], y q^m].  The
-#: key is (y.numerator, y.denominator, q.numerator, q.denominator), then
+#: The store of exact prefix tables and q-binomial rows.  A prefix table is
+#: [[P_0, ..., P_m], y q^m, c]: the products of `_prefix_table`, the next
+#: factor's y q^m, and the count c of leading entries that passed the cap of
+#: `check_magnitude`, so that each entry is checked once.  Its key is
+#: (y.numerator, y.denominator, q.numerator, q.denominator), then
 #: (x.numerator, x.denominator) when x != 1, so (a;q)_n = P_n(1, a) keeps the
 #: key of (a, q); it also fits int arguments and hashes faster than a
-#: Fraction.  `_qpoch_bits` charges every stored rational its numerator and
-#: denominator bits plus `_QPOCH_ENTRY_BITS` of object overhead.
+#: Fraction.  A q-binomial row is [[[n 0]_q, ..., [n n]_q], None, n + 1] under
+#: the key (n, q.numerator, q.denominator).  `_qpoch_bits` charges every
+#: stored rational its numerator and denominator bits plus
+#: `_QPOCH_ENTRY_BITS` of object overhead.
 _QPOCH_TABLES: dict[tuple[int, ...], list] = {}
 _QPOCH_BUDGET_BITS = 1 << 22
 _QPOCH_ENTRY_BITS = 1024
 _qpoch_bits = 0
 
 
-def _prefix_product(x: Rat, y: Rat, q: Rat, n: int) -> Rat:
-    """P_n(x, y) = prod_{j<n} (x - y q^j) for n >= 0, from its prefix table.
+def _charge(x: Rat) -> int:
+    return _QPOCH_ENTRY_BITS + x.numerator.bit_length() + x.denominator.bit_length()
+
+
+def _store(key: tuple[int, ...], entry: list, bits: int) -> list:
+    """Add a new entry to the store, charged `bits`, after dropping every
+    entry if the charge is past 2^22 bits.  This is the store's one rule, so
+    the entry in use is never dropped."""
+    global _qpoch_bits
+    if _qpoch_bits > _QPOCH_BUDGET_BITS:
+        _QPOCH_TABLES.clear()
+        _qpoch_bits = 0
+    _QPOCH_TABLES[key] = entry
+    _qpoch_bits += bits
+    return entry
+
+
+def _prefix_table(x: Rat, y: Rat, q: Rat, n: int) -> list:
+    """The store entry of P(x, y) = prod_j (x - y q^j), holding P_0..P_n.
 
     The table holds P_0..P_m and the next y q^m; a call with n > m extends it
-    by the factors the plain loop would multiply.  Only a new key drops
-    tables: all of them, when their charge is past 2^22 bits.  So the table in
-    use is kept, and the value is the same whether it was read or rebuilt.
+    by the factors the plain loop would multiply.  So each value is the same
+    whether it was read or rebuilt.
     """
     global _qpoch_bits
     key = (y.numerator, y.denominator, q.numerator, q.denominator)
@@ -110,41 +141,76 @@ def _prefix_product(x: Rat, y: Rat, q: Rat, n: int) -> Rat:
         key += (x.numerator, x.denominator)
     table = _QPOCH_TABLES.get(key)
     if table is None:
-        if _qpoch_bits > _QPOCH_BUDGET_BITS:
-            _QPOCH_TABLES.clear()
-            _qpoch_bits = 0
-        table = _QPOCH_TABLES[key] = [[Fraction(1)], y]
-        # P_0 = 1/1 and y, each charged its bits plus the overhead
-        _qpoch_bits += (
-            2 * _QPOCH_ENTRY_BITS + 2 + y.numerator.bit_length() + y.denominator.bit_length()
-        )
+        one = Fraction(1)
+        table = _store(key, [[one], y, 0], _charge(one) + _charge(y))
     values = table[0]
     if n >= len(values):
         result, yq = values[-1], table[1]
-        _qpoch_bits -= yq.numerator.bit_length() + yq.denominator.bit_length()
+        bits = -yq.numerator.bit_length() - yq.denominator.bit_length()
         for _ in range(len(values), n + 1):
             result *= x - yq
             yq *= q
             values.append(result)
-            _qpoch_bits += (
-                _QPOCH_ENTRY_BITS + result.numerator.bit_length() + result.denominator.bit_length()
-            )
+            bits += _charge(result)
         table[1] = yq
-        _qpoch_bits += yq.numerator.bit_length() + yq.denominator.bit_length()
-    return values[n]
+        _qpoch_bits += bits + yq.numerator.bit_length() + yq.denominator.bit_length()
+    return table
+
+
+def _prefix_row(x: Rat, y: Rat, q: Rat, n: int) -> list[Rat]:
+    """[P_0(x, y), ..., P_n(x, y)] and maybe more, for a sum to read by
+    index.  Cauchy products are not capped, so the row is always whole."""
+    return _prefix_table(x, y, q, n)[0]
+
+
+def _checked(table: list, n: int) -> int:
+    """The count of leading entries of a prefix table that passed the cap,
+    first advanced over the entries it holds up to P_n.  An entry past the
+    cap stops the count; it and every entry after it are checked on each
+    read."""
+    values, c = table[0], table[2]
+    end = min(n + 1, len(values))
+    while c < end:
+        v = values[c]
+        if v.numerator.bit_length() > MAX_SCALAR_BITS or v.denominator.bit_length() > MAX_SCALAR_BITS:
+            break
+        c += 1
+    table[2] = c
+    return c
 
 
 def qpoch(a: Rat, q: Rat, n: int) -> Rat:
     """Finite q-shifted factorial (a;q)_n = prod_{k<n} (1 - a q^k).
 
-    This is P_n(1, a) from `_prefix_product`, so it is read from or added to
-    the prefix table of (a, q).  The magnitude check runs on every value
-    returned, so neither the value nor an overflow depends on what the tables
-    hold.
+    This is P_n(1, a), read from or added to the prefix table of (a, q).  An
+    entry is returned as it is once it has passed the magnitude check, and
+    checked on every read otherwise, so neither the value nor an overflow
+    depends on what the tables hold.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return check_magnitude(_prefix_product(1, a, q, n))
+    table = _prefix_table(1, a, q, n)
+    value = table[0][n]
+    return value if n < table[2] or n < _checked(table, n) else check_magnitude(value)
+
+
+def _qpoch_reader(a: Rat, q: Rat, n: int) -> Callable[[int], Rat]:
+    """k -> (a;q)_k for 0 <= k <= n, fetched once by a sum over k.
+
+    It is the table's own list when (a;q)_0..(a;q)_n all passed the cap, and
+    `qpoch` per k otherwise, so an entry past the cap raises at the k where
+    the sum reads it, after every factor read before it.  The fetch itself
+    never raises.  It extends the table one entry at a time and stops at the
+    first entry past the cap, so it forms no entry past the first that would
+    raise.
+    """
+    table = _prefix_table(1, a, q, 0)
+    values = table[0]
+    while _checked(table, n) == len(values) <= n:
+        _prefix_table(1, a, q, len(values))
+    if table[2] > n:
+        return values.__getitem__
+    return lambda k: qpoch(a, q, k)
 
 
 def _sum_of_products(terms: Iterable[tuple]) -> Rat:
@@ -416,6 +482,38 @@ def qpoch_inf_ball(a: Rat, q: Rat, eps: Rat) -> Ball:
     return Ball(mid, rad - (-bound * 2 * abs(num) * dq // (den * gap)), p)
 
 
+def _quotient(top: Rat, low: Rat, high: Rat) -> Rat:
+    """top / (low high) for (q;q)_n over (q;q)_k (q;q)_{n-k}, by exact
+    integer division; see `qbinom`."""
+    return _coprime_fraction(
+        top.numerator // (low.numerator * high.numerator),
+        top.denominator // (low.denominator * high.denominator),
+    )
+
+
+def _qbinom_reader(n: int, q: Rat) -> Callable[[int], Rat]:
+    """k -> [n k]_q for 0 <= k <= n, fetched once by a sum over k.
+
+    It reads the row [[n 0]_q, ..., [n n]_q] that the store keeps under the
+    key (n, q.numerator, q.denominator).  The row is formed on first use, by
+    the division of `qbinom` for each k, only when (q;q)_0..(q;q)_n all
+    passed the cap and (q;q)_n is not 0, so that no entry would raise.
+    Otherwise the reader is `qbinom` per k, which raises at the k where the
+    sum reads it.  The fetch itself never raises.
+    """
+    key = (n, q.numerator, q.denominator)
+    entry = _QPOCH_TABLES.get(key)
+    if entry is None and n >= 0:
+        table = _prefix_table(1, q, q, n)
+        qq = table[0]
+        if _checked(table, n) > n and qq[n] != 0:
+            row = [_quotient(qq[n], qq[k], qq[n - k]) for k in range(n + 1)]
+            entry = _store(key, [row, None, n + 1], sum(map(_charge, row)))
+    if entry is not None:
+        return entry[0].__getitem__
+    return lambda k: qbinom(n, k, q)
+
+
 def qbinom(n: int, k: int, q: Rat) -> Rat:
     """Gaussian binomial [n k]_q; 0 when k is out of 0..n.
 
@@ -426,18 +524,15 @@ def qbinom(n: int, k: int, q: Rat) -> Rat:
     polynomial in q of degree k(n-k) (Gasper-Rahman, section 1.3), so
     b^{k(n-k)} [n k]_q is an integer congruent to a^{k(n-k)} mod b, hence
     prime to b: the quotient N_n / (N_k N_{n-k}) over b^{k(n-k)} is exact
-    and in lowest terms.
+    and in lowest terms.  The three symbols are read from the (q;q) table,
+    which checks each against the cap once.
     """
     if k < 0 or k > n:
         return Fraction(0)
     low, high = qpoch(q, q, k), qpoch(q, q, n - k)
     if low == 0 or high == 0:
         raise RootOfUnityError(f"(q;q)_k vanished for q = {q}")
-    top = qpoch(q, q, n)
-    return _coprime_fraction(
-        top.numerator // (low.numerator * high.numerator),
-        top.denominator // (low.denominator * high.denominator),
-    )
+    return _quotient(qpoch(q, q, n), low, high)
 
 
 def qpoch_shift(a: Rat, q: Rat, n: int) -> tuple[Rat, Rat]:

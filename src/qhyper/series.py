@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 
 from .families import cauchy_P
-from .scalars import Rat, binom2, check_magnitude, max_deviation, qpoch
+from .scalars import Rat, _qpoch_reader, binom2, check_magnitude, max_deviation
 
 
 class TruncSeries:
@@ -128,8 +128,10 @@ def max_abs_deviation(f: TruncSeries, g: TruncSeries) -> Rat:
 
 
 def q_exp_series(f, q: Rat, order: int) -> TruncSeries:
-    """sum_n f(n) t^n / (q;q)_n, truncated at t^order."""
-    return TruncSeries([f(n) / qpoch(q, q, n) for n in range(order + 1)])
+    """sum_n f(n) t^n / (q;q)_n, truncated at t^order; (q;q)_n is read from
+    the row fetched once, after f(n), as a read per n would be."""
+    qq = _qpoch_reader(q, q, order)
+    return TruncSeries([f(n) / qq(n) for n in range(order + 1)])
 
 
 def euler_product_series(c: Rat, q: Rat, order: int) -> TruncSeries:

@@ -19,6 +19,7 @@ from qhyper.families import (
     cauchy_P,
     gen_hahn,
     bracket_factor,
+    hahn2_phi,
     hahn2_psi,
     psi_general,
     psi_sweep,
@@ -236,9 +237,55 @@ def test_asc_and_hahn2_psi_read_one_table(empty_tables):
     for fn, args in ((asc_psi, ()), (hahn2_psi, (F(-2, 5),))):
         empty_tables()
         fn(30, F(5, 7), F(3, 4), *args, F(2, 3))
-        # the (q;q) table of the q-binomials and the (a;1/q) table, both whole
+        # the q-binomial row of n = 30, the (q;q) table it was divided from
+        # and the (a;1/q) table, each whole
         tables = scalars._QPOCH_TABLES
-        assert len(tables) <= 2 and all(len(values) == 31 for values, _ in tables.values())
+        assert len(tables) <= 3 and all(len(values) == 31 for values, _, _ in tables.values())
+
+
+# -- q <-> 1/q symmetries between independent sums ----------------------------
+
+
+def inversion_cases(seed):
+    """40 seeded (n, a, x, y, q) with n <= 14 and |q| != 1, q != 0."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < 40:
+        q = F(rng.randint(1, 12), rng.randint(1, 12)) * rng.choice((1, -1))
+        if abs(q) == 1:
+            continue
+        a, x, y = (F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3))
+        if rng.random() < 0.25:
+            a = q ** rng.randint(-3, 3)  # (a;q)_k or (a;1/q)_k vanishes from some k on
+        cases.append((rng.randint(0, 14), a, x, y, q))
+    return cases
+
+
+def test_asc_psi_is_asc_phi_at_the_inverse_base(empty_tables):
+    """psi_n^{(a)}(x|q) = phi_n^{(a)}(x|1/q), since [n k]_{1/q} = q^{k(k-n)}
+    [n k]_q; each side is formed from empty tables."""
+    for n, a, x, _, q in inversion_cases(21):
+        empty_tables()
+        left = asc_psi(n, a, x, q)
+        empty_tables()
+        assert left == asc_phi(n, a, x, 1 / q), (n, a, x, q)
+
+
+def test_hahn2_psi_is_hahn2_phi_at_the_inverse_base(empty_tables):
+    for n, a, x, y, q in inversion_cases(22):
+        empty_tables()
+        left = hahn2_psi(n, a, x, y, q)
+        empty_tables()
+        assert left == hahn2_phi(n, a, x, y, 1 / q), (n, a, x, y, q)
+
+
+def test_cauchy_P_at_the_inverse_base_swaps_its_arguments(empty_tables):
+    """P_n(x, y; 1/q) = (-1)^n q^{-binom(n,2)} P_n(y, x; q)."""
+    for n, _, x, y, q in inversion_cases(23):
+        empty_tables()
+        left = cauchy_P(n, x, y, 1 / q)
+        empty_tables()
+        assert left == (-1) ** n * qpow(q, -binom2(n)) * cauchy_P(n, y, x, q), (n, x, y, q)
 
 
 def test_psi_gf_lhs_forms_each_W_once(monkeypatch):

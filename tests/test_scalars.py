@@ -473,11 +473,34 @@ def _bits(x):
 
 
 def assert_total_is_the_charge():
-    """The running total charges every rational the store holds."""
+    """The running total charges every rational the store holds: the values
+    and next factor of each prefix table, and each q-binomial row's values."""
     assert scalars._qpoch_bits == sum(
-        sum(map(_bits, values)) + _bits(next_factor)
-        for values, next_factor in scalars._QPOCH_TABLES.values()
+        sum(map(_bits, values)) + (0 if next_factor is None else _bits(next_factor))
+        for values, next_factor, _ in scalars._QPOCH_TABLES.values()
     )
+
+
+def assert_checked_counts_stop_at_the_cap():
+    """A prefix table's checked count covers only entries under the cap; a
+    q-binomial row is whole."""
+    cap = scalars.MAX_SCALAR_BITS
+    for key, (values, next_factor, checked) in scalars._QPOCH_TABLES.items():
+        assert checked <= len(values)
+        assert all(v.numerator.bit_length() <= cap and v.denominator.bit_length() <= cap
+                   for v in values[:checked]), key
+        if next_factor is None:
+            assert len(key) == 3 and checked == len(values) == key[0] + 1
+
+
+def assert_qbinom_rows_are_the_quotients():
+    """Every q-binomial row in the store equals the Fraction quotients."""
+    rows = [(key, values) for key, (values, _, _) in scalars._QPOCH_TABLES.items() if len(key) == 3]
+    for (n, qn, qd), values in rows:
+        q = F(qn, qd)
+        assert values == [divided_qbinom(n, k, q) for k in range(n + 1)], (n, q)
+        assert all(type(v) is F for v in values)
+    return len(rows)
 
 
 def table_key(x, y, q):
@@ -487,30 +510,43 @@ def table_key(x, y, q):
 
 @pytest.fixture
 def watched_tables(monkeypatch):
-    """Check the store's one rule on every `_prefix_product` call: a read or
-    an extension keeps every table; a new key is added, after all tables are
-    dropped if the total was past the budget; the table in use ends at full
-    length; the total is the charge of what is held.  The value is the list
-    of keys that arrived over budget."""
-    inner, clears = scalars._prefix_product, []
+    """Check the store's one rule on every new entry and every prefix-table
+    fetch: a read or an extension keeps every entry; a new key is added,
+    after all entries are dropped if the total was past the budget, so the
+    entry in use is never dropped; the table in use ends at full length; the
+    total is the charge of what is held; no checked count passes an
+    over-cap entry.  The value is the list of keys that arrived over
+    budget."""
+    store, fetch, clears = scalars._store, scalars._prefix_table, []
 
-    def watched(x, y, q, n):
-        key, before, bits = table_key(x, y, q), list(scalars._QPOCH_TABLES), scalars._qpoch_bits
-        value = inner(x, y, q, n)
+    def watched_store(key, entry, bits):
+        before, total = list(scalars._QPOCH_TABLES), scalars._qpoch_bits
+        assert key not in before
+        value = store(key, entry, bits)
         after = list(scalars._QPOCH_TABLES)
-        if key in before:
-            assert after == before
-        elif bits > scalars._QPOCH_BUDGET_BITS:
+        if total > scalars._QPOCH_BUDGET_BITS:
             assert after == [key]
             clears.append(key)
         else:
             assert after == before + [key]
-        assert len(scalars._QPOCH_TABLES[key][0]) > n
-        assert_total_is_the_charge()
+        assert scalars._QPOCH_TABLES[key] is entry
         return value
 
-    monkeypatch.setattr(scalars, "_prefix_product", watched)
-    monkeypatch.setattr(families, "_prefix_product", watched)
+    def watched_fetch(x, y, q, n):
+        key, before = table_key(x, y, q), list(scalars._QPOCH_TABLES)
+        table = fetch(x, y, q, n)
+        after = list(scalars._QPOCH_TABLES)
+        if key in before:
+            assert after == before
+        else:
+            assert after[-1] == key
+        assert scalars._QPOCH_TABLES[key] is table and len(table[0]) > n
+        assert_total_is_the_charge()
+        assert_checked_counts_stop_at_the_cap()
+        return table
+
+    monkeypatch.setattr(scalars, "_store", watched_store)
+    monkeypatch.setattr(scalars, "_prefix_table", watched_fetch)
     return clears
 
 
@@ -566,19 +602,48 @@ def test_qpoch_overflow_verdict_does_not_depend_on_the_table(empty_tables):
     assert qpoch(q, q, 2) == plain_qpoch(q, q, 2)
 
 
+def test_checked_count_stops_at_the_first_entry_past_the_cap(empty_tables):
+    """With q = 2^-600 and a = q^-16, (a;q)_k passes the cap for k <= 9,
+    is past it for 10 <= k <= 16 and is 0 from k = 17 on.  The checked count
+    stops at 10; every read at or past it is checked again, so an over-cap
+    entry raises on every read and a 0 after it is returned.  A reader that
+    reaches past the count is `qpoch` per k; one that does not is the
+    table's own list."""
+    q = F(1, 1 << 600)
+    a = q**-16
+    assert qpoch(a, q, 20) == 0
+    table = scalars._QPOCH_TABLES[table_key(1, a, q)]
+    assert table[2] == 10
+    assert_checked_counts_stop_at_the_cap()
+    for _ in range(2):
+        with pytest.raises(ScalarOverflowError):
+            qpoch(a, q, 12)
+        assert qpoch(a, q, 9) == plain_qpoch(a, q, 9) and qpoch(a, q, 17) == 0
+    assert table[2] == 10
+    whole = scalars._qpoch_reader(a, q, 9)
+    assert whole.__self__ is table[0]
+    partial = scalars._qpoch_reader(a, q, 20)
+    assert getattr(partial, "__self__", None) is not table[0]
+    assert [partial(k) for k in (0, 9, 17, 20)] == [qpoch(a, q, k) for k in (0, 9, 17, 20)]
+    with pytest.raises(ScalarOverflowError):
+        partial(10)
+
+
 def test_asc_psi_keeps_its_tables_at_full_length(empty_tables):
-    """At the CLI's largest degree the (q;q) and (a;1/q) tables of asc_psi
-    outgrow the budget together; both stay whole, so a second call only
-    reads them."""
+    """At the CLI's largest degree the row [128 k]_q and the (a;1/q) table of
+    asc_psi are each past the budget.  The sum fetches the row, then the
+    table, whose arrival drops the row; the table stays whole, and a second
+    call, which makes the row again, ends with the same store and value."""
     q, a, x = F(63, 64), F(5, 7), F(3, 4)
     families.asc_psi(16, a, x, q)
     value = families.asc_psi(128, a, x, q)
     tables, bits = scalars._QPOCH_TABLES, scalars._qpoch_bits
-    assert list(tables) == [table_key(1, q, q), table_key(1, a, 1 / q)]
-    assert all(len(values) == 129 for values, _ in tables.values())
+    assert list(tables) == [table_key(1, a, 1 / q)]
+    assert all(len(values) == 129 for values, _, _ in tables.values())
     assert bits > scalars._QPOCH_BUDGET_BITS
     assert_total_is_the_charge()
     assert families.asc_psi(128, a, x, q) == value and scalars._qpoch_bits == bits
+    assert list(tables) == [table_key(1, a, 1 / q)]
 
 
 # -- the Cauchy products P_n(x, y) share the tables ---------------------------
@@ -653,12 +718,18 @@ def test_tables_keep_one_rule_over_a_mixed_sweep(empty_tables, watched_tables, m
         x, y, z = (F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3))
         calls.append(lambda pt=families.FamilyPoint(x, y, z, n), q=F(rng.randint(1, 8), 9):
                      families.psi_general(pt, pv, q))
+    for n in range(0, 24, 2):
+        a, x, y, z = (F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4))
+        q = F(rng.randint(1, 8), 9) * rng.choice((1, -1))
+        calls.append(lambda args=(n, a, x, y, q): families.hahn2_phi(*args))
+        calls.append(lambda args=(n, pv, x, y, z, q): families.v_poly(*args))
     rng.shuffle(calls)
     for call in calls:
         call()
     assert watched_tables
-    assert any(len(key) == 4 for key in scalars._QPOCH_TABLES)
-    assert any(len(key) == 6 for key in scalars._QPOCH_TABLES)
+    assert {len(key) for key in scalars._QPOCH_TABLES} == {3, 4, 6}
+    assert_checked_counts_stop_at_the_cap()
+    assert assert_qbinom_rows_are_the_quotients() > 0
 
 
 # -- q-binomials by exact division ----------------------------------------------

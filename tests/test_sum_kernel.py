@@ -10,7 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qhyper import families, hyper, reductions
+from qhyper import families, hyper, reductions, scalars
 from qhyper.families import (
     FamilyPoint,
     ParamVector,
@@ -366,3 +366,50 @@ def test_phi_term_raises_the_frozen_overflow(empty_tables):
         assert got == want, pv
         assert (ScalarOverflowError, message) in want
     assert want[-1][0] is VanishingPochhammerError
+
+
+# -- which factor raises first when two fail at different k ---------------------
+
+
+def precedence_cases():
+    """(name, converted function, frozen copy, arguments, error type): sums in
+    which two factors fail, at different k or in one term.  Rows are fetched
+    at the top of each sum, so a fetch that raised, or checked an entry the
+    sum never reaches, would raise the later error first."""
+    big = F(1, 3**5000)  # (big;q)_k passes the 2^16-bit cap at k = 9 for q = 63/64
+    q, x, y, z, b = F(63, 64), F(2, 3), F(5, 7), F(1, 6), F(-2, 5)
+    tiny = F(1, 10**6)  # (tiny;tiny)_100 is past the cap, (big;tiny)_k from k = 9
+    cases = [
+        ("hahn2_phi", families.hahn2_phi, frozen_hahn2_phi, (100, big, x, y, tiny),
+         ScalarOverflowError),
+        ("asc_phi", families.asc_phi, frozen_asc_phi, (100, big, x, tiny), ScalarOverflowError),
+    ]
+    # c = q^-2 vanishes from k = 3 on, before the overflow; q^-11 from k = 12 on, after it
+    for c, error in ((q**-2, VanishingPochhammerError), (q**-11, ScalarOverflowError)):
+        sa = ParamVector((big, b), (c,))
+        cases += [
+            ("cao_phi3", families.cao_phi3, frozen_cao_phi3, (14, big, b, c, x, y, q), error),
+            ("cao_psi3", families.cao_psi3, frozen_cao_psi3, (14, big, b, c, x, y, q), error),
+            ("ext_phi5", families.ext_phi5, frozen_ext_phi5, (14, big, b, x, c, y, x, y, q), error),
+            ("sa_phi", families.sa_phi, frozen_sa_phi, (14, sa, x, y, q), error),
+            ("v_poly", families.v_poly, frozen_v_poly, (14, sa, x, y, z, q), error),
+        ]
+    return cases
+
+
+@pytest.mark.parametrize("budget", [None, 1 << 12])
+def test_the_first_failing_factor_raises_as_in_the_frozen_loop(empty_tables, monkeypatch, budget):
+    """Each case raises the frozen loop's error, type and message, from
+    empty tables; with a 2^12-bit budget the store is also cleared mid-sum."""
+    if budget is not None:
+        monkeypatch.setattr(scalars, "_QPOCH_BUDGET_BITS", budget)
+    messages = set()
+    for name, fn, frozen, args, error in precedence_cases():
+        empty_tables()
+        want = raised(error, frozen, *args)
+        empty_tables()
+        assert raised(error, fn, *args) == want, name
+        messages.add(want)
+    assert "rational exceeds 65536 bits (num 100655b / den 100655b)" in messages
+    assert any(m.startswith("(c;q)_3 = 0") for m in messages)
+    assert any(m.startswith("lower parameter") and m.endswith(";q)_3 = 0") for m in messages)
