@@ -200,8 +200,8 @@ def _pv_from_args(args) -> ParamVector:
 def cmd_eval(args) -> int:
     q = parse_q(args.q)
     n = _bounded("n", args.n, MAX_DEGREE)
-    need = lambda name: _require(args, name)
     family = args.family
+    need = lambda name: _require(args, name, f"family {family!r}")
     if family == "P":
         value = cauchy_P(n, need("x"), need("y"), q)
     elif family == "phi_asc":
@@ -225,12 +225,10 @@ def cmd_eval(args) -> int:
         value = fn(n, pv, need("x"), need("y"), q)
     elif family == "V":
         value = v_poly(n, _pv_from_args(args), need("x"), need("y"), need("z"), q)
-    elif family == "Psi":
+    else:  # "Psi"; the parser's choices admit no other family
         value = psi_general(
             FamilyPoint(need("x"), need("y"), need("z"), n), _pv_from_args(args), q
         )
-    else:
-        raise CliError(f"unknown family {family!r}")
     try:
         approx = f" = {float(value):.12g}"
     except OverflowError:  # outside the float range: the exact value only
@@ -239,10 +237,11 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _require(args, name: str) -> Fraction:
+def _require(args, name: str, what: str) -> Fraction:
+    """The rational of flag --name, which `what` (a family or target) needs."""
     value = getattr(args, name, None)
     if value is None:
-        raise CliError(f"family {args.family!r} needs --{name}")
+        raise CliError(f"{what} needs --{name}")
     return parse_rat(value)
 
 
@@ -254,7 +253,7 @@ def cmd_expand(args) -> int:
     q = parse_q(args.q)
     N = _bounded("order", args.order, MAX_ORDER)
     target = args.target
-    need = lambda name: _require(args, name)
+    need = lambda name: _require(args, name, f"target {target!r}")
     if target == "euler":
         series = euler_product_series(need("c"), q, N)
     elif target == "euler-inv":
@@ -263,11 +262,9 @@ def cmd_expand(args) -> int:
         series = cauchy_ratio_series(need("x"), need("y"), q, N)
     elif target == "rphis-t":
         series = rphis_series_in_t(_pv_from_args(args), q, need("c"), N)
-    elif target in ("gf-psi-lhs", "gf-psi-rhs"):
+    else:  # "gf-psi-lhs" or "gf-psi-rhs"; the parser's choices admit no other
         fn = psi_gf_lhs if target == "gf-psi-lhs" else psi_gf_rhs
         series = fn(_pv_from_args(args), need("x"), need("y"), need("z"), q, N)
-    else:
-        raise CliError(f"unknown target {target!r}")
     for k, c in enumerate(series.coeffs):
         print(f"t^{k}\t{c.numerator}/{c.denominator}")
     return EXIT_OK

@@ -77,12 +77,12 @@ def cauchy_P(n: int, x: Rat, y: Rat, q: Rat) -> Rat:
     return _prefix_row(x, y, q, n)[n]
 
 
-def _W_num_den(k: int, pv: ParamVector, q: Rat) -> tuple[int, int]:
-    """W_k as ints (num, den), not reduced and den possibly negative.
+def W_coeff(k: int, pv: ParamVector, q: Rat) -> Rat:
+    """W_k = (a_1..a_r;q)_k / (b_1..b_s;q)_k.
 
     It reads (b;q)_k for every lower parameter, raising on a zero one, and
-    then (a;q)_k for every upper one, so that a caller which finishes the
-    quotient with further factors takes one gcd for all of them.
+    then (a;q)_k for every upper one, multiplies their numerators and
+    denominators as ints and reduces the quotient once.
     """
     num = den = 1
     for b in pv.lower:
@@ -95,12 +95,7 @@ def _W_num_den(k: int, pv: ParamVector, q: Rat) -> tuple[int, int]:
     for a in pv.upper:
         p = qpoch(a, q, k)
         num, den = num * p.numerator, den * p.denominator
-    return num, den
-
-
-def W_coeff(k: int, pv: ParamVector, q: Rat) -> Rat:
-    """W_k = (a_1..a_r;q)_k / (b_1..b_s;q)_k."""
-    return Fraction(*_W_num_den(k, pv, q))
+    return Fraction(num, den)
 
 
 def bracket_factor(k: int, q: Rat, exponent: int) -> Rat:
@@ -149,15 +144,10 @@ def psi_sweep(
     return psi
 
 
-def psi_general(
-    pt: FamilyPoint,
-    pv: ParamVector,
-    q: Rat,
-    bracket_exponent: int | None = None,
-) -> Rat:
+def psi_general(pt: FamilyPoint, pv: ParamVector, q: Rat) -> Rat:
     """The generalized q-hypergeometric polynomial Psi_n at one point; see
     `psi_sweep`, which serves many n of one (x, y, z) from one row."""
-    return psi_sweep(pt.x, pt.y, pt.z, pv, q, bracket_exponent)(pt.n)
+    return psi_sweep(pt.x, pt.y, pt.z, pv, q)(pt.n)
 
 
 def asc_phi(n: int, a: Rat, x: Rat, q: Rat) -> Rat:

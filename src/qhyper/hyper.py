@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import count, islice
 
-from .families import ParamVector, VanishingPochhammerError, _W_num_den, bracket_factor
+from .families import ParamVector, VanishingPochhammerError, W_coeff, bracket_factor
 from .scalars import (
     Ball,
     Rat,
@@ -46,17 +46,9 @@ class DivergentSeriesError(ArithmeticError):
 
 
 def phi_term(k: int, pv: ParamVector, q: Rat, z: Rat) -> Rat:
-    """Term k of rPhis[a; b; q; z], W_k z^k / (q;q)_k times the bracket power.
-
-    The factors are multiplied as ints, W_k's unreduced, and reduced once.
-    """
-    num, den = _W_num_den(k, pv, q)
-    zk, qq = z**k, qpoch(q, q, k)
-    bracket = bracket_factor(k, q, pv.bracket_exponent)
-    return Fraction(
-        num * zk.numerator * qq.denominator * bracket.numerator,
-        den * zk.denominator * qq.numerator * bracket.denominator,
-    )
+    """Term k of rPhis[a; b; q; z], W_k z^k / (q;q)_k times the bracket power,
+    as the plain defining product: the reference `phi_row` is tested against."""
+    return W_coeff(k, pv, q) * z**k / qpoch(q, q, k) * bracket_factor(k, q, pv.bracket_exponent)
 
 
 def phi_row(pv: ParamVector, q: Rat, z: Rat):

@@ -10,7 +10,7 @@ radius.
 P_n(x, y) = prod_{j<n} (x - y q^j), which holds P_0..P_m and is extended only
 when a larger n is asked for; the Cauchy polynomials of `families.cauchy_P`
 are served from the same kind of table.  A table counts its leading entries
-that passed the bit-length cap, so `qpoch` checks each entry once, and an
+within the bit-length cap as it makes them, so each is checked once, and an
 entry past the cap is checked, and raises, on every read.  The same store
 keeps the q-binomial rows [n 0..n]_q, each divided once from the (q;q)
 table.  Entries live as long as the process; when a new one is about to be
@@ -96,8 +96,8 @@ def max_deviation(pairs: Iterable[tuple[Rat, Rat]]) -> Rat:
 
 #: The store of exact prefix tables and q-binomial rows.  A prefix table is
 #: [[P_0, ..., P_m], y q^m, c]: the products of `_prefix_table`, the next
-#: factor's y q^m, and the count c of leading entries that passed the cap of
-#: `check_magnitude`, so that each entry is checked once.  Its key is
+#: factor's y q^m, and the count c of leading entries within the cap of
+#: `check_magnitude`, kept by `_prefix_table` as it appends.  Its key is
 #: (y.numerator, y.denominator, q.numerator, q.denominator), then
 #: (x.numerator, x.denominator) when x != 1, so (a;q)_n = P_n(1, a) keeps the
 #: key of (a, q); it also fits int arguments and hashes faster than a
@@ -133,7 +133,9 @@ def _prefix_table(x: Rat, y: Rat, q: Rat, n: int) -> list:
 
     The table holds P_0..P_m and the next y q^m; a call with n > m extends it
     by the factors the plain loop would multiply.  So each value is the same
-    whether it was read or rebuilt.
+    whether it was read or rebuilt.  The extension also moves the table's
+    checked count over each new entry within the cap, from the bit lengths it
+    charges, and stops the count at the first entry past the cap.
     """
     global _qpoch_bits
     key = (y.numerator, y.denominator, q.numerator, q.denominator)
@@ -142,17 +144,20 @@ def _prefix_table(x: Rat, y: Rat, q: Rat, n: int) -> list:
     table = _QPOCH_TABLES.get(key)
     if table is None:
         one = Fraction(1)
-        table = _store(key, [[one], y, 0], _charge(one) + _charge(y))
+        table = _store(key, [[one], y, 1], _charge(one) + _charge(y))
     values = table[0]
     if n >= len(values):
-        result, yq = values[-1], table[1]
+        result, yq, checked = values[-1], table[1], table[2]
         bits = -yq.numerator.bit_length() - yq.denominator.bit_length()
         for _ in range(len(values), n + 1):
             result *= x - yq
             yq *= q
+            nb, db = result.numerator.bit_length(), result.denominator.bit_length()
+            if checked == len(values) and nb <= MAX_SCALAR_BITS and db <= MAX_SCALAR_BITS:
+                checked += 1
             values.append(result)
-            bits += _charge(result)
-        table[1] = yq
+            bits += _QPOCH_ENTRY_BITS + nb + db
+        table[1], table[2] = yq, checked
         _qpoch_bits += bits + yq.numerator.bit_length() + yq.denominator.bit_length()
     return table
 
@@ -163,50 +168,34 @@ def _prefix_row(x: Rat, y: Rat, q: Rat, n: int) -> list[Rat]:
     return _prefix_table(x, y, q, n)[0]
 
 
-def _checked(table: list, n: int) -> int:
-    """The count of leading entries of a prefix table that passed the cap,
-    first advanced over the entries it holds up to P_n.  An entry past the
-    cap stops the count; it and every entry after it are checked on each
-    read."""
-    values, c = table[0], table[2]
-    end = min(n + 1, len(values))
-    while c < end:
-        v = values[c]
-        if v.numerator.bit_length() > MAX_SCALAR_BITS or v.denominator.bit_length() > MAX_SCALAR_BITS:
-            break
-        c += 1
-    table[2] = c
-    return c
-
-
 def qpoch(a: Rat, q: Rat, n: int) -> Rat:
     """Finite q-shifted factorial (a;q)_n = prod_{k<n} (1 - a q^k).
 
     This is P_n(1, a), read from or added to the prefix table of (a, q).  An
-    entry is returned as it is once it has passed the magnitude check, and
-    checked on every read otherwise, so neither the value nor an overflow
-    depends on what the tables hold.
+    entry under the table's checked count is returned as it is, and any other
+    is checked on every read, so neither the value nor an overflow depends on
+    what the tables hold.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     table = _prefix_table(1, a, q, n)
     value = table[0][n]
-    return value if n < table[2] or n < _checked(table, n) else check_magnitude(value)
+    return value if n < table[2] else check_magnitude(value)
 
 
 def _qpoch_reader(a: Rat, q: Rat, n: int) -> Callable[[int], Rat]:
     """k -> (a;q)_k for 0 <= k <= n, fetched once by a sum over k.
 
-    It is the table's own list when (a;q)_0..(a;q)_n all passed the cap, and
-    `qpoch` per k otherwise, so an entry past the cap raises at the k where
-    the sum reads it, after every factor read before it.  The fetch itself
-    never raises.  It extends the table one entry at a time and stops at the
-    first entry past the cap, so it forms no entry past the first that would
-    raise.
+    It is the table's own list when the checked count covers
+    (a;q)_0..(a;q)_n, and `qpoch` per k otherwise, so an entry past the cap
+    raises at the k where the sum reads it, after every factor read before
+    it.  The fetch itself never raises.  It extends the table one entry at a
+    time while the count covers the whole table, so it forms no entry past
+    the first that would raise.
     """
     table = _prefix_table(1, a, q, 0)
     values = table[0]
-    while _checked(table, n) == len(values) <= n:
+    while table[2] == len(values) <= n:
         _prefix_table(1, a, q, len(values))
     if table[2] > n:
         return values.__getitem__
@@ -230,14 +219,6 @@ def _sum_of_products(terms: Iterable[tuple]) -> Rat:
             num = num * (d // g) + n * (den // g)
             den *= d // g
     return Fraction(num, den)
-
-
-def qpoch_multi(params: Iterable[Rat], q: Rat, n: int) -> Rat:
-    """(a1,...,ar;q)_n, the product of the individual symbols; empty -> 1."""
-    result = Fraction(1)
-    for a in params:
-        result *= qpoch(a, q, n)
-    return result
 
 
 def _coprime_fraction(n: int, d: int) -> Rat:
@@ -496,17 +477,17 @@ def _qbinom_reader(n: int, q: Rat) -> Callable[[int], Rat]:
 
     It reads the row [[n 0]_q, ..., [n n]_q] that the store keeps under the
     key (n, q.numerator, q.denominator).  The row is formed on first use, by
-    the division of `qbinom` for each k, only when (q;q)_0..(q;q)_n all
-    passed the cap and (q;q)_n is not 0, so that no entry would raise.
-    Otherwise the reader is `qbinom` per k, which raises at the k where the
-    sum reads it.  The fetch itself never raises.
+    the division of `qbinom` for each k, only when the (q;q) table's checked
+    count covers (q;q)_0..(q;q)_n and (q;q)_n is not 0, so that no entry
+    would raise.  Otherwise the reader is `qbinom` per k, which raises at
+    the k where the sum reads it.  The fetch itself never raises.
     """
     key = (n, q.numerator, q.denominator)
     entry = _QPOCH_TABLES.get(key)
     if entry is None and n >= 0:
         table = _prefix_table(1, q, q, n)
         qq = table[0]
-        if _checked(table, n) > n and qq[n] != 0:
+        if table[2] > n and qq[n] != 0:
             row = [_quotient(qq[n], qq[k], qq[n - k]) for k in range(n + 1)]
             entry = _store(key, [row, None, n + 1], sum(map(_charge, row)))
     if entry is not None:

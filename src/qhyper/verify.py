@@ -336,7 +336,7 @@ def run_qbt(rng, config):
     a = rand_rat(rng)
     N = config.order
     lhs = rphis_series_in_t(ParamVector((a,), ()), q, Fraction(1), N)
-    rhs = euler_product_series(a, q, N) * euler_inverse_series(Fraction(1), q, N)
+    rhs = _scalar_ratio(a, Fraction(1), q, N)
     return [_formal_result("q-binomial-theorem", lhs, rhs, f"a={a} q={q}")]
 
 
@@ -346,7 +346,7 @@ def run_cauchy_gf(rng, config):
     x, y = rand_rat(rng), rand_rat(rng)
     N = config.order
     lhs = q_exp_series(lambda n: cauchy_P(n, x, y, q), q, N)
-    rhs = euler_product_series(y, q, N) * euler_inverse_series(x, q, N)
+    rhs = _scalar_ratio(y, x, q, N)
     return [_formal_result("cauchy-gf", lhs, rhs, f"x={x} y={y} q={q}")]
 
 
@@ -415,11 +415,7 @@ def run_v_gf(rng, config):
     x, y, z = rand_rat(rng, 8), rand_rat(rng, 8), rand_rat(rng, 8)
     N = config.order
     lhs = q_exp_series(lambda n: v_poly(n, pv, x, y, z, q), q, N)
-    rhs = (
-        euler_product_series(y, q, N)
-        * euler_inverse_series(x, q, N)
-        * rphis_series_in_t(pv, q, z, N)
-    )
+    rhs = psi_gf_rhs(pv, y, x, z, q, N)
     return [_formal_result("v-gf", lhs, rhs, f"r={r} u={r - 1}")]
 
 
@@ -474,7 +470,7 @@ def run_lemma1_b(rng, config):
     pv, q, x0, y0, z = s["pv"], s["q"], s["x0"], s["y0"], s["z"]
     N = config.order
     lhs = evaluate_series(op_apply_series(pv, z, cauchy_basis_series(N, q), q), x0, y0, q)
-    rhs = _scalar_ratio(x0, y0, q, N) * rphis_series_in_t(pv, q, z, N)
+    rhs = psi_gf_rhs(pv, x0, y0, z, q, N)
     return [_formal_result("lemma1-b", lhs, rhs, f"r={pv.r} s={pv.s}")]
 
 
@@ -612,11 +608,7 @@ def run_lemma2_phi(rng, config):
     for k in range(N + 1):
         coeff = qpoch(lam, q, k) * qpoch(alpha, q, k) * x**k / qpoch(q, q, k)
         phi = phi + qpoch_poly_series(lam, q, k, N).inverse().scale(coeff).shift(k)
-    rhs = (
-        euler_product_series(lam, q, N)
-        * euler_inverse_series(Fraction(1), q, N)
-        * phi
-    )
+    rhs = _scalar_ratio(lam, Fraction(1), q, N) * phi
     return [_formal_result("lemma2-phi", lhs, rhs, f"alpha={alpha} lam={lam} x={x}")]
 
 

@@ -266,6 +266,15 @@ CLI_EDGE_CASES = [
      ["eval", "Psi", "--n", "64", "--q", "1/2", "--a", "1/3,2/5", "--b", "1/7",
       "--x", "1", "--y", "2", "--z", "3"],
      {}, EXIT_OK),
+    ("expand-euler-no-c", ["expand", "euler", "--q", "1/2"], {}, EXIT_USAGE),
+    ("expand-euler-inv-no-c", ["expand", "euler-inv", "--q", "1/2"], {}, EXIT_USAGE),
+    ("expand-cauchy-ratio-no-y",
+     ["expand", "cauchy-ratio", "--q", "1/2", "--x", "1"], {}, EXIT_USAGE),
+    ("expand-rphis-t-no-c", ["expand", "rphis-t", "--q", "1/2", "--a", "1/3"], {}, EXIT_USAGE),
+    ("expand-gf-psi-lhs-no-z",
+     ["expand", "gf-psi-lhs", "--q", "1/2", "--x", "1", "--y", "2"], {}, EXIT_USAGE),
+    ("expand-gf-psi-rhs-no-x",
+     ["expand", "gf-psi-rhs", "--q", "1/2", "--y", "2", "--z", "3"], {}, EXIT_USAGE),
 ]
 
 
@@ -360,6 +369,43 @@ def test_no_module_imports_a_name_it_does_not_use():
                     if bound not in names:
                         unused.append(f"{path.name}: {bound}")
     assert unused == []
+
+
+def test_every_module_level_function_is_read_exported_or_a_suite():
+    """The orphaned-function check: every function defined at module level in
+    the package is read somewhere in it (as a name or an attribute), is in
+    `qhyper.__all__`, or is registered by `@suite`.  The one exception is
+    `phi_term`, the plain defining product of an rPhis term, which only the
+    tests read: it is the reference that `hyper.phi_row` is tested
+    against."""
+    import qhyper
+
+    exceptions = {"phi_term"}
+    trees = {
+        path.name: ast.parse(path.read_text())
+        for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py"))
+    }
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+
+    def is_suite(fn):
+        return any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "suite"
+                   for d in fn.decorator_list)
+
+    orphans = [
+        f"{name}: {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name not in read | set(qhyper.__all__) | exceptions
+        and not is_suite(node)
+    ]
+    assert orphans == []
 
 
 def test_errored_row_has_no_deviation(capsys, monkeypatch):

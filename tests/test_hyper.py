@@ -42,8 +42,8 @@ def test_phi_term_sign_bracket():
 def row_outcomes(fn, kmax):
     """fn(k) for k = 0..kmax in order, as (type, value), up to and including
     the first error, as (type, message).  A plain ZeroDivisionError keeps only
-    its type: phi_term's names the unreduced numerator of its quotient, which
-    the row never forms."""
+    its type: phi_term's is Fraction's message for its division by
+    (q;q)_k = 0, a quotient the row never forms."""
     out = []
     for k in range(kmax + 1):
         try:

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from qhyper import reductions, verify
-from qhyper.families import FamilyPoint, VanishingPochhammerError, psi_general
+from qhyper.families import VanishingPochhammerError, psi_sweep
 from qhyper.reductions import check_item
 from qhyper.verify import RunConfig, run_suite, sample_reduction_params
 
@@ -73,8 +73,8 @@ def test_sampler_deterministic():
 
 
 def per_n_psi(x, y, z, pv, q, bracket_exponent=None):
-    """The reading's Psi_n from one `psi_general` call per n."""
-    return lambda n: psi_general(FamilyPoint(x, y, z, n), pv, q, bracket_exponent)
+    """The reading's Psi_n from one `psi_sweep` per n."""
+    return lambda n: psi_sweep(x, y, z, pv, q, bracket_exponent)(n)
 
 
 def outcome(item, sample, q, n_max):

@@ -20,7 +20,6 @@ from qhyper.scalars import (
     qpoch,
     qpoch_inf,
     qpoch_inf_ball,
-    qpoch_multi,
     qpoch_shift,
     qpow,
 )
@@ -55,15 +54,6 @@ def test_qpoch_rejects_negative_n():
 def test_qpoch_concatenation(a, q, n, m):
     # (a;q)_{n+m} = (a;q)_n (a q^n;q)_m
     assert qpoch(a, q, n + m) == qpoch(a, q, n) * qpoch(a * q**n, q, m)
-
-
-def test_qpoch_multi_is_product():
-    q = F(1, 3)
-    params = (F(1, 2), F(-2), F(5, 7))
-    assert qpoch_multi(params, q, 4) == (
-        qpoch(params[0], q, 4) * qpoch(params[1], q, 4) * qpoch(params[2], q, 4)
-    )
-    assert qpoch_multi((), q, 4) == 1
 
 
 def test_qbinom_derived_value():

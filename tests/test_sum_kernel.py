@@ -20,9 +20,18 @@ from qhyper.families import (
     cauchy_P,
 )
 from qhyper.hyper import phi_term, terminating_index
-from qhyper.scalars import ScalarOverflowError, binom2, qbinom, qpoch, qpoch_multi, qpow
+from qhyper.scalars import ScalarOverflowError, binom2, qbinom, qpoch, qpow
 
 # -- frozen copies of the accumulation loops ---------------------------------
+
+
+def frozen_qpoch_product(params, q, k):
+    """(a_1,...,a_r;q)_k as the Fraction product of the single symbols; 1
+    when there are none."""
+    result = F(1)
+    for a in params:
+        result *= qpoch(a, q, k)
+    return result
 
 
 def frozen_psi_sweep(x, y, z, pv, q, bracket_exponent=None):
@@ -34,11 +43,15 @@ def frozen_psi_sweep(x, y, z, pv, q, bracket_exponent=None):
         for k in range(n + 1):
             binom = qbinom(n, k, q)
             if k == len(row):
-                row.append(bracket_factor(k, q, e) * W_coeff(k, pv, q) * z**k)
+                row.append(bracket_factor(k, q, e) * frozen_W_coeff(k, pv, q) * z**k)
             acc += binom * row[k] * cauchy_P(n - k, y, x, q)
         return (-1) ** n * qpow(q, -binom2(n)) * acc
 
     return psi
+
+
+def frozen_psi_general(pt, pv, q):
+    return frozen_psi_sweep(pt.x, pt.y, pt.z, pv, q)(pt.n)
 
 
 def frozen_asc_phi(n, a, x, q):
@@ -82,7 +95,7 @@ def frozen_ext_phi5(n, a, b, c, d, e, x, y, q):
         den = qpoch(d, q, k) * qpoch(e, q, k)
         if den == 0:
             raise VanishingPochhammerError(f"(d,e;q)_{k} = 0")
-        acc += qbinom(n, k, q) * qpoch_multi((a, b, c), q, k) / den * x ** (n - k) * y**k
+        acc += qbinom(n, k, q) * frozen_qpoch_product((a, b, c), q, k) / den * x ** (n - k) * y**k
     return acc
 
 
@@ -94,7 +107,7 @@ def frozen_ext_psi5(n, a, b, c, d, e, x, y, q):
             raise VanishingPochhammerError(f"(d,e;q)_{k} = 0")
         acc += (
             qbinom(n, k, q) * (-1) ** k * qpow(q, k * (k - n))
-            * qpoch_multi((a, b, c), q, k) / den * x ** (n - k) * y**k
+            * frozen_qpoch_product((a, b, c), q, k) / den * x ** (n - k) * y**k
         )
     return acc
 
@@ -102,7 +115,7 @@ def frozen_ext_psi5(n, a, b, c, d, e, x, y, q):
 def frozen_sa_phi(n, pv, x, y, q):
     acc = F(0)
     for k in range(n + 1):
-        acc += qbinom(n, k, q) * W_coeff(k, pv, q) * x**k * y ** (n - k)
+        acc += qbinom(n, k, q) * frozen_W_coeff(k, pv, q) * x**k * y ** (n - k)
     return acc
 
 
@@ -110,7 +123,7 @@ def frozen_sa_psi(n, pv, x, y, q):
     acc = F(0)
     for k in range(n + 1):
         acc += (
-            qbinom(n, k, q) * W_coeff(k, pv, q) * qpow(q, binom2(k + 1) - n * k)
+            qbinom(n, k, q) * frozen_W_coeff(k, pv, q) * qpow(q, binom2(k + 1) - n * k)
             * x**k * y ** (n - k)
         )
     return acc
@@ -119,7 +132,7 @@ def frozen_sa_psi(n, pv, x, y, q):
 def frozen_v_poly(n, pv, x, y, z, q):
     acc = F(0)
     for k in range(n + 1):
-        acc += qbinom(n, k, q) * W_coeff(k, pv, q) * cauchy_P(n - k, x, y, q) * z**k
+        acc += qbinom(n, k, q) * frozen_W_coeff(k, pv, q) * cauchy_P(n - k, x, y, q) * z**k
     return acc
 
 
@@ -159,7 +172,7 @@ def frozen_W_coeff(k, pv, q):
         if p == 0:
             raise VanishingPochhammerError(f"lower parameter {b} gives ({b};q)_{k} = 0")
         den *= p
-    return qpoch_multi(pv.upper, q, k) / den
+    return frozen_qpoch_product(pv.upper, q, k) / den
 
 
 def frozen_phi_term(k, pv, q, z):
@@ -384,15 +397,23 @@ def precedence_cases():
          ScalarOverflowError),
         ("asc_phi", families.asc_phi, frozen_asc_phi, (100, big, x, tiny), ScalarOverflowError),
     ]
-    # c = q^-2 vanishes from k = 3 on, before the overflow; q^-11 from k = 12 on, after it
-    for c, error in ((q**-2, VanishingPochhammerError), (q**-11, ScalarOverflowError)):
+    # c = q^-2 vanishes from k = 3 on, before the overflow; q^-8 from k = 9 on, in the
+    # term of the overflow, whose lower factors are read first; q^-11 from k = 12 on, after it
+    for c, error in (
+        (q**-2, VanishingPochhammerError),
+        (q**-8, VanishingPochhammerError),
+        (q**-11, ScalarOverflowError),
+    ):
         sa = ParamVector((big, b), (c,))
         cases += [
             ("cao_phi3", families.cao_phi3, frozen_cao_phi3, (14, big, b, c, x, y, q), error),
             ("cao_psi3", families.cao_psi3, frozen_cao_psi3, (14, big, b, c, x, y, q), error),
             ("ext_phi5", families.ext_phi5, frozen_ext_phi5, (14, big, b, x, c, y, x, y, q), error),
             ("sa_phi", families.sa_phi, frozen_sa_phi, (14, sa, x, y, q), error),
+            ("sa_psi", families.sa_psi, frozen_sa_psi, (14, sa, x, y, q), error),
             ("v_poly", families.v_poly, frozen_v_poly, (14, sa, x, y, z, q), error),
+            ("psi_general", families.psi_general, frozen_psi_general,
+             (FamilyPoint(x, y, z, 14), sa, q), error),
         ]
     return cases
 

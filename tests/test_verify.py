@@ -489,9 +489,9 @@ def test_lemma1_c_forms_each_operator_coefficient_and_j_term_once(monkeypatch):
     each (y0 t;q)_j / (x0 t;q)_j rphis(z q^j t) is formed once for all four k.
     Every coefficient is then formed by that row or by the four j-terms' rphis
     rows, which stop at the order, each once, and no row reads W_j
-    (`_W_num_den`)."""
+    (`W_coeff`)."""
     logs = {name: [] for name in (
-        "phi_row", "check_magnitude", "_W_num_den", "qpoch_poly_series", "rphis_series_in_t"
+        "phi_row", "check_magnitude", "W_coeff", "qpoch_poly_series", "rphis_series_in_t"
     )}
 
     def recording(module, name):
@@ -505,7 +505,7 @@ def test_lemma1_c_forms_each_operator_coefficient_and_j_term_once(monkeypatch):
 
     recording(operators, "phi_row")
     recording(hyper, "check_magnitude")
-    recording(hyper, "_W_num_den")
+    recording(hyper, "W_coeff")
     recording(verify, "qpoch_poly_series")
     recording(verify, "rphis_series_in_t")
     N = 12
@@ -514,7 +514,7 @@ def test_lemma1_c_forms_each_operator_coefficient_and_j_term_once(monkeypatch):
     assert len(logs["phi_row"]) == 1
     # a row checks each coefficient it forms past c_0 = 1 against the cap
     assert len(logs["check_magnitude"]) == (N + 3) + 4 * N
-    assert logs["_W_num_den"] == []
+    assert logs["W_coeff"] == []
     for name in ("qpoch_poly_series", "rphis_series_in_t"):
         assert len(logs[name]) == len(set(logs[name])), name
     assert len(logs["rphis_series_in_t"]) == 4 and len(logs["qpoch_poly_series"]) == 8
