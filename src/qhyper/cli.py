@@ -29,7 +29,7 @@ from .families import (
 )
 from .hyper import DivergentSeriesError, rphis_series_in_t
 from .report import TSV_FIELDS, IdentityReport, _any_int_digits
-from .scalars import RootOfUnityError, ScalarOverflowError
+from .scalars import MAX_SCALAR_BITS, RootOfUnityError, ScalarOverflowError
 from .series import (
     cauchy_ratio_series,
     euler_inverse_series,
@@ -61,10 +61,26 @@ class CliError(Exception):
 
 
 def parse_rat(text: str) -> Fraction:
+    """The rational `text` spells for `Fraction`, with a numerator and a
+    denominator of at most `MAX_SCALAR_BITS` bits.
+
+    A decimal exponent e with |e| > len(text) + MAX_SCALAR_BITS / 3 and a
+    nonzero mantissa puts 10^(|e| - len(text)) into the numerator or the
+    denominator, more bits than the cap, so it is refused before `Fraction`
+    forms that power.
+    """
+    mantissa, _, exponent = text.lower().partition("e")
     try:
-        return Fraction(text)
+        huge = abs(int(exponent or 0)) > len(text) + MAX_SCALAR_BITS // 3 and any(
+            c in "123456789" for c in mantissa
+        )
+        value = None if huge else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"not a rational: {text!r} ({exc})")
+    if huge or max(value.numerator.bit_length(), value.denominator.bit_length()) > MAX_SCALAR_BITS:
+        shown = text if len(text) <= 40 else text[:37] + "..."
+        raise CliError(f"rational {shown!r} exceeds {MAX_SCALAR_BITS} bits")
+    return value
 
 
 def parse_q(text: str) -> Fraction:

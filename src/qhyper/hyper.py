@@ -148,22 +148,49 @@ def _require_convergent(pv: ParamVector, z: Rat) -> None:
         raise DivergentSeriesError(f"r = s+1 needs |z| < 1, got |z| = {abs(z)}")
 
 
-def _ratio_bound(pv: ParamVector, q: Rat, z: Rat, k: int) -> Rat | None:
-    """A bound on |term j+1 / term j| over every j >= k, or None when the
-    lower parameters leave none.
+def _ratio_bounds(pv: ParamVector, q: Rat, z: Rat):
+    """The function k -> a bound on |term j+1 / term j| over every j >= k, or
+    None when the lower parameters leave none, built once per sum.
 
     The ratio is prod(1 - a q^j) / prod(1 - b q^j) * z / (1 - q^{j+1}) *
-    (-q^j)^{1+s-r}, and |q^j| <= Q = |q|^k for 0 < |q| < 1 bounds each
-    factor: by 1 + |a| Q above, by 1 - |b| Q and 1 - |q| Q below.
+    (-q^j)^e, e = 1+s-r >= 0, and |q^j| <= Q = |q|^k for 0 < |q| < 1 bounds
+    each factor: by 1 + |a| Q above, by 1 - |b| Q and 1 - |q| Q below.  The
+    function keeps Q as the int pair N/D = |num q|^k / den(q)^k and steps it
+    forward from the k it was last asked for, so k must not decrease.  A
+    lower parameter b = b_n/b_d leaves no bound when b_d D <= |b_n| N.
+    Otherwise each factor is an int quotient, such as 1 - |b| Q =
+    (b_d D - |b_n| N) / (b_d D), and in the bound |z| Q^e / (1 - |q| Q) *
+    prod(1 + |a| Q) / prod(1 - |b| Q) the powers of D cancel, as e = 1+s-r:
+    it is one int numerator over one int denominator, reduced once into a
+    Fraction.
     """
-    Q = abs(q) ** k
-    bound = abs(z) * Q**pv.bracket_exponent / (1 - abs(q) * Q)
-    for a in pv.upper:
-        bound *= 1 + abs(a) * Q
-    for b in pv.lower:
-        if abs(b) * Q >= 1:
-            return None
-        bound /= 1 - abs(b) * Q
+    e = pv.bracket_exponent
+    nq, dq = abs(q.numerator), q.denominator
+    upper = [(abs(a.numerator), a.denominator) for a in pv.upper]
+    lower = [(abs(b.numerator), b.denominator) for b in pv.lower]
+    top, bottom = abs(z.numerator), z.denominator
+    for _, bd in lower:
+        top *= bd
+    for _, ad in upper:
+        bottom *= ad
+    last, N, D = 0, 1, 1  # Q = N/D = |q|^last
+
+    def bound(k: int) -> Rat | None:
+        nonlocal last, N, D
+        if k < last:
+            raise ValueError(f"ratio bound asked for k={k} after k={last}")
+        N, D, last = N * nq ** (k - last), D * dq ** (k - last), k
+        den = bottom * (dq * D - nq * N)
+        for bn, bd in lower:
+            f = bd * D - bn * N
+            if f <= 0:
+                return None
+            den *= f
+        num = top * N**e * dq
+        for an, ad in upper:
+            num *= ad * D + an * N
+        return Fraction(num, den)
+
     return bound
 
 
@@ -196,6 +223,8 @@ def _sum_ball(term, eps: Rat, kmin: int = TAIL_KMIN, ratio=None) -> Ball:
     maps k to a bound rho on |term j+1 / term j| over every j >= k or to None,
     it stops there only when rho < 1 and adds |term k| rho / (1 - rho), a
     bound on the dropped tail, to the radius: the ball holds the true value.
+    ratio is read only at such k, so at rising k, as the stepped bound of
+    `_ratio_bounds` needs.
     A convergent series may rise far above its first terms, so there is no
     regrowth test then.  Without `ratio` the ball holds the partial sum only,
     and the sum raises once a term's lower bound passes 2^40 times the peak,
@@ -253,8 +282,8 @@ def rphis_ball(pv: ParamVector, q: Rat, z: Rat, eps: Rat, row=None) -> Ball:
     its own, `phi_row(pv, q, 1)`.  Each term is rounded into its ball by `_row_balls`.  A
     terminating series is summed to its last nonzero term.  Otherwise, with
     r <= s+1, |z| < 1 when r = s+1, and 0 < |q| < 1, `_sum_ball` sums it with
-    `_ratio_bound` as its ratio, so the ball holds the partial sum and the
-    true value.
+    the ratio bound `_ratio_bounds(pv, q, z)`, made once for the sum and
+    read at rising k, so the ball holds the partial sum and the true value.
     """
     p = ball_precision(eps)
     terms = _row_balls(row or phi_row(pv, q, 1), z, p)
@@ -271,4 +300,4 @@ def rphis_ball(pv: ParamVector, q: Rat, z: Rat, eps: Rat, row=None) -> Ball:
             raise AssertionError(f"term {k} asked for where term {j} was next")
         return ball
 
-    return _sum_ball(term, eps, ratio=lambda k: _ratio_bound(pv, q, z, k))
+    return _sum_ball(term, eps, ratio=_ratio_bounds(pv, q, z))

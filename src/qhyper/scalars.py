@@ -83,10 +83,11 @@ def qpow(q: Rat, e: int) -> Rat:
     """q**e for a possibly negative integer exponent.
 
     A negative power is `Fraction`'s own: it inverts q**-e without a gcd.
+    An int q is made a Fraction first; a Fraction is used as it is.
     """
     if e >= 0:
         return q**e
-    return Fraction(q) ** e
+    return (q if isinstance(q, Fraction) else Fraction(q)) ** e
 
 
 def max_deviation(pairs: Iterable[tuple[Rat, Rat]]) -> Rat:
@@ -429,9 +430,11 @@ def qpoch_inf_ball(a: Rat, q: Rat, eps: Rat) -> Ball:
     |a q^k| >= eps, each as a ball product on p-bit integers: a q^k is itself
     a ball, stepped by one multiply-and-floor by the small integers of q.  The
     walk keeps the midpoints and radii of the product and of a q^k as plain
-    ints and rounds them with `_mul_mid_rad` and `_scaled_mid_rad`, the
-    rounding of `Ball.__mul__` and `Ball._scaled`, so it gives the ball
-    those operations give without making two balls per factor.  The walk
+    ints and rounds them inline, by the integer operations of
+    `_mul_mid_rad` and `_scaled_mid_rad` that `Ball.__mul__` and
+    `Ball._scaled` call, so it gives the ball those operations give with no
+    ball and no helper call per factor; a test walks the same factors by
+    `Ball` products and keeps the two equal.  The walk
     goes on past eps, should eps be that large, until sigma = |a q^K| /
     (1 - |q|) <= 1/2.  Then |(a q^K;q)_inf - 1| <= exp(sigma) - 1 <= 2 sigma,
     and the radius grows by 2 sigma times the partial product's bound, so
@@ -446,7 +449,8 @@ def qpoch_inf_ball(a: Rat, q: Rat, eps: Rat) -> Ball:
     one = 1 << p
     nq, dq = q.numerator, q.denominator
     ne, de = eps.numerator, eps.denominator
-    gap = dq - abs(nq)  # 1 - |q| = gap / dq
+    anq, mask = abs(nq), one - 1
+    gap = dq - anq  # 1 - |q| = gap / dq
     num, den = a.numerator, a.denominator  # a q^k = num/den, not reduced
     y = Ball.of(a, p)
     y_mid, y_rad = y.mid, y.rad  # the ball of a q^k
@@ -454,10 +458,15 @@ def qpoch_inf_ball(a: Rat, q: Rat, eps: Rat) -> Ball:
     while abs(num) * de >= ne * den or 2 * abs(num) * dq > den * gap:
         if num == den:
             return Ball(0, 0, p)
-        # the factor 1 - a q^k is the ball (one - y_mid, y_rad)
-        mid, rad = _mul_mid_rad(mid, rad, one - y_mid, y_rad, p)
+        # times the factor 1 - a q^k, the ball (f, y_rad): `_mul_mid_rad`
+        f = one - y_mid
+        product = mid * f
+        err = abs(mid) * y_rad + rad * abs(f) + rad * y_rad
+        mid, rad = product >> p, -(-err >> p) + (1 if product & mask else 0)
         num, den = num * nq, den * dq
-        y_mid, y_rad = _scaled_mid_rad(y_mid, y_rad, nq, dq)
+        # a q^{k+1} = a q^k times nq/dq: `_scaled_mid_rad`
+        y_mid, rest = divmod(y_mid * nq, dq)
+        y_rad = -(-y_rad * anq // dq) + (1 if rest else 0)
     # the dropped tail: |P - P_K| <= |P_K| 2 sigma, sigma = |num| dq / (den gap)
     bound = abs(mid) + rad
     return Ball(mid, rad - (-bound * 2 * abs(num) * dq // (den * gap)), p)

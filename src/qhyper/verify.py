@@ -21,9 +21,10 @@ once per trial and shared by the cross-checks, and the outer sums
 without its ratio bound, and raise the same `DivergentSeriesError`, which a
 trial reports as errored.  An outer term is a tuple of its exact factors
 (psi_n^{(a)} from its recurrence, `qpoch`, `psi_sweep`, q-powers, a divisor
-as 1 / x), ending in the one ball it meets, if any: the kernel multiplies
-their numerators and denominators as ints and rounds the term into its ball
-once, with no gcd.  The rphis coefficients c_k = `phi_term(k, pv, q, 1)` come
+as `qpow(x, -1)`), ending in the one ball it meets, if any; the arguments
+that stay fixed over a sum are formed once, before it.  The kernel multiplies
+the factors' numerators and denominators as ints and rounds the term into its
+ball once, with no gcd.  The rphis coefficients c_k = `phi_term(k, pv, q, 1)` come
 from one `phi_row` per parameter vector and trial, each stepped from the last
 by the exact term ratio, and each term c_k z^k goes into its ball straight
 from its unreduced integer quotient.  A ball's radius covers every rounding,
@@ -116,6 +117,14 @@ class RunConfig:
     format: str = "json"
 
     def __post_init__(self):
+        for name in ("trials", "order", "epsilon_bits", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        for name in ("suite", "format", "report_path"):
+            value = getattr(self, name)
+            if not (isinstance(value, str) or name == "report_path" and value is None):
+                raise TypeError(f"{name} must be a string, got {value!r}")
         if not 1 <= self.order <= 64:
             raise ValueError("order must be in 1..64")
         if not 1 <= self.trials <= 10_000:
@@ -716,12 +725,13 @@ def _rogers_szego_sum(t: Rat, omega: Rat, q: Rat) -> Callable[[int], Rat]:
     h_{m-1} (G. E. Andrews, The Theory of Partitions, ch. 3); the returned
     function keeps the h_m it has formed.
     """
-    h = [Fraction(1), t + omega]
+    e1, e2 = t + omega, t * omega
+    h = [Fraction(1), e1]
 
     def inner(m):
         while len(h) <= m:
             k = len(h) - 1
-            h.append((t + omega) * h[k] - (1 - q**k) * t * omega * h[k - 1])
+            h.append(e1 * h[k] - (1 - q**k) * e2 * h[k - 1])
         return h[m] / qpoch(q, q, m)
 
     return inner
@@ -737,12 +747,13 @@ def _asc_psi_sweep(a: Rat, x: Rat, q: Rat) -> Callable[[int], Rat]:
     recurrence of `_rogers_szego_sum`.  The returned function keeps the
     psi_n it has formed.
     """
-    psi = [Fraction(1), 1 + x - a * x]
+    one_x, ax = 1 + x, a * x
+    psi = [Fraction(1), one_x - ax]
 
     def value(n):
         while len(psi) <= n:
             p = qpow(q, 1 - len(psi))
-            psi.append((1 + x - a * x * p) * psi[-1] - x * (1 - p) * psi[-2])
+            psi.append((one_x - ax * p) * psi[-1] - x * (1 - p) * psi[-2])
         return psi[n]
 
     return value
@@ -790,15 +801,17 @@ def run_thm2(rng, config):
 
     lhs = trial.sum(lhs_term)
     pref = trial.quotient((x * omega,), (t / omega, y * omega))
+    yw, qwt, xw, zw = y * omega, q * omega / t, x * omega, z * omega
 
     def rhs_term(k):
+        qk = q**k
         return (
-            qpoch(y * omega, q, k),
-            q**k,
-            1 / qpoch(q * omega / t, q, k),
-            1 / qpoch(x * omega, q, k),
-            1 / qpoch(q, q, k),
-            trial.phi(pv, z * omega * q**k),
+            qpoch(yw, q, k),
+            qk,
+            qpow(qpoch(qwt, q, k), -1),
+            qpow(qpoch(xw, q, k), -1),
+            qpow(qpoch(q, q, k), -1),
+            trial.phi(pv, zw * qk),
         )
 
     rhs = pref * trial.sum(rhs_term)
@@ -831,12 +844,13 @@ def run_lemma2_psi(rng, config):
     q, alpha, x, lam, t = s["q"], s["alpha"], s["x"], s["lam"], s["t"]
     trial = _Trial(q, config.eps)
     psi = trial.psi(alpha, x)
+    inv_lam, ltq = 1 / lam, lam * t * q
 
     def lhs_term(n):
-        return psi(n), qpoch(1 / lam, q, n), (lam * t * q) ** n, 1 / qpoch(q, q, n)
+        return psi(n), qpoch(inv_lam, q, n), ltq**n, qpow(qpoch(q, q, n), -1)
 
     lhs = trial.sum(lhs_term)
-    pv = ParamVector((1 / lam, 1 / (alpha * x)), (1 / (lam * x * t),))
+    pv = ParamVector((inv_lam, 1 / (alpha * x)), (1 / (lam * x * t),))
     rhs = trial.pinf(x * t * q) / trial.pinf(lam * x * t * q) * trial.phi(pv, alpha * q)
     return [_numeric_result("lemma2-psi", lhs, rhs)]
 
@@ -846,7 +860,7 @@ def _bilinear_lhs(trial, alpha, x, t, other):
     the left side of the bilinear theorem, of its corollary and of (5.2)."""
     q, psi = trial.q, trial.psi(alpha, x)
     return trial.sum(
-        lambda n: (psi(n), other(n), (-1) ** n, q ** binom2(n + 1), t**n, 1 / qpoch(q, q, n))
+        lambda n: (psi(n), other(n), (-1) ** n, q ** binom2(n + 1), t**n, qpow(qpoch(q, q, n), -1))
     )
 
 
@@ -854,18 +868,21 @@ def _thm3_rhs(trial, alpha, x, u, v, z, t, pv):
     """Right side of the bilinear theorem, whose rphis has parameters pv."""
     q = trial.q
     pref = trial.quotient((q / x, u * x * t * q), (alpha * q, v * x * t * q))
+    # the n-sum's upper (a1, a2) and lower (b1, b2) Pochhammer arguments
+    a1, a2, b1, b2 = 1 / (alpha * x), 1 / (u * x * t), q / x, 1 / (v * x * t)
+    c, xzt = alpha * u * q / v, x * z * t
 
     def term(n):
         return (
             (-1) ** n,
             q ** binom2(n),
-            qpoch(1 / (alpha * x), q, n),
-            qpoch(1 / (u * x * t), q, n),
-            1 / qpoch(q / x, q, n),
-            1 / qpoch(1 / (v * x * t), q, n),
-            1 / qpoch(q, q, n),
-            (alpha * u * q / v) ** n,
-            trial.phi(pv, x * z * t * qpow(q, 1 - n)),
+            qpoch(a1, q, n),
+            qpoch(a2, q, n),
+            qpow(qpoch(b1, q, n), -1),
+            qpow(qpoch(b2, q, n), -1),
+            qpow(qpoch(q, q, n), -1),
+            c**n,
+            trial.phi(pv, xzt * qpow(q, 1 - n)),
         )
 
     return pref * trial.sum(term)
@@ -985,23 +1002,23 @@ def run_thm4(rng, config):
     u, v = Fraction(1), lam
     psi = trial.psi(alpha, x)
 
+    qt, inv_ax, aq, xzt = q * t, 1 / (alpha * x), alpha * q, x * z * t
+
     def A(n):
-        return psi(n), (q * t) ** n, 1 / qpoch(q, q, n)
+        return psi(n), qt**n, qpow(qpoch(q, q, n), -1)
 
     @functools.cache
     def B(n):
-        """B(n) of the transformational identity's instantiation."""
+        """B(n) of the transformational identity's instantiation, the sum over
+        k >= n of (1/(alpha x);q)_k (alpha q)^k / (q;q)_k times
+        (q^{-k};q)_n q^{nk} / (q;q)_n: (q^{-k};q)_n vanishes below k = n, and
+        (q^{-k};q)_n q^{nk} / (q;q)_k = (-1)^n q^{binom(n,2)} / (q;q)_{k-n}
+        (Gasper-Rahman (I.10)), the same rational."""
+        c = (-1) ** n * q ** binom2(n) * qpow(qpoch(q, q, n), -1)
 
         def term(j):
-            k = n + j  # (q^{-k};q)_n vanishes below k = n
-            return (
-                qpoch(1 / (alpha * x), q, k),
-                (alpha * q) ** k,
-                1 / qpoch(q, q, k),
-                qpoch(qpow(q, -k), q, n),
-                qpow(q, n * k),
-                1 / qpoch(q, q, n),
-            )
+            k = n + j
+            return qpoch(inv_ax, q, k), aq**k, c, qpow(qpoch(q, q, j), -1)
 
         return trial.sum(term, kmin=4)
 
@@ -1024,9 +1041,7 @@ def run_thm4(rng, config):
 
     # (5.2): the transformed identity; q^{binom(n,2)} (q t)^n = q^{binom(n+1,2)} t^n
     lhs2 = _bilinear_lhs(trial, alpha, x, t, psi_sweep(u, v, z, pv, q))
-    rhs2 = base * trial.sum(
-        lambda n: B(n) * ratio(n) * trial.phi(pv, x * z * t * qpow(q, 1 - n)), kmin=4
-    )
+    rhs2 = base * trial.sum(lambda n: B(n) * ratio(n) * trial.phi(pv, xzt * qpow(q, 1 - n)), kmin=4)
 
     # the transformed identity must reproduce the bilinear theorem
     thm3_rhs = _thm3_rhs(trial, alpha, x, u, v, z, t, pv)

@@ -213,3 +213,30 @@ def test_deep_eps_rows_keep_every_stop_point(suite_id):
     errored = [r.notes for r in reports if r.deviation is None]
     assert errored and all(n.startswith("errored: terms regrew") for n in errored)
     assert row_digest(reports) == DEEP_EPS_DIGESTS[suite_id]
+
+
+#: The trial pool of the `suite-numeric-deep` benchmark workload: pool seeds
+#: 0..n-1 of each suite, one trial each, at order 12 and 160 bits.  Copied
+#: from `bench/workloads.py`, not imported from it.
+BENCH_NUMERIC_POOL = {
+    "lemma2-psi": 12,
+    "thm3-bilinear": 4,
+    "cor1-bilinear-hahn": 2,
+    "thm2-rogers": 1,
+    "thm4-transform": 1,
+}
+BENCH_NUMERIC_POOL_DIGEST = "12a9abe56f009dbc761f67549ab4ce0cb8926330cdd1f06885481f5c78c4cd40"
+
+
+def test_bench_numeric_pool_rows_keep_their_deviations():
+    """The benchmark's own output hash keeps only (id, seed, trial, pass) of
+    these rows; this digest also pins each deviation and note, so a faster
+    numeric path that moved a radius shows here."""
+    reports = [
+        r
+        for sid, n in BENCH_NUMERIC_POOL.items()
+        for seed in range(n)
+        for r in run_suite(sid, RunConfig(trials=1, seed=seed, order=12, epsilon_bits=160))
+    ]
+    assert len(reports) == 21
+    assert row_digest(reports) == BENCH_NUMERIC_POOL_DIGEST

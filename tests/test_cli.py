@@ -238,6 +238,14 @@ def test_expand_rphis_past_the_cap_is_one_error_line(capsys):
 
 PQ = ["--x", "1", "--y", "1/2"]
 
+#: JSON files with one RunConfig field of the wrong type each.
+CONFIGS = pathlib.Path(__file__).parent / "configs"
+
+
+def bad_config(name):
+    return ["check", "--config", str(CONFIGS / f"{name}.json"), "--suite", "euler-pair"]
+
+
 #: (label, argv, environment, exit code) of inputs that once ended in a
 #: traceback or a silent value
 CLI_EDGE_CASES = [
@@ -275,6 +283,21 @@ CLI_EDGE_CASES = [
      ["expand", "gf-psi-lhs", "--q", "1/2", "--x", "1", "--y", "2"], {}, EXIT_USAGE),
     ("expand-gf-psi-rhs-no-x",
      ["expand", "gf-psi-rhs", "--q", "1/2", "--y", "2", "--z", "3"], {}, EXIT_USAGE),
+    ("config-order-float", bad_config("order-float"), {}, EXIT_USAGE),
+    ("config-trials-float", bad_config("trials-float"), {}, EXIT_USAGE),
+    ("config-report-path-int", bad_config("report-path-int"), {}, EXIT_USAGE),
+    ("config-seed-str", bad_config("seed-str"), {}, EXIT_USAGE),
+    ("config-seed-float", bad_config("seed-float"), {}, EXIT_USAGE),
+    ("config-epsilon-bits-bool", bad_config("epsilon-bits-bool"), {}, EXIT_USAGE),
+    ("config-suite-int", ["check", "--config", str(CONFIGS / "suite-int.json")], {}, EXIT_USAGE),
+    ("config-format-int", bad_config("format-int"), {}, EXIT_USAGE),
+    ("x-1e999999", ["eval", "P", "--n", "3", "--q", "1/2", "--x", "1e999999", "--y", "2"],
+     {}, EXIT_USAGE),
+    ("x-1e100000", ["eval", "P", "--n", "3", "--q", "1/2", "--x", "1e100000", "--y", "2"],
+     {}, EXIT_USAGE),
+    ("x-1e-30000", ["eval", "P", "--n", "3", "--q", "1/2", "--x", "1e-30000", "--y", "2"],
+     {}, EXIT_USAGE),
+    ("q-past-the-cap", ["eval", "P", "--n", "3", *PQ, "--q=1/" + "9" * 20000], {}, EXIT_USAGE),
 ]
 
 

@@ -1,6 +1,7 @@
 """Basic hypergeometric series: terminating, formal, numeric regimes."""
 
 import random
+import re
 from fractions import Fraction as F
 from math import prod
 
@@ -367,3 +368,102 @@ def test_rphis_ball_midpoint_is_within_eps_of_the_exact_partial_sum():
         ref = exact_partial_sum(pv, q, z, eps)
         value = mid(rphis_ball(pv, q, z, eps))
         assert abs(value - ref) <= 2 * eps * max(1, abs(ref)), (pv, q, z, eps)
+
+
+def frozen_ratio_bound(pv, q, z, k):
+    """The ratio bound as it was formed in `Fraction`s, one call per k."""
+    Q = abs(q) ** k
+    bound = abs(z) * Q**pv.bracket_exponent / (1 - abs(q) * Q)
+    for a in pv.upper:
+        bound *= 1 + abs(a) * Q
+    for b in pv.lower:
+        if abs(b) * Q >= 1:
+            return None
+        bound /= 1 - abs(b) * Q
+    return bound
+
+
+def frozen_rphis_ball(pv, q, z, eps):
+    """`rphis_ball` with the ratio bound of `frozen_ratio_bound`."""
+    p = hyper.ball_precision(eps)
+    terms = hyper._row_balls(hyper.phi_row(pv, q, 1), z, p)
+    n = terminating_index(pv, q)
+    if n is not None:
+        return sum((next(terms)[1] for _ in range(n + 1)), Ball(0, 0, p))
+    hyper._require_convergent(pv, z)
+    return hyper._sum_ball(
+        lambda k: next(terms)[1], eps, ratio=lambda k: frozen_ratio_bound(pv, q, z, k)
+    )
+
+
+def ratio_bound_cases():
+    """Seeded (pv, q, z) with r <= s+1 and e = 1+s-r in 0..3, q of both signs,
+    z = 0 among them, lower parameters up to 2^30 that leave no bound for the
+    first 20 and more k, and lower parameters q^-m, where |b| |q|^k = 1 at
+    k = m."""
+    rng = random.Random(30)
+
+    def rat(bound):
+        return F(rng.randint(-bound, bound), rng.randint(1, bound))
+
+    cases = []
+    for i in range(120):
+        q = F(rng.randint(1, 15), 16) * rng.choice((1, -1))
+        s = rng.randint(0, 3)
+        r = rng.randint(max(0, s - 2), s + 1)
+        lower = [rat(9) / 10 for _ in range(s)]
+        if s and i % 3 == 0:
+            lower[0] = F(rng.randint(1 << 20, 1 << 30), rng.randint(1, 7)) * rng.choice((1, -1))
+        elif s and i % 7 == 1:
+            lower[-1] = qpow(q, -rng.randint(1, 30))
+        z = F(0) if i % 5 == 0 else rat(9) / 10
+        cases.append((ParamVector(tuple(rat(9) for _ in range(r)), tuple(lower)), q, z))
+    return cases
+
+
+def test_ratio_bounds_equal_the_fraction_bound_at_every_k():
+    """The stepped int bound is the Fraction bound at each k it is asked for,
+    in rising order with repeats and gaps, None included."""
+    nones = exponents = 0
+    for pv, q, z in ratio_bound_cases():
+        bound = hyper._ratio_bounds(pv, q, z)
+        rng = random.Random(str((pv, q, z)))
+        k = 0
+        while k < 120:
+            want = frozen_ratio_bound(pv, q, z, k)
+            assert bound(k) == want, (pv, q, z, k)
+            assert type(bound(k)) is type(want)
+            nones += want is None and k >= 20
+            k += rng.choice((0, 1, 1, 2, 7))
+        exponents |= 1 << pv.bracket_exponent
+    assert nones > 100 and exponents == 0b1111
+
+
+def test_ratio_bounds_refuse_a_falling_k():
+    bound = hyper._ratio_bounds(ParamVector((F(1, 3),), ()), F(1, 2), F(1, 2))
+    bound(5)
+    with pytest.raises(ValueError, match="k=4 after k=5"):
+        bound(4)
+
+
+def test_rphis_ball_equals_the_sum_with_the_fraction_bound():
+    """About 200 seeded sums, terminating ones among them, give the frozen
+    sum's (mid, rad, prec): the bound stops each sum at the same term and
+    adds the same tail."""
+    rng = random.Random(31)
+    cases = [(pv, q, z, F(1, 1 << rng.choice((8, 40, 160)))) for pv, q, z in ratio_bound_cases()]
+    for pv, q, z, eps in cases[:40]:
+        cases.append((ParamVector(pv.upper + (qpow(q, -rng.randint(0, 6)),), pv.lower), q, z, eps))
+    cases += [c for c in rphis_cases() if c[0].r <= c[0].s + 1][:60]
+    summed = 0
+    for pv, q, z, eps in cases:
+        try:
+            want = frozen_rphis_ball(pv, q, z, eps)
+        except (DivergentSeriesError, VanishingPochhammerError, ScalarOverflowError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                rphis_ball(pv, q, z, eps)
+            continue
+        got = rphis_ball(pv, q, z, eps)
+        assert (got.mid, got.rad, got.prec) == (want.mid, want.rad, want.prec), (pv, q, z, eps)
+        summed += 1
+    assert len(cases) >= 200 and summed >= 180

@@ -51,6 +51,14 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(epsilon_bits=1025)
     assert RunConfig(epsilon_bits=10).eps == F(1, 1024)
+    for field, value in [
+        ("order", 2.5), ("trials", 1.5), ("seed", "abc"), ("seed", 1.5),
+        ("epsilon_bits", True), ("trials", None), ("suite", 5), ("format", 3),
+        ("report_path", 1),
+    ]:
+        with pytest.raises(TypeError, match=field):
+            RunConfig(**{field: value})
+    assert RunConfig(report_path=None, seed=-3).report_path is None
 
 
 def test_derive_seed_stable_and_distinct():
@@ -593,3 +601,30 @@ def test_rogers_szego_recurrence_equals_the_defining_sum(q):
                 F(0),
             )
             assert inner(m) == want, (t, omega, m)
+
+
+@pytest.mark.parametrize(
+    "suite_id", ["lemma2-psi", "thm3-bilinear", "cor1-bilinear-hahn", "thm4-transform"]
+)
+def test_a_zero_divisor_qpoch_still_ends_as_the_errored_row(monkeypatch, suite_id):
+    """With (q;q)_2 patched to 0, the outer sum's divisor 1/(q;q)_2 raises
+    ZeroDivisionError('Fraction(1, 0)'), as 1 / Fraction(0) does, and the
+    trial becomes the same errored row."""
+    real = verify.qpoch
+
+    def qpoch(a, q, n):
+        return F(0) if a == q and n == 2 else real(a, q, n)
+
+    monkeypatch.setattr(verify, "qpoch", qpoch)
+    (row,) = verify.run_suite(suite_id, RunConfig(trials=1, seed=3, epsilon_bits=80))
+    assert (row.passed, row.deviation, row.notes) == (False, None, "errored: Fraction(1, 0)")
+
+
+@pytest.mark.parametrize("q", [F(1, 2), F(-2, 3), F(5, 9)])
+def test_thm4_B_reads_the_closed_form_of_its_factors(q):
+    """(q^{-k};q)_n q^{nk} / (q;q)_k is (-1)^n q^{binom(n,2)} / (q;q)_{k-n}
+    for k >= n (Gasper-Rahman (I.10)), the same Fraction."""
+    for n in range(12):
+        for k in range(n, n + 15):
+            old = qpoch(qpow(q, -k), q, n) * qpow(q, n * k) / qpoch(q, q, k)
+            assert old == (-1) ** n * qpow(q, n * (n - 1) // 2) / qpoch(q, q, k - n)
