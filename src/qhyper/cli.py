@@ -29,7 +29,7 @@ from .families import (
 )
 from .hyper import DivergentSeriesError, rphis_series_in_t
 from .report import TSV_FIELDS, IdentityReport, _any_int_digits
-from .scalars import MAX_SCALAR_BITS, RootOfUnityError, ScalarOverflowError
+from .scalars import MAX_SCALAR_BITS, RootOfUnityError, ScalarOverflowError, binom2
 from .series import (
     cauchy_ratio_series,
     euler_inverse_series,
@@ -60,6 +60,11 @@ class CliError(Exception):
     pass
 
 
+def _bits(r: Fraction) -> int:
+    """h(r): the larger bit length of r's numerator and denominator."""
+    return max(r.numerator.bit_length(), r.denominator.bit_length())
+
+
 def parse_rat(text: str) -> Fraction:
     """The rational `text` spells for `Fraction`, with a numerator and a
     denominator of at most `MAX_SCALAR_BITS` bits.
@@ -77,7 +82,7 @@ def parse_rat(text: str) -> Fraction:
         value = None if huge else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"not a rational: {text!r} ({exc})")
-    if huge or max(value.numerator.bit_length(), value.denominator.bit_length()) > MAX_SCALAR_BITS:
+    if huge or _bits(value) > MAX_SCALAR_BITS:
         shown = text if len(text) <= 40 else text[:37] + "..."
         raise CliError(f"rational {shown!r} exceeds {MAX_SCALAR_BITS} bits")
     return value
@@ -219,7 +224,13 @@ def cmd_eval(args) -> int:
     family = args.family
     need = lambda name: _require(args, name, f"family {family!r}")
     if family == "P":
-        value = cauchy_P(n, need("x"), need("y"), q)
+        x, y = need("x"), need("y")
+        # P_n = prod_{j<n} (x - y q^j) has at most this many bits in its
+        # numerator and denominator; `cauchy_P` is uncapped, so bound it here
+        bits = n * (_bits(x) + _bits(y) + 1) + binom2(n) * _bits(q)
+        if bits > MAX_SCALAR_BITS:
+            raise CliError(f"P_{n} may need {bits} bits, past the cap of {MAX_SCALAR_BITS}")
+        value = cauchy_P(n, x, y, q)
     elif family == "phi_asc":
         value = asc_phi(n, need("a1"), need("x"), q)
     elif family == "psi_asc":
@@ -302,11 +313,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    check = sub.add_parser("check", help="run identity-verification suites")
+    check = sub.add_parser(
+        "check",
+        help="run identity-verification suites",
+        description="Run identity suites.  A formal or exact row passes when its two sides are"
+        " equal; a numeric row passes when the proven upper bound on |lhs - rhs| is at most"
+        " tol times max(1, a lower bound on |lhs|), with tol = min(2^-40, 2^-(B - 16)) at"
+        " B = --epsilon-bits, up to the truncation of the outer sums.",
+    )
     check.add_argument("--suite", default=None, help="suite id or 'all'")
     check.add_argument("--trials", type=int, default=None)
     check.add_argument("--order", type=int, default=None, help="series truncation order N")
-    check.add_argument("--epsilon-bits", dest="epsilon_bits", type=int, default=None)
+    check.add_argument(
+        "--epsilon-bits", dest="epsilon_bits", type=int, default=None,
+        help="numeric precision B in 1..1024 (default 80): sums run to 2^-B",
+    )
     check.add_argument("--seed", type=int, default=None)
     check.add_argument("--report-path", dest="report_path", default=None)
     check.add_argument("--format", choices=("json", "tsv", "human"), default=None)
@@ -324,7 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--a5": "a5",
     }
 
-    evalp = sub.add_parser("eval", help="evaluate one polynomial family exactly")
+    evalp = sub.add_parser(
+        "eval",
+        help="evaluate one polynomial family exactly",
+        description="Evaluate one polynomial family exactly.  Every rational argument and"
+        f" value is capped at {MAX_SCALAR_BITS} bits; P exits 2 when n (h(x) + h(y) + 1)"
+        " + C(n,2) h(q), with h the larger bit length of a rational's numerator and"
+        " denominator, passes that cap.",
+    )
     evalp.add_argument(
         "family",
         choices=(

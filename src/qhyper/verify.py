@@ -8,11 +8,11 @@ compare balls (`scalars.Ball`: an integer midpoint and radius on the grid
 returns plain (id, deviation, scale, notes) rows, and one rule, applied in
 `run_suite` alone, turns a row into a verdict: the row passes when
 deviation <= tol * scale, with tol = 0 in formal and exact mode (the deviation
-must vanish) and tol = NUMERIC_TOLERANCE = 2^-40 in numeric mode.  In formal
-and exact mode the deviation is the exact |lhs - rhs| and scale is 1; in
-numeric mode the deviation is the upper bound |m_l - m_r| + r_l + r_r of
-|lhs - rhs| over the two balls and scale = max(1, |m_l| - r_l), the lower
-bound of |lhs|, both dyadic rationals.
+must vanish) and tol = min(2^-40, 2^-(B - 16)) at B = epsilon_bits in numeric
+mode (`RunConfig.numeric_tol`).  In formal and exact mode the deviation is the
+exact |lhs - rhs| and scale is 1; in numeric mode the deviation is the upper
+bound |m_l - m_r| + r_l + r_r of |lhs - rhs| over the two balls and scale =
+max(1, |m_l| - r_l), the lower bound of |lhs|, both dyadic rationals.
 
 A numeric trial reads its primitives through one `_Trial(q, eps)`: the
 (c;q)_inf values, their quotients and the numeric rphis values, each formed
@@ -32,17 +32,24 @@ the tails of the (c;q)_inf products and the tails of the rphis sums, so each
 ball holds the true value of its part.  It does not cover the truncation of
 the outer sums, whose terms decay and then regrow for the asymptotic series:
 those keep the two-small-terms rule.  A numeric pass therefore says that the
-upper bound on |lhs - rhs| is at most 2^-40 times the lower bound of the
-scale, up to that outer truncation.  Every exact value is checked against the
-fixed `MAX_SCALAR_BITS`; a ball carries about p bits plus those of its
-magnitude and needs no cap.
+upper bound on |lhs - rhs| is at most tol times the lower bound of the scale,
+up to that outer truncation: B - 16 bits relative for B >= 56, and 40 bits
+below that.  Every exact value is checked against the fixed `MAX_SCALAR_BITS`;
+a ball carries about p bits plus those of its magnitude and needs no cap.
 
 Several of the bilinear series (the ones pairing the degree-lowering
 polynomial family with the one-parameter psi family) are asymptotic rather
 than classically convergent: their terms first decay below any threshold and
 eventually regrow.  The samplers for those suites draw deliberately small
 parameter magnitudes so the decaying regime reaches the truncation threshold
-with room to spare; the comparison then lands far inside the 2^-40 tolerance.
+with room to spare; the comparison then lands far inside the tolerance.
+
+Samples are drawn by rejection under one rule, `vanishes`: (c;q)_n and
+(c;q)_inf are 0 exactly when c = q^{-m}.  Each suite declares to `avoiding` the
+c of every factor its formula divides by, as the formula writes it (q/x,
+1/(v x t), alpha q for (alpha q;q)_inf), and any other condition it needs
+(Theorem 3's u != v).  No sampler draws a 0, and each band keeps its sums
+convergent, so no suite tests for either.
 """
 
 from __future__ import annotations
@@ -103,9 +110,6 @@ from .series import (
     qpoch_poly_series,
 )
 
-NUMERIC_TOLERANCE = Fraction(1, 1 << 40)
-
-
 @dataclass
 class RunConfig:
     suite: str = "all"
@@ -137,6 +141,12 @@ class RunConfig:
     @property
     def eps(self) -> Fraction:
         return Fraction(1, 1 << self.epsilon_bits)
+
+    @property
+    def numeric_tol(self) -> Fraction:
+        """min(2^-40, 2^-(B - 16)) at B = epsilon_bits: a true row lands within
+        about 8 bits of 2^-B, so 16 bits of slack keep it inside."""
+        return Fraction(1, 1 << max(40, self.epsilon_bits - 16))
 
 
 # ---------------------------------------------------------------------------
@@ -211,17 +221,37 @@ def rand_tiny(rng: random.Random, signed=False) -> Fraction:
     return v
 
 
-def is_q_power(x: Fraction, q: Fraction, limit: int = 120) -> bool:
-    """True when x = q^m for some 1 <= m <= limit (denominator hazards); the
-    walk stops once |q^m| is past |x|, where |q| != 1 keeps every later power."""
+VANISH_LIMIT = 120  # the largest m of c = q^{-m} that `vanishes` tests
+
+
+def is_q_power(x: Fraction, q: Fraction) -> bool:
+    """True when x = q^m for some 1 <= m <= VANISH_LIMIT; the walk stops once
+    |q^m| is past |x|, where |q| != 1 keeps every later power."""
     p, ax, shrinking, growing = q, abs(x), abs(q) < 1, abs(q) > 1
-    for _ in range(limit):
+    for _ in range(VANISH_LIMIT):
         if x == p:
             return True
         if (shrinking and abs(p) < ax) or (growing and abs(p) > ax):
             return False
         p *= q
     return False
+
+
+def vanishes(c: Fraction, q: Fraction) -> bool:
+    """True when c = q^{-m}, 0 <= m <= VANISH_LIMIT, where (c;q)_n = 0 for n > m
+    and (c;q)_inf = 0 (Gasper-Rahman 1.2); c is never 0, as no sampler draws 0."""
+    return c == 1 or is_q_power(1 / c, q)
+
+
+def avoiding(factors: Callable[..., tuple], keep: Callable[..., bool] = lambda **_: True):
+    """`resample`'s ok for a formula that divides by (c;q)_n or (c;q)_inf for each
+    c of factors(**sample) and needs keep(**sample); a test reads ok.factors."""
+
+    def ok(sample: dict) -> bool:
+        return not any(vanishes(c, sample["q"]) for c in factors(**sample)) and keep(**sample)
+
+    ok.factors = factors
+    return ok
 
 
 def rand_pv(rng: random.Random, r: int, s: int) -> ParamVector:
@@ -238,23 +268,14 @@ def rand_pv(rng: random.Random, r: int, s: int) -> ParamVector:
 
 
 def sample_reduction_params(rng: random.Random) -> tuple[dict, Rat]:
-    """Generic rational parameters for the reduction checks."""
+    """Generic rational parameters for the reduction checks, whose lower
+    parameters are c, d and e.  As |c| <= 64 and q is in [1/4, 3/4], c = q^{-m}
+    needs den(q)^m <= 64, so m <= 6, below N_MAX and VANISH_LIMIT alike."""
     q = rand_q(rng)
-    while True:
-        sample = {name: rand_rat(rng) for name in "abcdexyz"}
-        if sample["x"] == 0 or sample["a"] == 0:
-            continue
-        if sample["x"] == sample["y"]:
-            continue
-        # lower-parameter symbols must stay clear of q^{-j} for j < N_MAX,
-        # where (v;q)_{j+1} vanishes; rand_rat draws up to 64 in magnitude,
-        # so v = q^{-j} with j >= 1 does occur
-        if any(
-            sample[k] == 1 or is_q_power(1 / sample[k], q, reductions.N_MAX - 1)
-            for k in "cde"
-        ):
-            continue
-        return sample, q
+    ok = avoiding(lambda c, d, e, **_: (c, d, e), keep=lambda x, y, **_: x != y)
+    sample = resample(rng, lambda: {"q": q, **{k: rand_rat(rng) for k in "abcdexyz"}}, ok)
+    del sample["q"]
+    return sample, q
 
 
 def resample(rng: random.Random, draw: Callable[[], dict], ok: Callable[[dict], bool]) -> dict:
@@ -322,12 +343,9 @@ def _scalar_ratio(x0: Rat, y0: Rat, q: Rat, order: int) -> TruncSeries:
 
 @suite("shift-identity", "exact")
 def run_shift_identity(rng, config):
-    def draw():
-        return {"a": rand_rat(rng), "q": rand_q(rng)}
-
-    s = resample(rng, draw, lambda d: d["a"] != 0)
-    dev = max_deviation(qpoch_shift(s["a"], s["q"], n) for n in range(21))
-    return [("shift-identity", dev, Fraction(1), f"a={s['a']} q={s['q']} n<=20")]
+    a, q = rand_rat(rng), rand_q(rng)
+    dev = max_deviation(qpoch_shift(a, q, n) for n in range(21))
+    return [("shift-identity", dev, Fraction(1), f"a={a} q={q} n<=20")]
 
 
 @suite("euler-pair", "formal")
@@ -361,11 +379,7 @@ def run_cauchy_gf(rng, config):
 
 @suite("cauchy-sa-gf", "formal")
 def run_cauchy_sa_gf(rng, config):
-    def draw():
-        return {"q": rand_q(rng), "x": rand_rat(rng), "y": rand_rat(rng), "lam": rand_rat(rng)}
-
-    s = resample(rng, draw, lambda d: d["x"] != 0)
-    q, x, y, lam = s["q"], s["x"], s["y"], s["lam"]
+    q, x, y, lam = rand_q(rng), rand_rat(rng), rand_rat(rng), rand_rat(rng)
     N = config.order
     lhs = q_exp_series(lambda n: cauchy_P(n, x, y, q) * qpoch(lam, q, n), q, N)
     rhs = rphis_series_in_t(ParamVector((lam, y / x), (Fraction(0),)), q, x, N)
@@ -383,7 +397,7 @@ def _cao_sample(rng):
             "y": rand_rat(rng, 8),
         }
 
-    return resample(rng, draw, lambda d: abs(d["c"]) < 1 and d["c"] != 1)
+    return resample(rng, draw, lambda d: abs(d["c"]) < 1)
 
 
 def _cao_gf_suite(id: str, family, weight, factor):
@@ -599,16 +613,7 @@ def run_theta_eigen(rng, config):
 
 @suite("lemma2-phi", "formal")
 def run_lemma2_phi(rng, config):
-    def draw():
-        return {
-            "q": rand_q(rng),
-            "alpha": rand_rat(rng, 8),
-            "lam": rand_rat(rng, 8),
-            "x": rand_rat(rng, 8),
-        }
-
-    s = resample(rng, draw, lambda d: d["lam"] != 0)
-    q, alpha, lam, x = s["q"], s["alpha"], s["lam"], s["x"]
+    q, alpha, lam, x = rand_q(rng), rand_rat(rng, 8), rand_rat(rng, 8), rand_rat(rng, 8)
     N = config.order
     lhs = q_exp_series(lambda n: asc_phi(n, alpha, x, q) * qpoch(lam, q, n), q, N)
     # (lam t;q)_inf/(t;q)_inf times the 2-phi-1 whose lower parameter is the
@@ -629,9 +634,7 @@ def _chu_sample(rng):
     def draw():
         return {"q": rand_q(rng), "a": rand_rat(rng, 8), "c": rand_rat(rng, 8)}
 
-    s = resample(
-        rng, draw, lambda d: d["a"] != 0 and d["c"] != 1 and abs(d["c"]) < 1
-    )
+    s = resample(rng, draw, lambda d: abs(d["c"]) < 1)
     return s["q"], s["a"], s["c"]
 
 
@@ -782,13 +785,8 @@ def run_thm2(rng, config):
             "t": omega * ratio * rng.choice((1, -1)),
         }
 
-    def ok(d):
-        if d["pv"].r > d["pv"].s + 1:
-            return False
-        # (q omega/t;q)_k sits in a denominator: omega/t must avoid q^{-m}
-        ratio = d["t"] / d["omega"]
-        return not is_q_power(ratio, d["q"]) and abs(d["y"] * d["omega"]) <= Fraction(15, 16)
-
+    # (t/omega;q)_inf, (y omega;q)_inf, (q omega/t;q)_k and (x omega;q)_k
+    ok = avoiding(lambda q, x, y, omega, t, **_: (t / omega, y * omega, q * omega / t, x * omega))
     s = resample(rng, draw, ok)
     pv, q, x, y, z = s["pv"], s["q"], s["x"], s["y"], s["z"]
     t, omega = s["t"], s["omega"]
@@ -818,7 +816,8 @@ def run_thm2(rng, config):
     return [_numeric_result("thm2-rogers", lhs, rhs, f"r={pv.r} s={pv.s}")]
 
 
-def _lemma2_psi_sample(rng):
+@suite("lemma2-psi", "numeric")
+def run_lemma2_psi(rng, config):
     def draw():
         return {
             "q": rand_q_asym(rng),
@@ -828,19 +827,9 @@ def _lemma2_psi_sample(rng):
             "t": rand_tiny(rng, signed=True),
         }
 
-    def ok(d):
-        if 0 in (d["alpha"], d["x"], d["lam"], d["t"]):
-            return False
-        lxt = d["lam"] * d["x"] * d["t"]
-        # 1/(lam x t) is a lower parameter: reject q-power collisions
-        return not is_q_power(lxt, d["q"])
-
-    return resample(rng, draw, ok)
-
-
-@suite("lemma2-psi", "numeric")
-def run_lemma2_psi(rng, config):
-    s = _lemma2_psi_sample(rng)
+    # (lam x t q;q)_inf and the lower parameter 1/(lam x t)
+    ok = avoiding(lambda q, lam, x, t, **_: (lam * x * t * q, 1 / (lam * x * t)))
+    s = resample(rng, draw, ok)
     q, alpha, x, lam, t = s["q"], s["alpha"], s["x"], s["lam"], s["t"]
     trial = _Trial(q, config.eps)
     psi = trial.psi(alpha, x)
@@ -888,7 +877,8 @@ def _thm3_rhs(trial, alpha, x, u, v, z, t, pv):
     return pref * trial.sum(term)
 
 
-def _thm3_sample(rng):
+@suite("thm3-bilinear", "numeric")
+def run_thm3(rng, config):
     def draw():
         s_ = rng.randint(0, 3)
         r = rng.randint(0, s_)
@@ -903,21 +893,12 @@ def _thm3_sample(rng):
             "z": rand_in(rng, Fraction(1, 8), Fraction(1, 2), signed=True),
         }
 
-    def ok(d):
-        vals = (d["alpha"], d["x"], d["u"], d["v"], d["t"])
-        if 0 in vals or d["u"] == d["v"]:
-            return False
-        # lower-parameter hazards: (q/x;q)_n and (1/(v x t);q)_n
-        if is_q_power(d["x"], d["q"]) or is_q_power(d["v"] * d["x"] * d["t"], d["q"]):
-            return False
-        return True
-
-    return resample(rng, draw, ok)
-
-
-@suite("thm3-bilinear", "numeric")
-def run_thm3(rng, config):
-    s = _thm3_sample(rng)
+    # (alpha q;q)_inf, (v x t q;q)_inf, (q/x;q)_n and (1/(v x t);q)_n
+    ok = avoiding(
+        lambda q, alpha, x, v, t, **_: (alpha * q, v * x * t * q, q / x, 1 / (v * x * t)),
+        keep=lambda u, v, **_: u != v,
+    )
+    s = resample(rng, draw, ok)
     pv, q = s["pv"], s["q"]
     alpha, x, u, v, t, z = s["alpha"], s["x"], s["u"], s["v"], s["t"], s["z"]
     trial = _Trial(q, config.eps)
@@ -938,15 +919,9 @@ def run_cor1(rng, config):
             "t": rand_tiny(rng, signed=True),
         }
 
-    def ok(d):
-        if 0 in (d["alpha"], d["a"], d["x"], d["y"], d["t"]):
-            return False
-        if is_q_power(d["x"], d["q"]):
-            return False
-        if is_q_power(d["a"] * d["x"] * d["y"] * d["t"], d["q"]):
-            return False
-        return abs(d["alpha"] * d["x"] * d["t"] * d["q"] / d["a"]) < Fraction(15, 16)
-
+    # (alpha q;q)_inf, (a x y t q;q)_inf, (q/x;q)_n and (1/(a x y t);q)_n
+    ok = avoiding(lambda q, alpha, a, x, y, t, **_: (
+        alpha * q, a * x * y * t * q, q / x, 1 / (a * x * y * t)))
     s = resample(rng, draw, ok)
     q, alpha, a, x, y, t = s["q"], s["alpha"], s["a"], s["x"], s["y"], s["t"]
     trial = _Trial(q, config.eps)
@@ -985,16 +960,10 @@ def run_thm4(rng, config):
             "z": rand_in(rng, Fraction(1, 8), Fraction(1, 2), signed=True),
         }
 
-    def ok(d):
-        if 0 in (d["alpha"], d["x"], d["lam"], d["t"]):
-            return False
-        # (q/x;q)_n of the bilinear cross-check and the ratio denominators
-        # (x v t q^{1-n};q)_inf with u=1, v=lam must not vanish, nor may the
-        # numerator products hit exact zeros
-        return not any(
-            is_q_power(c, d["q"]) for c in (d["x"], d["x"] * d["lam"] * d["t"], d["x"] * d["t"])
-        )
-
+    # (alpha q;q)_inf, (x lam t q;q)_inf, (q/x;q)_n, (1/(x lam t);q)_n, and the
+    # numerator (1/(x t);q)_n: not a divisor, rejected so every pinned sample stays
+    ok = avoiding(lambda q, alpha, x, lam, t, **_: (
+        alpha * q, x * lam * t * q, q / x, 1 / (x * lam * t), 1 / (x * t)))
     s = resample(rng, draw, ok)
     pv, q = s["pv"], s["q"]
     alpha, x, lam, t, z = s["alpha"], s["x"], s["lam"], s["t"], s["z"]
@@ -1083,7 +1052,7 @@ def run_suite(suite_id: str, config: RunConfig) -> list[IdentityReport]:
         raise KeyError(suite_id)
     sdef = SUITES[suite_id]
     reports: list[IdentityReport] = []
-    tol = NUMERIC_TOLERANCE if sdef.mode == "numeric" else 0
+    tol = config.numeric_tol if sdef.mode == "numeric" else 0
     for trial in range(config.trials):
         seed = derive_seed(config.seed, suite_id, trial)
         rng = random.Random(seed)

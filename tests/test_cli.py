@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import types
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ import pytest
 from qhyper import cli
 from qhyper.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, build_parser, main
 from qhyper.hyper import DivergentSeriesError
+from qhyper.report import _any_int_digits
 from qhyper.verify import SUITES, RunConfig, run_suite
 
 REPORT_FIELDS = {"id", "mode", "seed", "trial", "pass", "deviation_num", "deviation_den", "notes"}
@@ -315,6 +317,25 @@ def test_cli_edge_cases_keep_the_exit_code_contract(argv, env, expected, capsys,
     else:  # a value outside the float range is printed exactly, without " = "
         assert err == ""
         assert " = " not in out and abs(Fraction(out.strip())) > 1e308
+
+
+def test_eval_P_refuses_a_product_past_the_bit_cap_before_forming_it(capsys):
+    """P_n(x, y) has at most n (h(x) + h(y) + 1) + C(n,2) h(q) bits, h the
+    larger bit length of numerator and denominator.  At q = 1/2, y = 2 and
+    n = 128 that bound is 128 (h(x) + 3) + 16256: h(x) = 382 reaches the cap
+    of 65536 and is evaluated, h(x) = 383 and x = 1e5000 exit 2 at once."""
+    argv = ["eval", "P", "--n", "128", "--q", "1/2", "--y", "2", "--x"]
+    code, out, err = run(argv + [str(2**381)], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    with _any_int_digits():
+        value = Fraction(out.split(" ")[0])
+    assert max(value.numerator.bit_length(), value.denominator.bit_length()) <= 65536
+    for x in (str(2**382), "1e5000"):
+        start = time.perf_counter()
+        code, out, err = run(argv + [x], capsys)
+        assert time.perf_counter() - start < 1, x
+        assert (code, out) == (EXIT_USAGE, "") and err.count("\n") == 1, x
+        assert err.startswith("error: P_128 may need ") and err.endswith("past the cap of 65536\n")
 
 
 def test_importing_qhyper_keeps_the_int_digit_limit():

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qhyper import families, hyper, operators, verify
+from qhyper import families, hyper, operators, scalars, verify
 from qhyper.families import ParamVector
 from qhyper.hyper import DivergentSeriesError, rphis_series_in_t
 from qhyper.scalars import check_magnitude, qpoch, qpoch_inf, qpow
@@ -20,7 +20,6 @@ from qhyper.series import (
     qpoch_poly_series,
 )
 from qhyper.verify import (
-    NUMERIC_TOLERANCE,
     RunConfig,
     SUITES,
     derive_seed,
@@ -29,10 +28,12 @@ from qhyper.verify import (
     rand_in,
     rand_pv,
     rand_q,
+    rand_rat,
     rand_small,
     rand_tiny,
     run_suite,
     truncated_sum,
+    vanishes,
 )
 
 
@@ -79,6 +80,8 @@ def test_samplers_respect_ranges():
         assert F(1, 64) <= s <= F(1, 40)
         t = rand_tiny(rng, signed=True)
         assert F(1, 4096) <= abs(t) <= F(1, 1600)
+        r = rand_rat(rng)
+        assert r != 0 and abs(r.numerator) <= 64 and r.denominator <= 64
 
 
 def fraction_rand_in(rng, lo, hi, signed=False):
@@ -118,6 +121,8 @@ def test_is_q_power():
     assert is_q_power(F(1, 8), q)
     assert not is_q_power(F(1, 3), q)
     assert not is_q_power(F(2), q)
+    assert vanishes(F(1), q) and vanishes(F(8), q) and vanishes(F(2**120), q)
+    assert not any(vanishes(c, q) for c in (F(1, 8), F(3), F(-8), F(2**121)))
 
 
 def full_walk_is_q_power(x, q, limit=120):
@@ -126,7 +131,7 @@ def full_walk_is_q_power(x, q, limit=120):
 
 def test_is_q_power_gives_the_full_walks_answer():
     """The walk that stops once |q^m| is past |x| answers as the walk over
-    every m <= limit, on negative q, |q| > 1, q = 0, +-1 and x = 0, 1, -1."""
+    every m <= 120, on negative q, |q| > 1, q = 0, +-1 and x = 0, 1, -1."""
     rng = random.Random(26)
     qs = [F(1, 2), F(-2, 3), F(63, 64), F(-1, 9), F(3, 2), F(-5, 2), F(0), F(1), F(-1)]
     qs += [verify.rand_rat(rng) for _ in range(6)]
@@ -135,8 +140,7 @@ def test_is_q_power_gives_the_full_walks_answer():
         xs += [sign * q**m for m in (1, 2, 7, 8, 9, 119, 120, 121) for sign in (1, -1)]
         xs += [verify.rand_rat(rng) for _ in range(6)]
         for x in xs:
-            for limit in (8, 120):
-                assert is_q_power(x, q, limit) == full_walk_is_q_power(x, q, limit), (x, q, limit)
+            assert is_q_power(x, q) == full_walk_is_q_power(x, q), (x, q)
 
 
 def test_truncated_sum_geometric():
@@ -213,8 +217,12 @@ def test_seed_changes_samples_not_verdicts():
 
 def test_one_pass_rule_for_every_mode(monkeypatch):
     """A row passes when deviation <= tol * scale: tol is 0 in formal and
-    exact mode and NUMERIC_TOLERANCE in numeric mode."""
-    tol = NUMERIC_TOLERANCE
+    exact mode and the config's numeric_tol, min(2^-40, 2^-(B - 16)) at
+    B = epsilon_bits, in numeric mode."""
+    tols = {b: RunConfig(epsilon_bits=b).numeric_tol for b in (1, 16, 40, 56, 57, 80, 160, 1024)}
+    assert tols == {b: F(1, 1 << max(40, b - 16)) for b in tols}
+    config = RunConfig(trials=1)
+    tol = config.numeric_tol
     rows = [
         ("zero", F(0), F(1), ""),
         ("at-tol", tol * 4, F(4), ""),
@@ -223,7 +231,7 @@ def test_one_pass_rule_for_every_mode(monkeypatch):
     verdicts = {}
     for sid in ("euler-pair", "shift-identity", "lemma2-psi"):
         monkeypatch.setattr(SUITES[sid], "runner", lambda rng, config: rows)
-        reports = run_suite(sid, RunConfig(trials=1))
+        reports = run_suite(sid, config)
         verdicts[SUITES[sid].mode] = {r.id: r.passed for r in reports}
     assert verdicts["formal"] == verdicts["exact"] == {
         "zero": True, "at-tol": False, "above-tol": False
@@ -403,8 +411,8 @@ def test_thm2_gap_does_not_follow_eps(monkeypatch):
     draws; widening that band to [1/5, 1/4] is the only change.  The gap
     (about 2^-46.3) is far above eps at 80 and at 160 bits, and the same at
     both, so it is a property of the single-sum side, not of the truncation.
-    It is still below the 2^-40 tolerance, so the row passes: that pass is
-    the finding this test pins.
+    The numeric tol follows epsilon_bits (2^-64 at 80 bits, 2^-144 at 160),
+    so the row fails at both: the negative control of the one-term reading.
     """
     monkeypatch.setattr(
         verify, "rand_small", lambda rng, signed=False: rand_in(rng, F(1, 5), F(1, 4), signed)
@@ -412,7 +420,7 @@ def test_thm2_gap_does_not_follow_eps(monkeypatch):
     gaps = []
     for bits in (80, 160):
         (row,) = run_suite("thm2-rogers", RunConfig(trials=1, seed=42, epsilon_bits=bits))
-        assert row.passed and row.deviation > F(1, 1 << 80), bits
+        assert not row.passed and row.deviation > F(1, 1 << 80), bits
         gaps.append(math.log2(row.deviation.numerator) - math.log2(row.deviation.denominator))
     assert abs(gaps[0] - gaps[1]) < 0.01, gaps
 
@@ -528,36 +536,75 @@ def test_lemma1_c_forms_each_operator_coefficient_and_j_term_once(monkeypatch):
     assert len(logs["rphis_series_in_t"]) == 4 and len(logs["qpoch_poly_series"]) == 8
 
 
-#: Per numeric suite, the c of every divisor (c q^j; q)_n or 1 - c q^{-j}
-#: of an outer term, as a function of the drawn sample: (q omega/t;q)_k,
-#: (q/x;q)_n and (1/(v x t);q)_n at the suites' u and v, and thm4's ratio.
-DIVISOR_HAZARDS = {
-    "thm2-rogers": lambda s: [s["t"] / s["omega"]],
-    "thm3-bilinear": lambda s: [s["x"], s["v"] * s["x"] * s["t"]],
-    "cor1-bilinear-hahn": lambda s: [s["x"], s["a"] * s["x"] * s["y"] * s["t"]],
-    "thm4-transform": lambda s: [s["lam"] * s["x"] * s["t"]],
-}
+NUMERIC_SUITES = sorted(sid for sid, sdef in SUITES.items() if sdef.mode == "numeric")
 
 
-@pytest.mark.parametrize("suite_id", sorted(DIVISOR_HAZARDS))
+@pytest.mark.parametrize("suite_id", NUMERIC_SUITES)
 def test_numeric_samplers_rule_out_every_zero_divisor(monkeypatch, suite_id):
-    """An outer term writes its divisors as 1 / x, which is safe only if no
-    x is 0 at any n: each hazard c has 0 < |c| < 1, is_q_power rejects
-    c = q^m for m <= 120, and |q|^121 < |c| leaves no larger m."""
-    samples, resample = [], verify.resample
+    """Every divisor a numeric trial reaches is a factor its sampler declares
+    to `avoiding`, is q, or is a lower parameter of a `rand_pv` (|b| < 1): the
+    c of each (c;q)_n that `qpow` raises to -1, of each (c;q)_inf ball that a
+    ball is divided by, and each lower parameter of a `phi_row`.  Each declared
+    factor is reached too, but for thm4's numerator 1/(x t).  No declared c
+    reaches |q|^-121 in 200 samples, so `vanishes`' walk to m = 120 leaves no
+    larger m."""
+    declared, reached, balls, last_qpoch = [], set(), {}, [None, None]
+    resample, qpoch, qpow = verify.resample, verify.qpoch, verify.qpow
 
-    def record(rng, draw, ok):
-        samples.append(resample(rng, draw, ok))
+    def first_sample(rng, draw, ok):
+        declared.append((resample(rng, draw, ok), ok.factors))
         raise RuntimeError("sample recorded")
 
-    monkeypatch.setattr(verify, "resample", record)
-    run_suite(suite_id, RunConfig(trials=200, seed=11))
-    assert len(samples) == 200
-    for s in samples:
-        q = s["q"]
-        for c in DIVISOR_HAZARDS[suite_id](s):
-            assert 0 < abs(c) < 1 and abs(q) ** 121 < abs(c), (suite_id, s)
-            assert not is_q_power(c, q), (suite_id, s)
+    with monkeypatch.context() as m:
+        m.setattr(verify, "resample", first_sample)
+        run_suite(suite_id, RunConfig(trials=200, seed=11))
+    assert len(declared) == 200
+    for s, factors in declared:
+        assert all(abs(c * s["q"] ** 121) < 1 for c in factors(**s)), s
+    qpoch_inf_ball, phi_row, divide = verify.qpoch_inf_ball, verify.phi_row, scalars.Ball.__truediv__
+
+    def spy_resample(rng, draw, ok):
+        sample = resample(rng, draw, ok)
+        declared.append((sample, set(ok.factors(**sample))))
+        return sample
+
+    def spy_qpoch(a, q, n):
+        last_qpoch[:] = a, qpoch(a, q, n)
+        return last_qpoch[1]
+
+    def spy_qpow(x, e):
+        if e == -1 and x is last_qpoch[1]:
+            reached.add(last_qpoch[0])
+        return qpow(x, e)
+
+    def spy_qpoch_inf_ball(c, q, eps):
+        ball = qpoch_inf_ball(c, q, eps)
+        balls[id(ball)] = c, ball
+        return ball
+
+    def spy_divide(ball, other):
+        if id(other) in balls:
+            reached.add(balls[id(other)][0])
+        return divide(ball, other)
+
+    def spy_phi_row(pv, q, z):
+        reached.update(pv.lower)
+        return phi_row(pv, q, z)
+
+    for name, spy in [("resample", spy_resample), ("qpoch", spy_qpoch), ("qpow", spy_qpow),
+                      ("qpoch_inf_ball", spy_qpoch_inf_ball), ("phi_row", spy_phi_row)]:
+        monkeypatch.setattr(verify, name, spy)
+    monkeypatch.setattr(scalars.Ball, "__truediv__", spy_divide)
+    for seed in range(3):
+        declared.clear()
+        reached.clear()
+        assert all(r.passed for r in run_suite(suite_id, RunConfig(trials=1, seed=seed)))
+        ((s, factors),) = declared
+        lower = set(s["pv"].lower) if "pv" in s else set()
+        assert all(abs(b) < 1 for b in lower)
+        assert reached - factors - lower - {s["q"]} == set(), (seed, s)
+        numerators = {1 / (s["x"] * s["t"])} if suite_id == "thm4-transform" else set()
+        assert factors - reached == numerators, (seed, s)
 
 
 def test_thm4_redraws_x_a_power_of_q(monkeypatch):
