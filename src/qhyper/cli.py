@@ -29,7 +29,13 @@ from .families import (
 )
 from .hyper import DivergentSeriesError, rphis_series_in_t
 from .report import TSV_FIELDS, IdentityReport, _any_int_digits
-from .scalars import MAX_SCALAR_BITS, RootOfUnityError, ScalarOverflowError, binom2
+from .scalars import (
+    MAX_SCALAR_BITS,
+    RootOfUnityError,
+    ScalarOverflowError,
+    _height,
+    _prefix_bits,
+)
 from .series import (
     cauchy_ratio_series,
     euler_inverse_series,
@@ -60,11 +66,6 @@ class CliError(Exception):
     pass
 
 
-def _bits(r: Fraction) -> int:
-    """h(r): the larger bit length of r's numerator and denominator."""
-    return max(r.numerator.bit_length(), r.denominator.bit_length())
-
-
 def parse_rat(text: str) -> Fraction:
     """The rational `text` spells for `Fraction`, with a numerator and a
     denominator of at most `MAX_SCALAR_BITS` bits.
@@ -82,7 +83,7 @@ def parse_rat(text: str) -> Fraction:
         value = None if huge else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"not a rational: {text!r} ({exc})")
-    if huge or _bits(value) > MAX_SCALAR_BITS:
+    if huge or _height(value) > MAX_SCALAR_BITS:
         shown = text if len(text) <= 40 else text[:37] + "..."
         raise CliError(f"rational {shown!r} exceeds {MAX_SCALAR_BITS} bits")
     return value
@@ -225,9 +226,8 @@ def cmd_eval(args) -> int:
     need = lambda name: _require(args, name, f"family {family!r}")
     if family == "P":
         x, y = need("x"), need("y")
-        # P_n = prod_{j<n} (x - y q^j) has at most this many bits in its
-        # numerator and denominator; `cauchy_P` is uncapped, so bound it here
-        bits = n * (_bits(x) + _bits(y) + 1) + binom2(n) * _bits(q)
+        # `cauchy_P` is uncapped, so bound the bits of P_n here
+        bits = _prefix_bits(n, x, y, q)
         if bits > MAX_SCALAR_BITS:
             raise CliError(f"P_{n} may need {bits} bits, past the cap of {MAX_SCALAR_BITS}")
         value = cauchy_P(n, x, y, q)

@@ -8,7 +8,10 @@ index in the order of its defining sum, and hands the terms to
 `scalars._sum_of_products`.  A row that would hold an entry past the bit cap
 is read per k instead, so every error is raised at the same (n, k), with the
 same message, as by a sum that forms each factor afresh.  `psi_sweep` reads
-[n k]_q through `qbinom` per k, and every sum reads W_k through `W_coeff`.
+[n k]_q through `qbinom` per k.  The sums of W_k = (a_1..a_r;q)_k /
+(b_1..b_s;q)_k (`psi_sweep`, `sa_phi`, `sa_psi`, `v_poly`) read it from
+`_W_row`, which steps it by one small-integer ratio per k while no
+(c;q)_k can pass the bit cap, and reads `W_coeff` past that bound.
 """
 
 from __future__ import annotations
@@ -18,11 +21,16 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .scalars import (
+    MAX_SCALAR_BITS,
     Rat,
+    _coprime_fraction,
+    _height,
+    _prefix_bits,
     _prefix_row,
     _qbinom_reader,
     _qpoch_reader,
     _sum_of_products,
+    _times,
     binom2,
     qbinom,
     qpoch,
@@ -78,11 +86,12 @@ def cauchy_P(n: int, x: Rat, y: Rat, q: Rat) -> Rat:
 
 
 def W_coeff(k: int, pv: ParamVector, q: Rat) -> Rat:
-    """W_k = (a_1..a_r;q)_k / (b_1..b_s;q)_k.
+    """W_k = (a_1..a_r;q)_k / (b_1..b_s;q)_k, formed afresh.
 
     It reads (b;q)_k for every lower parameter, raising on a zero one, and
     then (a;q)_k for every upper one, multiplies their numerators and
-    denominators as ints and reduces the quotient once.
+    denominators as ints and reduces the quotient once.  The family sums
+    read W_k from `_W_row`, which falls back on this past its bit bound.
     """
     num = den = 1
     for b in pv.lower:
@@ -96,6 +105,59 @@ def W_coeff(k: int, pv: ParamVector, q: Rat) -> Rat:
         p = qpoch(a, q, k)
         num, den = num * p.numerator, den * p.denominator
     return Fraction(num, den)
+
+
+def _W_row(pv: ParamVector, q: Rat) -> Callable[[int], Rat]:
+    """k -> W_k = `W_coeff(k, pv, q)`, stepped by one small-integer ratio.
+
+    W_0 = 1 and W_{k+1} = W_k prod(1 - a q^k) / prod(1 - b q^k).  With
+    q^k = Q/R, each factor 1 - c q^k is (den(c) R - num(c) Q) / (den(c) R),
+    so the ratio is one quotient of small ints, folded into W_k by `_times`.
+    The row steps only while `_prefix_bits` shows that no (c;q)_k of the
+    vector can pass `MAX_SCALAR_BITS`, so that no read of `W_coeff` could
+    raise an overflow there; from the first k past that bound it reads
+    `W_coeff(k)`, which raises as a sum that forms W_k afresh.  The lower
+    factors are tested first, and a zero one hands the read to `W_coeff(k)`,
+    which raises its own VanishingPochhammerError.  W_k itself is not
+    capped, as `W_coeff` does not cap it.  Each W_k is formed once, when
+    first asked for.
+    """
+    nq, dq = q.numerator, q.denominator
+    upper = [(a.numerator, a.denominator) for a in pv.upper]
+    lower = [(b.numerator, b.denominator) for b in pv.lower]
+    widest = max(pv.upper + pv.lower, key=_height, default=0)
+    top = bottom = 1  # prod den(b) / prod den(a), with R^(s-r) below
+    for _, bd in lower:
+        top *= bd
+    for _, ad in upper:
+        bottom *= ad
+    shift = len(lower) - len(upper)
+    values = [Fraction(1)]
+    Q = R = 1  # q^k = Q/R for k = len(values) - 1
+
+    def row(k: int) -> Rat:
+        nonlocal Q, R
+        if k >= len(values) and _prefix_bits(k, 1, widest, q) > MAX_SCALAR_BITS:
+            return W_coeff(k, pv, q)
+        while len(values) <= k:
+            num, den = top, bottom
+            for bn, bd in lower:
+                f = bd * R - bn * Q
+                if not f:
+                    return W_coeff(k, pv, q)
+                den *= f
+            for an, ad in upper:
+                num *= ad * R - an * Q
+            if shift >= 0:
+                num *= R**shift
+            else:
+                den *= R**-shift
+            last = values[-1]
+            values.append(_coprime_fraction(*_times(last.numerator, last.denominator, num, den)))
+            Q, R = Q * nq, R * dq
+        return values[k]
+
+    return row
 
 
 def bracket_factor(k: int, q: Rat, exponent: int) -> Rat:
@@ -121,19 +183,21 @@ def psi_sweep(
 
     The factor bracket_k W_k z^k does not depend on n, so the returned
     function keeps a row of them for as long as it lives, shared by every n
-    it is asked for.  Entry k is formed at the point of the sum where the
-    row first reaches it, right after [n k]_q, so an error of `W_coeff` is
-    raised at the same (n, k) as by a sum that forms every term afresh.
+    it is asked for, with W_k read from one `_W_row`.  Entry k is formed at
+    the point of the sum where the row first reaches it, right after
+    [n k]_q, so an error of W_k is raised at the same (n, k) as by a sum
+    that forms every term afresh.
     Each Psi_n reads P_0..P_n(y, x) from the row fetched at its top, and
     [n k]_q through `qbinom` per k.
     """
     e = pv.bracket_exponent if bracket_exponent is None else bracket_exponent
+    W = _W_row(pv, q)
     row: list[Rat] = []
 
     def term(n: int, k: int, P: list[Rat]) -> tuple:
         binom = qbinom(n, k, q)
         if k == len(row):
-            row.append(bracket_factor(k, q, e) * W_coeff(k, pv, q) * z**k)
+            row.append(bracket_factor(k, q, e) * W(k) * z**k)
         return binom, row[k], P[n - k]
 
     def psi(n: int) -> Rat:
@@ -201,10 +265,10 @@ def ext_phi5(n, a, b, c, d, e, x, y, q) -> Rat:
     )
 
     def term(k: int) -> tuple:
-        den = D(k) * E(k)
-        if den == 0:
+        dk, ek = D(k), E(k)
+        if dk == 0 or ek == 0:
             raise VanishingPochhammerError(f"(d,e;q)_{k} = 0")
-        return binom(k), A(k), B(k), C(k), 1 / den, x ** (n - k), y**k
+        return binom(k), A(k), B(k), C(k), 1 / dk, 1 / ek, x ** (n - k), y**k
 
     return _sum_of_products(term(k) for k in range(n + 1))
 
@@ -216,11 +280,11 @@ def ext_psi5(n, a, b, c, d, e, x, y, q) -> Rat:
     )
 
     def term(k: int) -> tuple:
-        den = D(k) * E(k)
-        if den == 0:
+        dk, ek = D(k), E(k)
+        if dk == 0 or ek == 0:
             raise VanishingPochhammerError(f"(d,e;q)_{k} = 0")
         return (binom(k), (-1) ** k, qpow(q, k * (k - n)),
-                A(k), B(k), C(k), 1 / den, x ** (n - k), y**k)
+                A(k), B(k), C(k), 1 / dk, 1 / ek, x ** (n - k), y**k)
 
     return _sum_of_products(term(k) for k in range(n + 1))
 
@@ -235,26 +299,24 @@ def _require_sa_arity(pv: ParamVector) -> None:
 def sa_phi(n: int, pv: ParamVector, x: Rat, y: Rat, q: Rat) -> Rat:
     """Multi-parameter phi_n^{(a,b)}(x,y|q) with r+1 upper / r lower."""
     _require_sa_arity(pv)
-    binom = _qbinom_reader(n, q)
-    return _sum_of_products(
-        (binom(k), W_coeff(k, pv, q), x**k, y ** (n - k)) for k in range(n + 1)
-    )
+    binom, W = _qbinom_reader(n, q), _W_row(pv, q)
+    return _sum_of_products((binom(k), W(k), x**k, y ** (n - k)) for k in range(n + 1))
 
 
 def sa_psi(n: int, pv: ParamVector, x: Rat, y: Rat, q: Rat) -> Rat:
     """Multi-parameter psi_n^{(a,b)}(x,y|q), carrying q^{binom(k+1,2)-nk}."""
     _require_sa_arity(pv)
-    binom = _qbinom_reader(n, q)
+    binom, W = _qbinom_reader(n, q), _W_row(pv, q)
     return _sum_of_products(
-        (binom(k), W_coeff(k, pv, q), qpow(q, binom2(k + 1) - n * k), x**k, y ** (n - k))
+        (binom(k), W(k), qpow(q, binom2(k + 1) - n * k), x**k, y ** (n - k))
         for k in range(n + 1)
     )
 
 
 def v_poly(n: int, pv: ParamVector, x: Rat, y: Rat, z: Rat, q: Rat) -> Rat:
     """V_n^{(a,c)}(x,y,z|q) = sum_k [n k]_q W_k P_{n-k}(x,y) z^k."""
-    binom, P = _qbinom_reader(n, q), _prefix_row(x, y, q, n)
-    return _sum_of_products((binom(k), W_coeff(k, pv, q), P[n - k], z**k) for k in range(n + 1))
+    binom, W, P = _qbinom_reader(n, q), _W_row(pv, q), _prefix_row(x, y, q, n)
+    return _sum_of_products((binom(k), W(k), P[n - k], z**k) for k in range(n + 1))
 
 
 def gen_hahn(n: int, x: Rat, y: Rat, a: Rat, b: Rat, q: Rat) -> Rat:

@@ -9,13 +9,15 @@ radius.
 `qpoch` serves (a;q)_n = P_n(1, a) from a prefix table of the products
 P_n(x, y) = prod_{j<n} (x - y q^j), which holds P_0..P_m and is extended only
 when a larger n is asked for; the Cauchy polynomials of `families.cauchy_P`
-are served from the same kind of table.  A table counts its leading entries
-within the bit-length cap as it makes them, so each is checked once, and an
-entry past the cap is checked, and raises, on every read.  The same store
-keeps the q-binomial rows [n 0..n]_q, each divided once from the (q;q)
-table.  Entries live as long as the process; when a new one is about to be
-made and the charge (stored bits plus a fixed overhead per rational) is past
-the budget, all are dropped.  So the store passes its budget only by the
+are served from the same kind of table.  An extension steps on ints, one
+factor at a time, and takes no gcd of two large integers (`_times`).  A
+table counts its leading entries within the bit-length cap as it makes
+them, so each is checked once, and an entry past the cap is checked, and
+raises, on every read.  The same store keeps the q-binomial rows
+[n 0..n]_q, each divided once from the (q;q) table.  Entries live as long
+as the process; when a new one is about to be made and the charge (stored
+bits plus a fixed overhead per rational) is past the budget, all are
+dropped.  So the store passes its budget only by the
 growth of the entries in use since the last new one, which the CLI's
 `MAX_DEGREE` and `MAX_ORDER` bound.  The store cannot change a result: each
 entry is the exact value the plain loop forms.
@@ -79,6 +81,22 @@ def binom2(n: int) -> int:
     return n * (n - 1) // 2
 
 
+def _height(r: Rat) -> int:
+    """h(r): the larger bit length of r's numerator and denominator."""
+    return max(r.numerator.bit_length(), r.denominator.bit_length())
+
+
+def _prefix_bits(n: int, x: Rat, y: Rat, q: Rat) -> int:
+    """n (h(x) + h(y) + 1) + binom(n,2) h(q), a bound on the bit lengths of
+    the numerator and the denominator of P_n(x, y) = prod_{j<n} (x - y q^j).
+
+    Over the common denominator x_d y_d q_d^j, the factor x - y q^j has a
+    denominator of at most h(x) + h(y) + j h(q) bits and a numerator of at
+    most one bit more; reducing the product only shortens it.
+    """
+    return n * (_height(x) + _height(y) + 1) + binom2(n) * _height(q)
+
+
 def qpow(q: Rat, e: int) -> Rat:
     """q**e for a possibly negative integer exponent.
 
@@ -134,9 +152,13 @@ def _prefix_table(x: Rat, y: Rat, q: Rat, n: int) -> list:
 
     The table holds P_0..P_m and the next y q^m; a call with n > m extends it
     by the factors the plain loop would multiply.  So each value is the same
-    whether it was read or rebuilt.  The extension also moves the table's
-    checked count over each new entry within the cap, from the bit lengths it
-    charges, and stops the count at the first entry past the cap.
+    whether it was read or rebuilt.  The extension works on ints: P_m and
+    y q^m are coprime pairs, each factor x - y q^m is reduced with one gcd
+    of its small ints and folded in by `_times`, and y q^m is stepped by q
+    with the cross gcds of two coprime pairs, so no gcd of the growing
+    product is taken.  A zero factor gives 0/1.  The extension also moves the
+    table's checked count over each new entry within the cap, from the bit
+    lengths it charges, and stops the count at the first entry past the cap.
     """
     global _qpoch_bits
     key = (y.numerator, y.denominator, q.numerator, q.denominator)
@@ -148,18 +170,23 @@ def _prefix_table(x: Rat, y: Rat, q: Rat, n: int) -> list:
         table = _store(key, [[one], y, 1], _charge(one) + _charge(y))
     values = table[0]
     if n >= len(values):
-        result, yq, checked = values[-1], table[1], table[2]
-        bits = -yq.numerator.bit_length() - yq.denominator.bit_length()
+        last, yq, checked = values[-1], table[1], table[2]
+        pn, pd = last.numerator, last.denominator
+        yn, yd = yq.numerator, yq.denominator
+        xn, xd = x.numerator, x.denominator
+        qn, qd = q.numerator, q.denominator
+        bits = -yn.bit_length() - yd.bit_length()
         for _ in range(len(values), n + 1):
-            result *= x - yq
-            yq *= q
-            nb, db = result.numerator.bit_length(), result.denominator.bit_length()
+            pn, pd = _times(pn, pd, xn * yd - yn * xd, xd * yd)
+            g, h = gcd(yn, qd), gcd(qn, yd)
+            yn, yd = yn // g * (qn // h), yd // h * (qd // g)
+            nb, db = pn.bit_length(), pd.bit_length()
             if checked == len(values) and nb <= MAX_SCALAR_BITS and db <= MAX_SCALAR_BITS:
                 checked += 1
-            values.append(result)
+            values.append(_coprime_fraction(pn, pd))
             bits += _QPOCH_ENTRY_BITS + nb + db
-        table[1], table[2] = yq, checked
-        _qpoch_bits += bits + yq.numerator.bit_length() + yq.denominator.bit_length()
+        table[1], table[2] = _coprime_fraction(yn, yd), checked
+        _qpoch_bits += bits + yn.bit_length() + yd.bit_length()
     return table
 
 
@@ -232,6 +259,28 @@ def _coprime_fraction(n: int, d: int) -> Rat:
     x._numerator = n
     x._denominator = d
     return x
+
+
+def _times(n: int, d: int, u: int, w: int) -> tuple[int, int]:
+    """(n', d') with n'/d' = (n/d)(u/w) in lowest terms and d' > 0, for
+    coprime n, d > 0 and any u, w != 0.
+
+    u/w is reduced with one gcd of its small ints and folded in by the cross
+    gcds gcd(n, w) and gcd(u, d), so no gcd of the product is taken.  A zero
+    u gives (0, 1).
+    """
+    g = gcd(u, w)
+    if w < 0:
+        g = -g
+    if g != 1:
+        u, w = u // g, w // g
+    g = gcd(n, w)
+    if g > 1:
+        n, w = n // g, w // g
+    g = gcd(u, d)
+    if g > 1:
+        u, d = u // g, d // g
+    return n * u, d * w
 
 
 def qpoch_inf(a: Rat, q: Rat, eps: Rat) -> Rat:

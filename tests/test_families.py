@@ -290,17 +290,103 @@ def test_cauchy_P_at_the_inverse_base_swaps_its_arguments(empty_tables):
 
 
 def test_psi_gf_lhs_forms_each_W_once(monkeypatch):
-    calls = []
-    W_coeff = families.W_coeff
+    """One sweep makes one W row and reads each W_k from it once, in order;
+    under the bit bound the row steps and never forms W_k afresh."""
+    rows, reads, fresh = [], [], []
+    W_row, W_coeff = families._W_row, families.W_coeff
+
+    def counted_row(pv, q):
+        rows.append((pv, q))
+        row = W_row(pv, q)
+
+        def read(k):
+            reads.append(k)
+            return row(k)
+
+        return read
 
     def counted(k, pv, q):
-        calls.append(k)
+        fresh.append(k)
         return W_coeff(k, pv, q)
 
+    monkeypatch.setattr(families, "_W_row", counted_row)
     monkeypatch.setattr(families, "W_coeff", counted)
     pv = ParamVector((F(1, 3), F(-2, 5)), (F(3, 7),))
     psi_gf_lhs(pv, F(1, 2), F(-1, 3), F(2), F(1, 3), 24)
-    assert calls == list(range(25))
+    assert len(rows) == 1
+    assert reads == list(range(25))
+    assert fresh == []
+
+
+def W_outcome(fn, *args):
+    """The value with its type and lowest terms, or the type and message of
+    what was raised."""
+    try:
+        value = fn(*args)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+    return type(value), value.numerator, value.denominator
+
+
+def W_row_cases():
+    """Seeded (pv, q): q of both signs and |q| > 1, int and zero parameters,
+    and lower parameters q^-m that vanish from k = m + 1 on."""
+    rng = random.Random(32)
+    cases = []
+    for q in (F(1, 2), F(-2, 3), F(3, 2), F(-5, 3), 3, -2, F(7, 9)):
+        for r, s in ((0, 0), (1, 0), (0, 2), (2, 1), (3, 2), (1, 3)):
+            upper = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(r)]
+            lower = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(s)]
+            cases.append((ParamVector(upper, lower), q))
+        cases.append((ParamVector((2, 0, F(1, 3)), (-3, 5)), q))
+        # q^-9 vanishes from k = 10, q^-4 from k = 5: the second raises first
+        cases.append((ParamVector((F(1, 3), F(-2, 5)), (F(q) ** -9, F(q) ** -4, F(2, 7))), q))
+        cases.append((ParamVector((F(q) ** -6,), (F(3, 7),)), q))
+    return cases
+
+
+def test_W_row_equals_W_coeff_at_every_k():
+    """Read in order and out of order, the row gives W_coeff's value, or its
+    error type and message, at every k <= 60."""
+    rng = random.Random(7)
+    errors = values = 0
+    for pv, q in W_row_cases():
+        want = [W_outcome(families.W_coeff, k, pv, q) for k in range(61)]
+        row = families._W_row(pv, q)
+        assert [W_outcome(row, k) for k in range(61)] == want, (pv, q)
+        ks = list(range(61))
+        rng.shuffle(ks)
+        row = families._W_row(pv, q)
+        assert [W_outcome(row, k) for k in ks] == [want[k] for k in ks], (pv, q)
+        errors += sum(w[0] is VanishingPochhammerError for w in want)
+        values += sum(w[0] is F for w in want)
+    assert errors > 300 and values > 3000
+
+
+@pytest.mark.parametrize("a, q, switch, overflow", [
+    (F(1, 3**5000), F(63, 64), 9, 9),  # the bound and (a;q)_k pass the cap at one k
+    (F(1, 2**7276), F(1, 2), 9, 10),  # the bound passes it first: W_9 is read afresh
+])
+def test_W_row_reads_W_coeff_past_its_bound(monkeypatch, empty_tables, a, q, switch, overflow):
+    """The row steps while no (c;q)_k can pass the cap and reads W_coeff from
+    the first k past the bound, with equal values across the switch and the
+    same ScalarOverflowError message from the k where (a;q)_k passes it."""
+    fresh, W_coeff = [], families.W_coeff
+
+    def counted(k, pv, q):
+        fresh.append(k)
+        return W_coeff(k, pv, q)
+
+    pv = ParamVector((a, F(-2, 5)), (F(2, 7),))
+    want = [W_outcome(W_coeff, k, pv, q) for k in range(14)]
+    monkeypatch.setattr(families, "W_coeff", counted)
+    empty_tables()
+    row = families._W_row(pv, q)
+    assert [W_outcome(row, k) for k in range(14)] == want
+    assert fresh == list(range(switch, 14))
+    assert [w[0] for w in want].index(scalars.ScalarOverflowError) == overflow
+    assert scalars._prefix_bits(switch - 1, 1, a, q) <= scalars.MAX_SCALAR_BITS
+    assert scalars._prefix_bits(switch, 1, a, q) > scalars.MAX_SCALAR_BITS
 
 
 @pytest.mark.parametrize("argv", [

@@ -691,6 +691,60 @@ def test_cauchy_P_at_x_1_reads_the_qpoch_table(empty_tables):
     assert list(scalars._QPOCH_TABLES) == [(-3, 5, 2, 7)]
 
 
+def frozen_prefix_extension(table, x, q, n):
+    """The `Fraction` loop that extends a prefix table [values, y q^m,
+    checked] to hold P_n, as `_prefix_table` did before it stepped on ints;
+    the bits it charges."""
+    values = table[0]
+    if n < len(values):
+        return 0
+    result, yq, checked = values[-1], table[1], table[2]
+    cap = scalars.MAX_SCALAR_BITS
+    bits = -yq.numerator.bit_length() - yq.denominator.bit_length()
+    for _ in range(len(values), n + 1):
+        result *= x - yq
+        yq *= q
+        nb, db = result.numerator.bit_length(), result.denominator.bit_length()
+        if checked == len(values) and nb <= cap and db <= cap:
+            checked += 1
+        values.append(result)
+        bits += scalars._QPOCH_ENTRY_BITS + nb + db
+    table[1], table[2] = yq, checked
+    return bits + yq.numerator.bit_length() + yq.denominator.bit_length()
+
+
+@pytest.mark.parametrize("x, y, q", [
+    (1, F(-3, 5), F(2, 7)),  # x = 1: (a;q)_n
+    (1, 3, -2),  # int y and q, |q| > 1
+    (F(2, 3), F(-5, 4), F(-7, 9)),  # negative q
+    (F(-9, 2), F(6, 5), F(5, 3)),
+    (F(2, 3), 0, F(1, 2)),  # y = 0: P_n = x^n
+    (F(3, 4), F(3, 4) * 2**5, F(1, 2)),  # y q^5 = x: every entry from P_6 on is 0
+    (3, 24, F(1, 2)),  # int x and y, y q^3 = x
+    (1, F(1, 3**5000), F(63, 64)),  # entries pass the cap from P_9 on
+])
+def test_prefix_table_extension_equals_the_fraction_loop(empty_tables, x, y, q):
+    """Extended in steps, a table holds the frozen loop's entries, next
+    factor y q^m and checked count, and charges the same bits."""
+    table = scalars._prefix_table(x, y, q, 0)
+    frozen = [list(table[0]), table[1], table[2]]
+    for n in (1, 3, 4, 12, 30):
+        before = scalars._qpoch_bits
+        assert scalars._prefix_table(x, y, q, n) is table
+        assert scalars._qpoch_bits - before == frozen_prefix_extension(frozen, x, q, n), n
+        assert [(type(v), v.numerator, v.denominator) for v in table[0]] == [
+            (F, v.numerator, v.denominator) for v in frozen[0]
+        ], n
+        assert (table[1].numerator, table[1].denominator, table[2]) == (
+            frozen[1].numerator, frozen[1].denominator, frozen[2]
+        ), n
+    zeros = [m for m in range(31) if y * F(q) ** m == x]
+    if zeros:
+        assert table[0][zeros[0] + 1:] == [0] * (30 - zeros[0])
+    if y == F(1, 3**5000):
+        assert table[2] == 9
+
+
 def test_cauchy_P_of_nonpositive_degree_is_one_and_builds_no_table(empty_tables):
     for n in (0, -1, -4):
         value = families.cauchy_P(n, F(2), F(3), F(1, 2))
@@ -716,6 +770,9 @@ def test_tables_keep_one_rule_over_a_mixed_sweep(empty_tables, watched_tables, m
     rng.shuffle(calls)
     for call in calls:
         call()
+    # psi_general and v_poly read W_k from a row of their own, not from
+    # (a;q) tables, so a last sum forms an (a;q) table and a q-binomial row
+    families.hahn2_phi(5, F(1, 3), F(2, 5), F(-1, 2), F(2, 3))
     assert watched_tables
     assert {len(key) for key in scalars._QPOCH_TABLES} == {3, 4, 6}
     assert_checked_counts_stop_at_the_cap()
