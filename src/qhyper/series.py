@@ -1,18 +1,25 @@
 """Truncated formal power series in one variable over an exact coefficient ring.
 
 Coefficients are either Fraction scalars or CauchyPoly values (see operators).
-Sums, scaling and shifts take either kind; a product needs rational (Fraction
-or int) coefficients and raises TypeError on any other.  It brings each factor
-to one common denominator and convolves the integer numerators, an O(N^2)
-convolution that is ample at the orders used here (N <= 32) and reduces each
-output coefficient once instead of once per Fraction addition.  The inverse
-works on the same integer numerators.
+Sums, scaling and shifts take either kind; a product or an inverse needs
+rational (Fraction or int) coefficients and raises TypeError on any other.
+
+Both work on integer numerators over running denominators (`_Running`):
+when output coefficient i is formed, the coefficients c_0..c_i of each factor
+sit over L_i = lcm(den c_0..c_i), so its convolution runs at the width of
+the first i+1 coefficients, not at that of the whole series.  That matters
+because the denominators of the series divided by (q;q)_k grow with k (in
+bits, about quadratically), and the CLI expands them to order
+`cli.MAX_ORDER` = 64.  Each output coefficient is reduced once and checked
+against the bit cap in index order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import islice
+from math import gcd
+from operator import mul
 
 from .families import cauchy_P
 from .scalars import Rat, _qpoch_reader, binom2, check_magnitude, max_deviation
@@ -52,16 +59,22 @@ class TruncSeries:
         return TruncSeries([c * factor for c in self.coeffs])
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
+        """The product mod t^{N+1}, N the smaller order.
+
+        Coefficient i is sum_j a_j b_{i-j} over La_i Lb_i, the running
+        denominators of a_0..a_i and b_0..b_i: one convolution of integer
+        numerators, reduced once.
+        """
         n = self._common(other)
-        a, da = _over_common_denominator(self.coeffs[: n + 1])
-        b, db = _over_common_denominator(other.coeffs[: n + 1])
-        den = da * db
+        a = _rational(self.coeffs[: n + 1])
+        b = _rational(other.coeffs[: n + 1])
+        ra, rb = _Running(), _Running()
         out = []
         for i in range(n + 1):
-            acc = a[0] * b[i]
-            for j in range(1, i + 1):
-                acc += a[j] * b[i - j]
-            out.append(check_magnitude(Fraction(acc, den)))
+            ra.append(*a[i])
+            rb.append(*b[i])
+            acc = sum(map(mul, ra.nums, reversed(rb.nums)))
+            out.append(check_magnitude(Fraction(acc, ra.den * rb.den)))
         return TruncSeries(out)
 
     def shift(self, k: int) -> "TruncSeries":
@@ -75,32 +88,27 @@ class TruncSeries:
     def inverse(self) -> "TruncSeries":
         """Multiplicative inverse mod t^{N+1}; needs a nonzero constant term.
 
-        With the coefficients a_j / d over one denominator, coefficient n of
-        the inverse is d w_n / a_0^{n+1}, where w_0 = 1 and
-        w_n = -sum_{j=1..n} a_j a_0^{j-1} w_{n-j} are integers: each output
-        coefficient is reduced once and checked against the bit cap.
+        Coefficient n is b_n = -(sum_{j=1..n} a_j b_{n-j}) / a_0.  With
+        a_0..a_n over their running denominator La and b_0..b_{n-1} over
+        theirs, Lb, the sum is S / (La Lb) for an integer S, and
+        b_n = -S / (Lb A_0), where A_0 = a_0 La is the stored numerator of
+        a_0.  Each b_n is reduced once, checked against the bit cap and
+        appended to its own running list as it is formed.
         """
         if self.coeffs[0] == 0:
             raise ZeroDivisionError("series has zero constant term")
-        a, d = _over_common_denominator(self.coeffs)
-        a0 = a[0]
-        scaled = [a[j] * a0 ** (j - 1) for j in range(1, len(a))]
-        w, den = [1], a0
-        out = [check_magnitude(Fraction(d, den))]
-        for n in range(1, self.order + 1):
-            acc = 0
-            for j in range(1, n + 1):
-                acc -= scaled[j - 1] * w[n - j]
-            w.append(acc)
-            den *= a0
-            out.append(check_magnitude(Fraction(d * acc, den)))
+        a = _rational(self.coeffs)
+        ra, rb = _Running(), _Running()
+        ra.append(*a[0])
+        out = [check_magnitude(Fraction(ra.den, ra.nums[0]))]
+        rb.append(out[0].numerator, out[0].denominator)
+        for n in range(1, len(a)):
+            ra.append(*a[n])
+            acc = sum(map(mul, islice(ra.nums, 1, None), reversed(rb.nums)))
+            c = check_magnitude(Fraction(-acc, rb.den * ra.nums[0]))
+            out.append(c)
+            rb.append(c.numerator, c.denominator)
         return TruncSeries(out)
-
-    def eval_horner(self, t0: Rat) -> Rat:
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * t0 + c
-        return acc
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncSeries):
@@ -112,14 +120,37 @@ class TruncSeries:
         return f"TruncSeries({self.coeffs!r})"
 
 
-def _over_common_denominator(coeffs) -> tuple[list[int], int]:
-    """Integer numerators of rational coefficients over their least common
-    denominator d, and d."""
+def _rational(coeffs) -> list[tuple[int, int]]:
+    """(numerator, denominator) of each coefficient.  All are read before any
+    product is formed, so a non-rational one raises before any bit-cap check."""
     try:
-        d = lcm(*(c.denominator for c in coeffs))
+        return [(c.numerator, c.denominator) for c in coeffs]
     except AttributeError:
         raise TypeError("a series product needs rational coefficients") from None
-    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+class _Running:
+    """The integer numerators of c_0..c_i over L = lcm(den c_0..c_i).
+
+    `append(n, d)` extends the list by one coefficient n/d.  When d does not
+    divide L, L and every stored numerator are multiplied by d / gcd(L, d).
+    """
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self):
+        self.nums: list[int] = []
+        self.den = 1
+
+    def append(self, n: int, d: int) -> None:
+        den = self.den
+        if den % d:
+            g, r = divmod(d, den)
+            if r:
+                g = d // gcd(den, d)
+            self.nums = [x * g for x in self.nums]
+            self.den = den = den * g
+        self.nums.append(n * (den // d))
 
 
 def max_abs_deviation(f: TruncSeries, g: TruncSeries) -> Rat:

@@ -2,15 +2,19 @@
 
 import random
 from fractions import Fraction as F
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qhyper.families import ParamVector
+from qhyper.hyper import rphis_series_in_t
 from qhyper.operators import CauchyPoly
 from qhyper.scalars import MAX_SCALAR_BITS, ScalarOverflowError, check_magnitude
 from qhyper.series import (
     TruncSeries,
+    _Running,
     cauchy_ratio_series,
     euler_inverse_series,
     euler_product_series,
@@ -19,6 +23,18 @@ from qhyper.series import (
 )
 
 coeff = st.fractions(min_value=-3, max_value=3, max_denominator=16)
+
+
+def _grown(steps):
+    """c_k = n_k / (d_0 d_1 ... d_k): each denominator a multiple of the one
+    before, as in the (q;q)_k-divided series the suites multiply."""
+    return [F(n, prod(d for _, d in steps[: k + 1])) for k, (n, _) in enumerate(steps)]
+
+
+growing = st.lists(
+    st.tuples(st.integers(-40, 40), st.integers(1, 12)), min_size=1, max_size=25
+).map(_grown)
+series_coeffs = st.one_of(st.lists(coeff, min_size=1, max_size=25), growing)
 
 
 def test_constant_and_one():
@@ -47,12 +63,7 @@ def test_shift_pads_and_drops():
     assert s.shift(0) is s
 
 
-def test_eval_horner():
-    s = TruncSeries([F(1), F(2), F(3)])
-    assert s.eval_horner(F(1, 2)) == 1 + 1 + F(3, 4)
-
-
-@given(st.lists(coeff, min_size=1, max_size=13))
+@given(series_coeffs)
 @settings(max_examples=60, deadline=None)
 def test_inverse_is_right_inverse(coeffs):
     if coeffs[0] == 0:
@@ -67,7 +78,7 @@ def test_inverse_needs_unit():
         TruncSeries([F(0), F(1)]).inverse()
 
 
-@given(a=st.lists(coeff, min_size=1, max_size=8), b=st.lists(coeff, min_size=1, max_size=8))
+@given(a=series_coeffs, b=series_coeffs)
 @settings(max_examples=60, deadline=None)
 def test_mul_commutes(a, b):
     assert TruncSeries(a) * TruncSeries(b) == TruncSeries(b) * TruncSeries(a)
@@ -225,3 +236,182 @@ def test_inverse_checks_the_magnitude_of_each_coefficient():
     with pytest.raises(ScalarOverflowError) as want:
         check_magnitude(c**2)
     assert str(got.value) == str(want.value)
+
+
+# -- running denominators against the frozen common-denominator kernels ---------
+
+
+def frozen_common_denominator(coeffs):
+    """Integer numerators over the lcm of every denominator of the series, as
+    products and inverses were formed before running denominators."""
+    try:
+        d = lcm(*(c.denominator for c in coeffs))
+    except AttributeError:
+        raise TypeError("a series product needs rational coefficients") from None
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def frozen_mul(x, y):
+    n = min(len(x), len(y)) - 1
+    a, da = frozen_common_denominator(x[: n + 1])
+    b, db = frozen_common_denominator(y[: n + 1])
+    den = da * db
+    out = []
+    for i in range(n + 1):
+        acc = a[0] * b[i]
+        for j in range(1, i + 1):
+            acc += a[j] * b[i - j]
+        out.append(check_magnitude(F(acc, den)))
+    return out
+
+
+def frozen_inverse(coeffs):
+    if coeffs[0] == 0:
+        raise ZeroDivisionError("series has zero constant term")
+    a, d = frozen_common_denominator(coeffs)
+    a0 = a[0]
+    scaled = [a[j] * a0 ** (j - 1) for j in range(1, len(a))]
+    w, den = [1], a0
+    out = [check_magnitude(F(d, den))]
+    for n in range(1, len(coeffs)):
+        acc = 0
+        for j in range(1, n + 1):
+            acc -= scaled[j - 1] * w[n - j]
+        w.append(acc)
+        den *= a0
+        out.append(check_magnitude(F(d * acc, den)))
+    return out
+
+
+def running_mul(x, y):
+    return (TruncSeries(x) * TruncSeries(y)).coeffs
+
+
+def running_inverse(coeffs):
+    return TruncSeries(coeffs).inverse().coeffs
+
+
+def outcome(kernel, *args):
+    """Each coefficient's type, numerator and denominator, or the type and
+    message of the error the kernel raised."""
+    try:
+        return [(type(c), c.numerator, c.denominator) for c in kernel(*args)]
+    except (ArithmeticError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def spread_coeffs(rng, length):
+    """seeded_coeffs, or a series whose denominators grow along it, with its
+    first 0 to 3 coefficients set to 0."""
+    if rng.random() < 0.5:
+        coeffs = seeded_coeffs(rng, length)
+    else:
+        coeffs = _grown([(rng.randint(-99, 99), rng.randint(1, 60)) for _ in range(length)])
+    zeros = min(rng.choice((0, 0, 1, 3)), length)
+    return [0] * zeros + coeffs[zeros:]
+
+
+def cli_shapes():
+    """The factors of the CLI's gf-psi-rhs at order 24: (xt;q)_inf (yt;q)_inf^-1
+    and a rPhis series in zt with s - r = 3 lower parameters |b| < 1."""
+    rng = random.Random(7001)
+    rat = lambda: F(rng.choice((1, -1)) * rng.randint(1, 8), rng.randint(1, 8))
+    for _ in range(4):
+        q = F(rng.randint(13, 21), 32)
+        x, y, z = rat(), rat(), rat()
+        lower = [F(rng.choice((1, -1)) * rng.randint(1, 7), 8) for _ in range(3)]
+        ratio = (euler_product_series(x, q, 24), euler_inverse_series(y, q, 24))
+        yield ratio[0].coeffs, ratio[1].coeffs
+        phi = rphis_series_in_t(ParamVector((), lower), q, z, 24)
+        yield (ratio[0] * ratio[1]).coeffs, phi.coeffs
+
+
+def test_mul_equals_the_common_denominator_kernel():
+    """Ints, zeros, negative entries, leading zeros, growing denominators,
+    factors of different orders and the CLI's gf-psi-rhs products."""
+    rng = random.Random(37)
+    cases = [
+        (spread_coeffs(rng, rng.randint(1, 25)), spread_coeffs(rng, rng.randint(1, 25)))
+        for _ in range(150)
+    ]
+    cases += list(cli_shapes())
+    for a, b in cases:
+        want = outcome(frozen_mul, a, b)
+        assert isinstance(want, list)
+        assert outcome(running_mul, a, b) == want
+
+
+def test_inverse_equals_the_common_denominator_kernel():
+    rng = random.Random(41)
+    cases = []
+    for _ in range(80):
+        coeffs = spread_coeffs(rng, rng.randint(1, 25))
+        if coeffs[0] == 0:
+            coeffs[0] = rng.choice((F(-7, 3), -1, 2, F(5, 9), F(rng.getrandbits(80) + 1, 7)))
+        cases.append(coeffs)
+    cases += [b for _, b in cli_shapes()]  # 1/(yt;q)_inf and the rPhis series
+    for coeffs in cases:
+        want = outcome(frozen_inverse, coeffs)
+        assert isinstance(want, list)
+        assert outcome(running_inverse, coeffs) == want
+
+
+def first_failing_order(kernel, *series):
+    """The smallest order at which the kernel raises on the truncated series."""
+    for n in range(min(map(len, series))):
+        if not isinstance(outcome(kernel, *(s[: n + 1] for s in series)), list):
+            return n
+    return None
+
+
+def test_overflow_raises_at_the_index_and_with_the_message_of_the_frozen_kernels():
+    # product: coefficient 3 holds big^2 and is past the cap, 0..2 are not;
+    # inverse of 1 - c t: coefficient 2 is c^2, past the cap
+    big = F((1 << (MAX_SCALAR_BITS // 2 + 100)) + 1, 3)
+    a, b = [F(1), F(1, 2), big, F(3), F(1)], [F(-1, 5), big, F(7), F(2), F(1)]
+    c = F(1, (1 << (MAX_SCALAR_BITS // 2 + 100)) + 1)
+    inv = [F(1), -c, F(0), F(1, 3)]
+    assert first_failing_order(frozen_mul, a, b) == 3
+    assert first_failing_order(frozen_inverse, inv) == 2
+    for n in range(len(a)):
+        assert outcome(running_mul, a[: n + 1], b[: n + 1]) == outcome(
+            frozen_mul, a[: n + 1], b[: n + 1]
+        )
+        assert outcome(running_mul, b[: n + 1], a[: n + 1]) == outcome(
+            frozen_mul, b[: n + 1], a[: n + 1]
+        )
+    for n in range(len(inv)):
+        assert outcome(running_inverse, inv[: n + 1]) == outcome(frozen_inverse, inv[: n + 1])
+    assert outcome(running_mul, a, b)[0] is ScalarOverflowError
+
+
+def test_a_non_rational_coefficient_raises_before_any_overflow():
+    big = F((1 << (MAX_SCALAR_BITS // 2 + 100)) + 1, 3)
+    a, b = [F(1), big, F(1, 2), CauchyPoly.basis(1)], [F(-1, 5), big, F(7), F(1)]
+    c = F(1, (1 << (MAX_SCALAR_BITS // 2 + 100)) + 1)
+    want = (TypeError, "a series product needs rational coefficients")
+    for x, y in ((a, b), (b, a)):
+        assert outcome(frozen_mul, x, y) == want
+        assert outcome(running_mul, x, y) == want
+    inv = [F(1), -c, F(0), CauchyPoly.basis(1)]
+    assert outcome(frozen_inverse, inv) == want
+    assert outcome(running_inverse, inv) == want
+
+
+def test_a_zero_constant_term_raises_in_the_inverse_as_before():
+    want = (ZeroDivisionError, "series has zero constant term")
+    for coeffs in ([0], [F(0), F(1, 2)], [0, CauchyPoly.basis(1)], [F(0)] * 30):
+        assert outcome(frozen_inverse, coeffs) == want
+        assert outcome(running_inverse, coeffs) == want
+
+
+def test_running_numerators_hold_each_prefix_over_its_lcm():
+    rng = random.Random(43)
+    for _ in range(60):
+        coeffs = [F(c) for c in spread_coeffs(rng, rng.randint(1, 25))]
+        run = _Running()
+        for i, c in enumerate(coeffs):
+            run.append(c.numerator, c.denominator)
+            assert run.den == lcm(*(x.denominator for x in coeffs[: i + 1]))
+            assert all(type(n) is int for n in run.nums)
+            assert [F(n, run.den) for n in run.nums] == coeffs[: i + 1]
