@@ -30,7 +30,6 @@ from .hyper import (
 )
 from .operators import (
     CauchyPoly,
-    op_apply_poly,
     op_apply_series,
     theta_basis,
     theta_pointwise,
@@ -77,7 +76,6 @@ __all__ = [
     "euler_product_series",
     "gen_hahn",
     "list_suites",
-    "op_apply_poly",
     "op_apply_series",
     "psi_general",
     "psi_sweep",

@@ -187,14 +187,13 @@ def _log2(x: Fraction) -> float:
 
 def cmd_check(args) -> int:
     config = _load_config(args)
-    try:
-        reports = run_suite(config.suite, config)
-    except KeyError:
+    if config.suite not in list_suites():
         print(
             f"unknown suite {config.suite!r}; available: {', '.join(list_suites())}",
             file=sys.stderr,
         )
         return EXIT_USAGE
+    reports = run_suite(config.suite, config)
     renderer = {"json": _render_json, "tsv": _render_tsv, "human": _render_human}
     text = renderer[config.format](config, reports)
     if config.report_path:

@@ -27,6 +27,7 @@ from .scalars import (
     ball_precision,
     check_magnitude,
     qpoch,
+    vanishing_index,
 )
 from .series import TruncSeries
 
@@ -35,6 +36,9 @@ from .series import TruncSeries
 #: against accidental zeros.  `_sum_ball` holds this rule for every numeric sum.
 TAIL_KMIN = 8
 MAX_TERMS = 10_000
+
+#: The largest n of an upper parameter q^{-n} that `terminating_index` finds.
+TERMINATING_LIMIT = 512
 
 
 class DivergentSeriesError(ArithmeticError):
@@ -101,29 +105,11 @@ def phi_row(pv: ParamVector, q: Rat, z: Rat):
     return row
 
 
-def terminating_index(pv: ParamVector, q: Rat, limit: int = 512) -> int | None:
-    """Smallest n <= limit with some upper parameter equal to q^{-n}, if any.
-
-    The walk over a q^n stops early once |a q^n| lies on the same side of 1
-    as |q|: from there |a q^n| only moves away from 1.  It keeps a q^n as an
-    unreduced num/den with den > 0 and compares integers, with no gcd.
-    """
-    nq, dq = q.numerator, q.denominator
-    contracting = abs(nq) < dq
-    best = None
-    for a in pv.upper:
-        if a == 0:
-            continue
-        num, den = a.numerator, a.denominator  # a q^n = num/den
-        for n in range(limit + 1):
-            if num == den:
-                if best is None or n < best:
-                    best = n
-                break
-            if abs(nq) != dq and (abs(num) < den) == contracting:
-                break
-            num, den = num * nq, den * dq
-    return best
+def terminating_index(pv: ParamVector, q: Rat) -> int | None:
+    """Smallest n <= TERMINATING_LIMIT with some nonzero upper parameter equal
+    to q^{-n}, if any: the least `vanishing_index` over them."""
+    found = (vanishing_index(a, q, TERMINATING_LIMIT) for a in pv.upper if a != 0)
+    return min((n for n in found if n is not None), default=None)
 
 
 def rphis_terminating(pv: ParamVector, q: Rat, z: Rat) -> Rat:
@@ -207,11 +193,11 @@ def _tuple_ball(factors: tuple, p: int) -> Ball:
     return Ball(*_scaled_mid_rad(ball.mid, ball.rad, n, d), ball.prec)
 
 
-def _sum_ball(term, eps: Rat, kmin: int = TAIL_KMIN, ratio=None) -> Ball:
-    """Sum term(k), k = 0, 1, ..., as a ball at precision `ball_precision(eps)`.
+def _sum_ball(terms, eps: Rat, kmin: int = TAIL_KMIN, ratio=None) -> Ball:
+    """Sum the iterator `terms`, term k for k = 0, 1, ..., as a ball at
+    precision `ball_precision(eps)`.
 
-    term is called once for each k, in order from k = 0; `rphis_ball` reads
-    its terms from a generator and checks that it does.  A term is a ball of
+    No term past the last one summed is pulled from `terms`.  A term is a ball of
     that precision, an exact rational, or a tuple of exact int or Fraction
     factors, the last of which may be such a ball.  A tuple's numerators and
     denominators are multiplied as ints and rounded once (`_tuple_ball`); a
@@ -235,8 +221,7 @@ def _sum_ball(term, eps: Rat, kmin: int = TAIL_KMIN, ratio=None) -> Ball:
     acc = Ball(0, 0, p)
     prev_small = False
     peak = 1 << p
-    for k in range(MAX_TERMS):
-        t = term(k)
+    for k, t in zip(range(MAX_TERMS), terms):
         t = _tuple_ball(t, p) if type(t) is tuple else Ball.of(t, p)
         acc = acc + t
         upper = abs(t.mid) + t.rad
@@ -257,7 +242,7 @@ def _sum_ball(term, eps: Rat, kmin: int = TAIL_KMIN, ratio=None) -> Ball:
 
 
 def _row_balls(row, z: Rat, p: int):
-    """Yield k and the ball of c_k z^k, k = 0, 1, ..., with c_k = row(k).
+    """Yield the ball of c_k z^k, k = 0, 1, ..., with c_k = row(k).
 
     Term k enters its ball as the unreduced quotient num(c_k) num(z)^k over
     den(c_k) den(z)^k (`Ball.of_ratio`), with the powers of z stepped once
@@ -269,7 +254,7 @@ def _row_balls(row, z: Rat, p: int):
     n = d = 1
     for k in count():
         c = row(k)
-        yield k, Ball.of_ratio(c.numerator * n, c.denominator * d, p)
+        yield Ball.of_ratio(c.numerator * n, c.denominator * d, p)
         n, d = n * zn, d * zd
 
 
@@ -289,15 +274,8 @@ def rphis_ball(pv: ParamVector, q: Rat, z: Rat, eps: Rat, row=None) -> Ball:
     terms = _row_balls(row or phi_row(pv, q, 1), z, p)
     n = terminating_index(pv, q)
     if n is not None:
-        return sum((ball for _, ball in islice(terms, n + 1)), Ball(0, 0, p))
+        return sum(islice(terms, n + 1), Ball(0, 0, p))
     _require_convergent(pv, z)
     if not 0 < abs(q) < 1:
         raise ValueError("the tail bound needs 0 < |q| < 1")
-
-    def term(k):
-        j, ball = next(terms)
-        if j != k:
-            raise AssertionError(f"term {k} asked for where term {j} was next")
-        return ball
-
-    return _sum_ball(term, eps, ratio=_ratio_bounds(pv, q, z))
+    return _sum_ball(terms, eps, ratio=_ratio_bounds(pv, q, z))

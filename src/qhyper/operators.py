@@ -122,7 +122,8 @@ def theta_pointwise_power(
 
 
 def _apply_row(coeff: Callable[[int], Rat], f: CauchyPoly, q: Rat) -> CauchyPoly:
-    """sum_k coeff(k) Theta^k f, asking coeff for k = 0..deg f in order."""
+    """sum_k coeff(k) Theta^k f, asking coeff for k = 0..deg f in order.
+    Theta is nilpotent on each basis element, so the sum is finite."""
     result = CauchyPoly()
     for k in range(f.degree + 1):
         c = coeff(k)
@@ -131,32 +132,20 @@ def _apply_row(coeff: Callable[[int], Rat], f: CauchyPoly, q: Rat) -> CauchyPoly
     return result
 
 
-def op_apply_poly(pv: ParamVector, z: Rat, f: CauchyPoly, q: Rat) -> CauchyPoly:
+def op_apply_series(pv: ParamVector, z: Rat, F: TruncSeries, q: Rat) -> TruncSeries:
     """Apply the hypergeometric operator series
     sum_k W_k (-z Theta)^k / (q;q)_k [(-1)^k q^{binom(k,2)}]^{1+s-r}
-    to f.  Coefficient k is c_k of `phi_row(pv, q, -z)`, the rphis term at -z.
-    Theta is nilpotent on each basis element, so the sum is finite."""
-    return _apply_row(phi_row(pv, q, -z), f, q)
-
-
-def op_apply_series(pv: ParamVector, z: Rat, F: TruncSeries, q: Rat) -> TruncSeries:
-    """Termwise operator application to a series with CauchyPoly coefficients;
-    every coefficient reads one row of the operator's coefficients."""
+    termwise to a series with CauchyPoly coefficients.  Coefficient k is c_k
+    of `phi_row(pv, q, -z)`, the rphis term at -z, and every coefficient of
+    F reads that one row."""
     coeff = phi_row(pv, q, -z)
     return TruncSeries([_apply_row(coeff, c, q) for c in F.coeffs])
 
 
-def cauchy_basis_series(order: int, q: Rat) -> TruncSeries:
-    """(xt;q)_inf/(yt;q)_inf in the Cauchy basis: coefficient of t^n is
-    P_n(y,x)/(q;q)_n."""
-    return TruncSeries(
-        [CauchyPoly.basis(n, Fraction(1) / qpoch(q, q, n)) for n in range(order + 1)]
-    )
-
-
 def shifted_cauchy_series(k: int, order: int, q: Rat) -> TruncSeries:
     """Series with t-coefficient n equal to P_{n+k}(y,x)/(q;q)_n: the
-    index-shifted product P_k(y,x)(xt;q)_inf / ((xt;q)_k (yt;q)_inf)."""
+    index-shifted product P_k(y,x)(xt;q)_inf / ((xt;q)_k (yt;q)_inf).  At
+    k = 0 it is (xt;q)_inf/(yt;q)_inf in the Cauchy basis."""
     return TruncSeries(
         [
             CauchyPoly.basis(n + k, Fraction(1) / qpoch(q, q, n))

@@ -29,6 +29,11 @@ could not read without an error is not handed out: the sum then reads
 `qbinom` or `qpoch` per k, so each error is raised at the same k, with the
 same message, as by a sum that reads every factor afresh.
 
+Where (c;q)_n vanishes is decided by one walk, `vanishing_index`: the least
+m with c q^m = 1, on int pairs.  The samplers' rejection rule
+(`verify.vanishes`) and the last term of a terminating rPhis
+(`hyper.terminating_index`) both read it.
+
 Every finite sum of products (each family sum, Psi_n, a terminating rPhis)
 goes through `_sum_of_products`.  `Fraction` reduces after every product and
 every sum, two gcds each; the kernel multiplies each term's numerators and
@@ -209,6 +214,26 @@ def qpoch(a: Rat, q: Rat, n: int) -> Rat:
     table = _prefix_table(1, a, q, n)
     value = table[0][n]
     return value if n < table[2] else check_magnitude(value)
+
+
+def vanishing_index(c: Rat, q: Rat, limit: int) -> int | None:
+    """The least m in 0..limit with c q^m = 1, or None: (c;q)_n = 0 exactly
+    for n > m, and (c;q)_inf = 0 (Gasper-Rahman 1.2).
+
+    The walk keeps c q^m as an unreduced num/den with den > 0 and compares
+    integers, with no gcd.  It stops early once |c q^m| lies on the same side
+    of 1 as |q| != 1: from there |c q^m| only moves away from 1.
+    """
+    nq, dq = q.numerator, q.denominator
+    early, contracting = abs(nq) != dq, abs(nq) < dq
+    num, den = c.numerator, c.denominator
+    for m in range(limit + 1):
+        if num == den:
+            return m
+        if early and (abs(num) < den) == contracting:
+            return None
+        num, den = num * nq, den * dq
+    return None
 
 
 def _qpoch_reader(a: Rat, q: Rat, n: int) -> Callable[[int], Rat]:

@@ -45,11 +45,14 @@ parameter magnitudes so the decaying regime reaches the truncation threshold
 with room to spare; the comparison then lands far inside the tolerance.
 
 Samples are drawn by rejection under one rule, `vanishes`: (c;q)_n and
-(c;q)_inf are 0 exactly when c = q^{-m}.  Each suite declares to `avoiding` the
-c of every factor its formula divides by, as the formula writes it (q/x,
-1/(v x t), alpha q for (alpha q;q)_inf), and any other condition it needs
-(Theorem 3's u != v).  No sampler draws a 0, and each band keeps its sums
-convergent, so no suite tests for either.
+(c;q)_inf are 0 exactly when c = q^{-m}, which the one walk
+`scalars.vanishing_index` decides.  Each suite declares to `avoiding` the c
+of every factor its formula divides by, as the formula writes it (q/x,
+1/(v x t), alpha q for (alpha q;q)_inf, q y0/x0 for theta-eigen's grid),
+and any other condition it needs (Theorem 3's u != v); only the |c| < 1
+bands of the Cao and q-Chu-Vandermonde samplers are not factors.  No
+sampler draws a 0, and each band keeps its sums convergent, so no suite
+tests for either.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Callable
 
 from . import reductions
@@ -82,7 +86,6 @@ from .hyper import (
 )
 from .operators import (
     CauchyPoly,
-    cauchy_basis_series,
     evaluate_series,
     op_apply_series,
     shifted_cauchy_series,
@@ -100,6 +103,7 @@ from .scalars import (
     qpoch_inf_ball,
     qpoch_shift,
     qpow,
+    vanishing_index,
 )
 from .series import (
     TruncSeries,
@@ -224,23 +228,10 @@ def rand_tiny(rng: random.Random, signed=False) -> Fraction:
 VANISH_LIMIT = 120  # the largest m of c = q^{-m} that `vanishes` tests
 
 
-def is_q_power(x: Fraction, q: Fraction) -> bool:
-    """True when x = q^m for some 1 <= m <= VANISH_LIMIT; the walk stops once
-    |q^m| is past |x|, where |q| != 1 keeps every later power."""
-    p, ax, shrinking, growing = q, abs(x), abs(q) < 1, abs(q) > 1
-    for _ in range(VANISH_LIMIT):
-        if x == p:
-            return True
-        if (shrinking and abs(p) < ax) or (growing and abs(p) > ax):
-            return False
-        p *= q
-    return False
-
-
 def vanishes(c: Fraction, q: Fraction) -> bool:
     """True when c = q^{-m}, 0 <= m <= VANISH_LIMIT, where (c;q)_n = 0 for n > m
-    and (c;q)_inf = 0 (Gasper-Rahman 1.2); c is never 0, as no sampler draws 0."""
-    return c == 1 or is_q_power(1 / c, q)
+    and (c;q)_inf = 0 (`scalars.vanishing_index`)."""
+    return vanishing_index(c, q, VANISH_LIMIT) is not None
 
 
 def avoiding(factors: Callable[..., tuple], keep: Callable[..., bool] = lambda **_: True):
@@ -291,9 +282,10 @@ def resample(rng: random.Random, draw: Callable[[], dict], ok: Callable[[dict], 
 
 
 def truncated_sum(term_fn, eps: Fraction, kmin: int = TAIL_KMIN) -> Ball:
-    """Sum term_fn(k) as a ball at `ball_precision(eps)` until two consecutive
-    terms drop below eps: `hyper._sum_ball` without a ratio bound, under the
-    name and the `term_fn` argument that `bench/tracer.py` times and counts.
+    """Sum term_fn(k), k = 0, 1, ..., as a ball at `ball_precision(eps)` until
+    two consecutive terms drop below eps: `hyper._sum_ball` over
+    map(term_fn, count()) without a ratio bound, under the name and the
+    `term_fn` argument that `bench/tracer.py` times and counts.
 
     A term is a ball of that precision, an exact rational, or a tuple of
     exact factors that may end in such a ball, rounded once.  Raises
@@ -301,7 +293,7 @@ def truncated_sum(term_fn, eps: Fraction, kmin: int = TAIL_KMIN) -> Ball:
     runs out; used for the outer sums of the numeric suites.  The ball holds
     the partial sum; the terms not summed are not in its radius.
     """
-    return _sum_ball(term_fn, eps, kmin)
+    return _sum_ball(map(term_fn, count()), eps, kmin)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +484,7 @@ def run_lemma1_b(rng, config):
     s = _operator_sample(rng)
     pv, q, x0, y0, z = s["pv"], s["q"], s["x0"], s["y0"], s["z"]
     N = config.order
-    lhs = evaluate_series(op_apply_series(pv, z, cauchy_basis_series(N, q), q), x0, y0, q)
+    lhs = evaluate_series(op_apply_series(pv, z, shifted_cauchy_series(0, N, q), q), x0, y0, q)
     rhs = psi_gf_rhs(pv, x0, y0, z, q, N)
     return [_formal_result("lemma1-b", lhs, rhs, f"r={pv.r} s={pv.s}")]
 
@@ -578,19 +570,14 @@ def run_theta_eigen(rng, config):
     def draw():
         return {"q": rand_q(rng), "x0": rand_rat(rng, 8), "y0": rand_rat(rng, 8)}
 
-    def ok(d):
-        # the pointwise divided difference evaluates on the grid
-        # (x0 q^{-i}, y0 q^j); none of those points may be singular
-        for i in range(5):
-            for j in range(5):
-                if d["x0"] * qpow(d["q"], -1 - i) == d["y0"] * d["q"] ** j:
-                    return False
-        return True
-
-    s = resample(rng, draw, ok)
+    # the pointwise divided difference divides by x0 q^{-1-i} - y0 q^j =
+    # x0 q^{-1-i} (1 - (q y0/x0) q^{i+j}), i, j < 5: one is 0 exactly when
+    # (q y0/x0;q)_9 is.  `vanishes` rejects up to m = 120, but y0/x0 =
+    # q^{-m-1} needs den(q)^{m+1} <= 64, so m >= 9 never occurs
+    s = resample(rng, draw, avoiding(lambda q, x0, y0, **_: (q * y0 / x0,)))
     q, x0, y0 = s["q"], s["x0"], s["y0"]
     N = config.order
-    F = cauchy_basis_series(N, q)
+    F = shifted_cauchy_series(0, N, q)
     out = []
     for k in range(4):
         applied = TruncSeries([theta_basis(c, k, q) for c in F.coeffs])

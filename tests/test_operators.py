@@ -16,9 +16,7 @@ from qhyper.families import (
 )
 from qhyper.operators import (
     CauchyPoly,
-    cauchy_basis_series,
     evaluate_series,
-    op_apply_poly,
     op_apply_series,
     shifted_cauchy_series,
     theta_basis,
@@ -90,13 +88,19 @@ def test_theta_cross_validation_exhaustive():
             assert lhs == rhs
 
 
-def test_op_apply_poly_produces_general_polynomial():
+def apply_to_one(pv, z, f, q):
+    """The operator applied to one CauchyPoly, as a one-coefficient series."""
+    return op_apply_series(pv, z, TruncSeries([f]), q).coeffs[0]
+
+
+def test_operator_on_a_scaled_basis_element_is_psi_general():
+    """Lemma 1(a): the operator maps (-1)^n q^{-binom(n,2)} P_n(y,x) to Psi_n."""
     pv = ParamVector((F(1, 2), F(-1, 3)), (F(1, 5),))
     q, z = F(1, 2), F(2, 7)
     x0, y0 = F(3, 4), F(-2, 5)
     for n in range(7):
         f = CauchyPoly.basis(n, (-1) ** n * qpow(q, -binom2(n)))
-        applied = op_apply_poly(pv, z, f, q)
+        applied = apply_to_one(pv, z, f, q)
         assert applied.evaluate(x0, y0, q) == psi_general(
             FamilyPoint(x0, y0, z, n), pv, q
         )
@@ -104,7 +108,7 @@ def test_op_apply_poly_produces_general_polynomial():
 
 def test_cauchy_basis_series_evaluates_to_product_ratio():
     q, x0, y0, N = F(1, 3), F(1, 2), F(2, 7), 10
-    evaluated = evaluate_series(cauchy_basis_series(N, q), x0, y0, q)
+    evaluated = evaluate_series(shifted_cauchy_series(0, N, q), x0, y0, q)
     ratio = euler_product_series(x0, q, N) * euler_inverse_series(y0, q, N)
     assert max_abs_deviation(evaluated, ratio) == 0
 
@@ -123,10 +127,10 @@ def test_shifted_cauchy_series_telescopes():
 def test_op_apply_series_is_termwise():
     pv = ParamVector((F(1, 2),), ())
     q, z, N = F(1, 2), F(1, 3), 6
-    F_series = cauchy_basis_series(N, q)
+    F_series = shifted_cauchy_series(0, N, q)
     applied = op_apply_series(pv, z, F_series, q)
     for n in range(N + 1):
-        assert applied.coeffs[n] == op_apply_poly(pv, z, F_series.coeffs[n], q)
+        assert applied.coeffs[n] == apply_to_one(pv, z, F_series.coeffs[n], q)
 
 
 def inline_op_apply_poly(pv, z, f, q):
@@ -157,7 +161,7 @@ def seeded_operator_cases(rng, order):
                 for n in range(order + 1)
             )
             for series in (
-                cauchy_basis_series(order, q),
+                shifted_cauchy_series(0, order, q),
                 shifted_cauchy_series(rng.randint(0, 3), order, q),
                 mixed,
             ):
@@ -174,7 +178,7 @@ def test_op_apply_series_equals_the_inline_coefficient_formula(order):
             want = inline_op_apply_poly(pv, z, c, q)
             assert got == want
             if c is series.coeffs[-1]:
-                assert op_apply_poly(pv, z, c, q) == want
+                assert apply_to_one(pv, z, c, q) == want
 
 
 def raised(fn, *args):
@@ -193,4 +197,4 @@ def test_a_vanishing_lower_parameter_raises_as_the_inline_formula_does(m):
     message = raised(lambda: [inline_op_apply_poly(pv, z, c, q) for c in series.coeffs])
     assert message == f"lower parameter {qpow(q, -m)} gives ({qpow(q, -m)};q)_{m + 1} = 0"
     assert raised(op_apply_series, pv, z, series, q) == message
-    assert raised(op_apply_poly, pv, z, series.coeffs[-1], q) == message
+    assert raised(apply_to_one, pv, z, series.coeffs[-1], q) == message

@@ -12,7 +12,7 @@ import pytest
 from qhyper import families, hyper, operators, scalars, verify
 from qhyper.families import ParamVector
 from qhyper.hyper import DivergentSeriesError, rphis_series_in_t
-from qhyper.scalars import check_magnitude, qpoch, qpoch_inf, qpow
+from qhyper.scalars import check_magnitude, qpoch, qpoch_inf, qpow, vanishing_index
 from qhyper.series import (
     TruncSeries,
     euler_inverse_series,
@@ -23,7 +23,6 @@ from qhyper.verify import (
     RunConfig,
     SUITES,
     derive_seed,
-    is_q_power,
     list_suites,
     rand_in,
     rand_pv,
@@ -116,31 +115,69 @@ def test_rand_pv_keeps_lower_parameters_inside_unit_disc():
         assert all(abs(b) < 1 and b != 1 for b in pv.lower)
 
 
-def test_is_q_power():
+def test_vanishes():
+    """c = q^{-m} for m <= 120 vanishes, at q = 1/2 from c = 1 to c = 2^120,
+    and nothing else does: not 2^121, nor q^m, nor -q^{-m}."""
     q = F(1, 2)
-    assert is_q_power(F(1, 8), q)
-    assert not is_q_power(F(1, 3), q)
-    assert not is_q_power(F(2), q)
     assert vanishes(F(1), q) and vanishes(F(8), q) and vanishes(F(2**120), q)
-    assert not any(vanishes(c, q) for c in (F(1, 8), F(3), F(-8), F(2**121)))
+    assert not any(vanishes(c, q) for c in (F(1, 8), F(3), F(-8), F(2**121), F(1, 3), F(1, 2)))
+    assert vanishing_index(F(2**120), q, 120) == 120
+    assert vanishing_index(F(2**121), q, 120) is None
+    assert vanishing_index(F(2**121), q, 121) == 121
 
 
-def full_walk_is_q_power(x, q, limit=120):
-    return any(x == q**m for m in range(1, limit + 1))
+def full_walk_vanishing_index(c, q, limit=120):
+    return next((m for m in range(limit + 1) if c * q**m == 1), None)
 
 
-def test_is_q_power_gives_the_full_walks_answer():
-    """The walk that stops once |q^m| is past |x| answers as the walk over
-    every m <= 120, on negative q, |q| > 1, q = 0, +-1 and x = 0, 1, -1."""
+def test_vanishing_index_gives_the_full_walks_answer():
+    """The walk that stops once |c q^m| is past 1 answers as the walk over
+    every m <= 120, on negative q, |q| > 1, q = 0, +-1 and c = 0, 1, -1;
+    `vanishes` is whether it finds an m."""
     rng = random.Random(26)
     qs = [F(1, 2), F(-2, 3), F(63, 64), F(-1, 9), F(3, 2), F(-5, 2), F(0), F(1), F(-1)]
     qs += [verify.rand_rat(rng) for _ in range(6)]
     for q in qs:
-        xs = [F(0), F(1), F(-1), F(1, 2), -q]
-        xs += [sign * q**m for m in (1, 2, 7, 8, 9, 119, 120, 121) for sign in (1, -1)]
-        xs += [verify.rand_rat(rng) for _ in range(6)]
-        for x in xs:
-            assert is_q_power(x, q) == full_walk_is_q_power(x, q), (x, q)
+        cs = [F(0), F(1), F(-1), F(2), -q]
+        cs += [sign / q**m for m in (1, 2, 7, 8, 9, 119, 120, 121) if q for sign in (1, -1)]
+        cs += [verify.rand_rat(rng) for _ in range(6)]
+        for c in cs:
+            m = vanishing_index(c, q, 120)
+            assert m == full_walk_vanishing_index(c, q), (c, q)
+            if c:
+                assert vanishes(c, q) == (m is not None), (c, q)
+        assert vanishing_index(F(0), q, 120) is None
+
+
+def frozen_theta_eigen_ok(d):
+    """theta-eigen's hand-written grid predicate: no point (x0 q^{-1-i},
+    y0 q^j), i, j < 5, of the pointwise divided difference is singular."""
+    for i in range(5):
+        for j in range(5):
+            if d["x0"] * qpow(d["q"], -1 - i) == d["y0"] * d["q"] ** j:
+                return False
+    return True
+
+
+def test_theta_eigen_declares_what_its_grid_check_rejected(monkeypatch):
+    """The declared factor q y0/x0 rejects exactly the draws the grid check
+    rejected, on 20,000 draws of theta-eigen's own sampler."""
+    captured = []
+
+    def capture(rng, draw, ok):
+        captured.append((draw, ok))
+        raise RuntimeError("sampler captured")
+
+    monkeypatch.setattr(verify, "resample", capture)
+    run_suite("theta-eigen", RunConfig(trials=1, seed=3))
+    ((draw, ok),) = captured
+    rejected = 0
+    for _ in range(20_000):
+        d = draw()
+        accepted = ok(d)
+        assert accepted == frozen_theta_eigen_ok(d), d
+        rejected += not accepted
+    assert rejected > 10
 
 
 def test_truncated_sum_geometric():
