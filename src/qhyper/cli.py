@@ -205,7 +205,7 @@ def cmd_check(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# eval
+# eval and expand
 
 
 def _pv_from_args(args) -> ParamVector:
@@ -218,49 +218,62 @@ def _pv_from_args(args) -> ParamVector:
     return ParamVector(upper, lower)
 
 
-def cmd_eval(args) -> int:
-    q = parse_q(args.q)
-    n = _bounded("n", args.n, MAX_DEGREE)
-    family = args.family
-    need = lambda name: _require(args, name, f"family {family!r}")
-    if family == "P":
-        x, y = need("x"), need("y")
-        # `cauchy_P` is uncapped, so bound the bits of P_n here
-        bits = _prefix_bits(n, x, y, q)
-        if bits > MAX_SCALAR_BITS:
-            raise CliError(f"P_{n} may need {bits} bits, past the cap of {MAX_SCALAR_BITS}")
-        value = cauchy_P(n, x, y, q)
-    elif family == "phi_asc":
-        value = asc_phi(n, need("a1"), need("x"), q)
-    elif family == "psi_asc":
-        value = asc_psi(n, need("a1"), need("x"), q)
-    elif family in ("cao_phi3", "cao_psi3"):
-        fn = cao_phi3 if family == "cao_phi3" else cao_psi3
-        value = fn(n, need("a1"), need("a2"), need("a3"), need("x"), need("y"), q)
-    elif family in ("ext_phi5", "ext_psi5"):
-        fn = ext_phi5 if family == "ext_phi5" else ext_psi5
-        value = fn(
-            n, need("a1"), need("a2"), need("a3"), need("a4"), need("a5"),
-            need("x"), need("y"), q,
-        )
-    elif family in ("sa_phi", "sa_psi"):
-        fn = sa_phi if family == "sa_phi" else sa_psi
-        pv = _pv_from_args(args)
-        if pv.r != pv.s + 1:
-            raise CliError(f"family {family!r} needs one more upper than lower parameter")
-        value = fn(n, pv, need("x"), need("y"), q)
-    elif family == "V":
-        value = v_poly(n, _pv_from_args(args), need("x"), need("y"), need("z"), q)
-    else:  # "Psi"; the parser's choices admit no other family
-        value = psi_general(
-            FamilyPoint(need("x"), need("y"), need("z"), n), _pv_from_args(args), q
-        )
-    try:
-        approx = f" = {float(value):.12g}"
-    except OverflowError:  # outside the float range: the exact value only
-        approx = ""
-    print(f"{value.numerator}/{value.denominator}{approx}")
-    return EXIT_OK
+def _sa_params(pv: ParamVector, family: str) -> ParamVector:
+    if pv.r != pv.s + 1:
+        raise CliError(f"family {family!r} needs one more upper than lower parameter")
+    return pv
+
+
+def _euler_bits(N: int, c: Fraction, q: Fraction) -> int:
+    """A bound on the bits of c^k q^{C(k,2)}, k <= N: those of (c;q)_N."""
+    return _prefix_bits(N, 1, c, q)
+
+
+#: One table per subcommand: each `eval` family and each `expand` target maps
+#: to (function, flags, bound).  The function is called as function(n,
+#: *values, q), n being `--n` or `--order`, with the value of each flag of
+#: `flags` in that order: "a" gives the parameter vector of --a and --b
+#: (held to --r and --s), any other flag its rational.  A bound, called the
+#: same way, is the bit count (`_prefix_bits`) of the largest exact product
+#: the function forms uncapped, and past MAX_SCALAR_BITS the call is
+#: refused before it is made.  The lambdas look each function up when
+#: called, so a rebinding (as the benchmark's tracer makes) is seen.
+EVAL_FAMILIES = {
+    "P": (lambda *v: cauchy_P(*v), ("x", "y"), _prefix_bits),
+    "phi_asc": (lambda *v: asc_phi(*v), ("a1", "x"), None),
+    "psi_asc": (lambda *v: asc_psi(*v), ("a1", "x"), None),
+    "cao_phi3": (lambda *v: cao_phi3(*v), ("a1", "a2", "a3", "x", "y"), None),
+    "cao_psi3": (lambda *v: cao_psi3(*v), ("a1", "a2", "a3", "x", "y"), None),
+    "ext_phi5": (lambda *v: ext_phi5(*v), ("a1", "a2", "a3", "a4", "a5", "x", "y"), None),
+    "ext_psi5": (lambda *v: ext_psi5(*v), ("a1", "a2", "a3", "a4", "a5", "x", "y"), None),
+    "sa_phi": (lambda n, pv, *v: sa_phi(n, _sa_params(pv, "sa_phi"), *v), ("a", "x", "y"), None),
+    "sa_psi": (lambda n, pv, *v: sa_psi(n, _sa_params(pv, "sa_psi"), *v), ("a", "x", "y"), None),
+    "V": (lambda *v: v_poly(*v), ("a", "x", "y", "z"), None),
+    "Psi": (
+        lambda n, x, y, z, pv, q: psi_general(FamilyPoint(x, y, z, n), pv, q),
+        ("x", "y", "z", "a"),
+        None,
+    ),
+}
+EXPAND_TARGETS = {
+    "cauchy-ratio": (lambda N, x, y, q: cauchy_ratio_series(x, y, q, N), ("x", "y"), _prefix_bits),
+    "euler": (lambda N, c, q: euler_product_series(c, q, N), ("c",), _euler_bits),
+    "euler-inv": (lambda N, c, q: euler_inverse_series(c, q, N), ("c",), _euler_bits),
+    "rphis-t": (lambda N, pv, c, q: rphis_series_in_t(pv, q, c, N), ("a", "c"), None),
+    "gf-psi-lhs": (lambda N, *v: psi_gf_lhs(*v, N), ("a", "x", "y", "z"), None),
+    "gf-psi-rhs": (lambda N, *v: psi_gf_rhs(*v, N), ("a", "x", "y", "z"), None),
+}
+
+
+def _compute(table: dict, key: str, what: str, label: str, args, n: int, q: Fraction):
+    """The function of table[key] at n, q and its flags' values; `what`
+    names the family or target when a flag is missing, `label` the product
+    when the bound is past the cap."""
+    fn, flags, bound = table[key]
+    values = [_pv_from_args(args) if f == "a" else _require(args, f, what) for f in flags]
+    if bound is not None and (bits := bound(n, *values, q)) > MAX_SCALAR_BITS:
+        raise CliError(f"{label} may need {bits} bits, past the cap of {MAX_SCALAR_BITS}")
+    return fn(n, *values, q)
 
 
 def _require(args, name: str, what: str) -> Fraction:
@@ -271,26 +284,26 @@ def _require(args, name: str, what: str) -> Fraction:
     return parse_rat(value)
 
 
-# ---------------------------------------------------------------------------
-# expand
+def cmd_eval(args) -> int:
+    q = parse_q(args.q)
+    n = _bounded("n", args.n, MAX_DEGREE)
+    family = args.family
+    value = _compute(EVAL_FAMILIES, family, f"family {family!r}", f"{family}_{n}", args, n, q)
+    try:
+        approx = f" = {float(value):.12g}"
+    except OverflowError:  # outside the float range: the exact value only
+        approx = ""
+    print(f"{value.numerator}/{value.denominator}{approx}")
+    return EXIT_OK
 
 
 def cmd_expand(args) -> int:
     q = parse_q(args.q)
     N = _bounded("order", args.order, MAX_ORDER)
     target = args.target
-    need = lambda name: _require(args, name, f"target {target!r}")
-    if target == "euler":
-        series = euler_product_series(need("c"), q, N)
-    elif target == "euler-inv":
-        series = euler_inverse_series(need("c"), q, N)
-    elif target == "cauchy-ratio":
-        series = cauchy_ratio_series(need("x"), need("y"), q, N)
-    elif target == "rphis-t":
-        series = rphis_series_in_t(_pv_from_args(args), q, need("c"), N)
-    else:  # "gf-psi-lhs" or "gf-psi-rhs"; the parser's choices admit no other
-        fn = psi_gf_lhs if target == "gf-psi-lhs" else psi_gf_rhs
-        series = fn(_pv_from_args(args), need("x"), need("y"), need("z"), q, N)
+    series = _compute(
+        EXPAND_TARGETS, target, f"target {target!r}", f"t^{N} of {target}", args, N, q
+    )
     for k, c in enumerate(series.coeffs):
         print(f"t^{k}\t{c.numerator}/{c.denominator}")
     return EXIT_OK
@@ -332,55 +345,29 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--format", choices=("json", "tsv", "human"), default=None)
     check.add_argument("--config", default=None, help="JSON file with RunConfig fields")
 
-    shared_params = {
-        "--x": "x",
-        "--y": "y",
-        "--z": "z",
-        "--c": "c",
-        "--a1": "a1",
-        "--a2": "a2",
-        "--a3": "a3",
-        "--a4": "a4",
-        "--a5": "a5",
-    }
-
     evalp = sub.add_parser(
         "eval",
         help="evaluate one polynomial family exactly",
-        description="Evaluate one polynomial family exactly.  Every rational argument and"
-        f" value is capped at {MAX_SCALAR_BITS} bits; P exits 2 when n (h(x) + h(y) + 1)"
-        " + C(n,2) h(q), with h the larger bit length of a rational's numerator and"
-        " denominator, passes that cap.",
+        description="Evaluate one polynomial family exactly.  Every rational argument, and"
+        " every (a;q)_k and [n k]_q a family reads, is capped at"
+        f" {MAX_SCALAR_BITS} bits; P exits 2 when n (h(x) + h(y) + 1) + C(n,2) h(q), with h"
+        " the larger bit length of a rational's numerator and denominator, passes that"
+        " cap.  The other families' sums are not capped.",
     )
-    evalp.add_argument(
-        "family",
-        choices=(
-            "P", "phi_asc", "psi_asc", "cao_phi3", "cao_psi3",
-            "ext_phi5", "ext_psi5", "sa_phi", "sa_psi", "V", "Psi",
-        ),
-    )
+    evalp.add_argument("family", choices=EVAL_FAMILIES)
     evalp.add_argument("--n", type=int, required=True)
     evalp.add_argument("--q", required=True)
-    for flag, dest in shared_params.items():
-        evalp.add_argument(flag, dest=dest, default=None)
-    evalp.add_argument("--a", default="", help="comma-separated upper parameters")
-    evalp.add_argument("--b", default="", help="comma-separated lower parameters")
-    evalp.add_argument("--r", type=int, default=None, help="expected upper arity")
-    evalp.add_argument("--s", type=int, default=None, help="expected lower arity")
-
     expand = sub.add_parser("expand", help="print series coefficients t^0..t^N")
-    expand.add_argument(
-        "target",
-        choices=("cauchy-ratio", "euler", "euler-inv", "rphis-t", "gf-psi-lhs", "gf-psi-rhs"),
-    )
+    expand.add_argument("target", choices=EXPAND_TARGETS)
     expand.add_argument("--order", type=int, default=12)
     expand.add_argument("--q", required=True)
-    for flag, dest in shared_params.items():
-        expand.add_argument(flag, dest=dest, default=None)
-    expand.add_argument("--a", default="", help="comma-separated upper parameters")
-    expand.add_argument("--b", default="", help="comma-separated lower parameters")
-    expand.add_argument("--r", type=int, default=None)
-    expand.add_argument("--s", type=int, default=None)
+    for p in (evalp, expand):
+        for name in ("x", "y", "z", "c", "a1", "a2", "a3", "a4", "a5"):
+            p.add_argument(f"--{name}", default=None)
+        p.add_argument("--a", default="", help="comma-separated upper parameters")
+        p.add_argument("--b", default="", help="comma-separated lower parameters")
+        p.add_argument("--r", type=int, default=None, help="expected upper arity")
+        p.add_argument("--s", type=int, default=None, help="expected lower arity")
 
     return parser
 

@@ -62,5 +62,5 @@ TSV_FIELDS = ("id", "mode", "seed", "trial", "pass", "deviation_num", "deviation
 
 
 def sort_reports(reports: list[IdentityReport]) -> list[IdentityReport]:
-    """Order-normalize so parallel execution cannot change the output."""
+    """The rows ordered by (id, trial), the order every report is written in."""
     return sorted(reports, key=lambda r: (r.id, r.trial))

@@ -302,7 +302,6 @@ def truncated_sum(term_fn, eps: Fraction, kmin: int = TAIL_KMIN) -> Ball:
 
 @dataclass
 class Suite:
-    id: str
     mode: str  # formal | exact | numeric
     runner: Callable[[random.Random, RunConfig], list[tuple[str, Fraction, Fraction, str]]]
     # runner returns (identity_id, deviation, scale, notes) rows
@@ -313,7 +312,7 @@ SUITES: dict[str, Suite] = {}
 
 def suite(id: str, mode: str):
     def register(fn):
-        SUITES[id] = Suite(id, mode, fn)
+        SUITES[id] = Suite(mode, fn)
         return fn
 
     return register
@@ -707,34 +706,13 @@ class _Trial:
         return truncated_sum(term, self.eps, kmin)
 
 
-def _rogers_szego_sum(t: Rat, omega: Rat, q: Rat) -> Callable[[int], Rat]:
-    """m -> sum_{n<=m} t^n omega^(m-n) / ((q;q)_n (q;q)_{m-n}), as h_m / (q;q)_m.
-
-    h_m = sum_n [m n]_q t^n omega^(m-n) is the Rogers-Szego polynomial, formed
-    by h_0 = 1, h_1 = t + omega, h_{m+1} = (t + omega) h_m - (1 - q^m) t omega
-    h_{m-1} (G. E. Andrews, The Theory of Partitions, ch. 3); the returned
-    function keeps the h_m it has formed.
-    """
-    e1, e2 = t + omega, t * omega
-    h = [Fraction(1), e1]
-
-    def inner(m):
-        while len(h) <= m:
-            k = len(h) - 1
-            h.append(e1 * h[k] - (1 - q**k) * e2 * h[k - 1])
-        return h[m] / qpoch(q, q, m)
-
-    return inner
-
-
 def _asc_psi_sweep(a: Rat, x: Rat, q: Rat) -> Callable[[int], Rat]:
     """n -> psi_n^{(a)}(x|q), the Fraction `families.asc_psi` gives.
 
     The generating function (a x t;q)_inf / ((t;q)_inf (x t;q)_inf) of
     phi_n^{(a)}(x|q), read at q^{-1} (Koekoek-Lesky-Swarttouw), gives
     psi_0 = 1, psi_1 = 1 + x - a x and psi_n = (1 + x - a x q^{1-n})
-    psi_{n-1} - x (1 - q^{1-n}) psi_{n-2}; at a = 0 this is the Rogers-Szego
-    recurrence of `_rogers_szego_sum`.  The returned function keeps the
+    psi_{n-1} - x (1 - q^{1-n}) psi_{n-2}.  The returned function keeps the
     psi_n it has formed.
     """
     one_x, ax = 1 + x, a * x
@@ -755,10 +733,10 @@ def run_thm2(rng, config):
         r = rng.randint(0, 2)
         s_ = rng.randint(r - 1 if r else 0, 2)
         omega = rand_in(rng, Fraction(1, 8), Fraction(1, 2))
-        # The single-sum side is an asymptotic resummation of the double sum:
-        # its derivation Euler-sums a series in (t/omega) q^{-k} that diverges
-        # for k beyond -log_q|t/omega|.  Forcing |t/omega| ~ 2^-27 pushes the
-        # resummation error far below the truncation threshold.
+        # The single sum is one term of the two-term identity LHS = S(omega, t)
+        # + S(t, omega) (ROADMAP item 2): the row compares LHS with S(omega, t)
+        # alone, and passes only because |t/omega| ~ 2^-27 keeps the missing
+        # S(t, omega) below the tolerance.
         ratio = Fraction(1)
         for _ in range(5):
             ratio *= rand_small(rng)
@@ -779,10 +757,14 @@ def run_thm2(rng, config):
     t, omega = s["t"], s["omega"]
     trial = _Trial(q, config.eps)
     psi = psi_sweep(x, y, z, pv, q)
-    inner = _rogers_szego_sum(t, omega, q)
+    # the inner sum is h_m(t, omega) / (q;q)_m, with the Rogers-Szego
+    # polynomial h_m(t, omega) = omega^m psi_m^{(0)}(t/omega | 1/q)
+    rogers_szego = _asc_psi_sweep(0, t / omega, 1 / q)
 
     def lhs_term(m):
-        return inner(m), psi(m), (-1) ** m, q ** binom2(m)
+        return (
+            rogers_szego(m), omega**m, qpow(qpoch(q, q, m), -1), psi(m), (-1) ** m, q ** binom2(m)
+        )
 
     lhs = trial.sum(lhs_term)
     pref = trial.quotient((x * omega,), (t / omega, y * omega))
@@ -1030,50 +1012,26 @@ def run_remark2(rng, config):
 
 
 def run_suite(suite_id: str, config: RunConfig) -> list[IdentityReport]:
-    if suite_id == "all":
-        reports = []
-        for sid in sorted(SUITES):
-            reports.extend(run_suite(sid, config))
-        return sort_reports(reports)
-    if suite_id not in SUITES:
-        raise KeyError(suite_id)
-    sdef = SUITES[suite_id]
+    """The reports of every trial of suite `suite_id`, or of every suite for
+    "all", ordered by (id, trial).  A trial that raises one of the errors
+    below gives the errored row (suite_id, None, None, "errored: ..."),
+    which does not pass; an unknown id raises KeyError."""
     reports: list[IdentityReport] = []
-    tol = config.numeric_tol if sdef.mode == "numeric" else 0
-    for trial in range(config.trials):
-        seed = derive_seed(config.seed, suite_id, trial)
-        rng = random.Random(seed)
-        try:
-            results = sdef.runner(rng, config)
-        except (
-            DivergentSeriesError,
-            ScalarOverflowError,
-            ZeroDivisionError,
-            RuntimeError,
-        ) as exc:
-            reports.append(
-                IdentityReport(
-                    id=suite_id,
-                    mode=sdef.mode,
-                    seed=seed,
-                    trial=trial,
-                    passed=False,
-                    notes=f"errored: {exc}",
+    for sid in sorted(SUITES) if suite_id == "all" else [suite_id]:
+        sdef = SUITES[sid]
+        tol = config.numeric_tol if sdef.mode == "numeric" else 0
+        for trial in range(config.trials):
+            seed = derive_seed(config.seed, sid, trial)
+            try:
+                rows = sdef.runner(random.Random(seed), config)
+            except (DivergentSeriesError, ScalarOverflowError, ZeroDivisionError,
+                    RuntimeError) as exc:
+                rows = [(sid, None, None, f"errored: {exc}")]
+            for identity_id, dev, scale, notes in rows:
+                passed = dev is not None and dev <= tol * scale
+                reports.append(
+                    IdentityReport(identity_id, sdef.mode, seed, trial, passed, dev, notes)
                 )
-            )
-            continue
-        for identity_id, dev, scale, notes in results:
-            reports.append(
-                IdentityReport(
-                    id=identity_id,
-                    mode=sdef.mode,
-                    seed=seed,
-                    trial=trial,
-                    passed=dev <= tol * scale,
-                    deviation=dev,
-                    notes=notes,
-                )
-            )
     return sort_reports(reports)
 
 

@@ -1,5 +1,6 @@
 """CLI: subcommands, exit codes, report formats, determinism."""
 
+import argparse
 import ast
 import json
 import os
@@ -261,6 +262,14 @@ def bad_config(name):
     return ["check", "--config", str(CONFIGS / f"{name}.json"), "--suite", "euler-pair"]
 
 
+#: `expand` targets whose exact products would reach 4M bits; each once ran
+#: past 60 s and printed megabytes
+HUGE_EXPANDS = [
+    ["expand", "cauchy-ratio", "--x", "1e18900", "--y", "2", "--order", "64", "--q", "1/2"],
+    ["expand", "euler", "--c", "1e18900", "--order", "64", "--q", "1/2"],
+    ["expand", "euler-inv", "--c", "1e18900", "--order", "64", "--q", "1/2"],
+]
+
 #: (label, argv, environment, exit code) of inputs that once ended in a
 #: traceback or a silent value
 CLI_EDGE_CASES = [
@@ -313,6 +322,7 @@ CLI_EDGE_CASES = [
     ("x-1e-30000", ["eval", "P", "--n", "3", "--q", "1/2", "--x", "1e-30000", "--y", "2"],
      {}, EXIT_USAGE),
     ("q-past-the-cap", ["eval", "P", "--n", "3", *PQ, "--q=1/" + "9" * 20000], {}, EXIT_USAGE),
+    *[(f"expand-{argv[1]}-1e18900", argv, {}, EXIT_USAGE) for argv in HUGE_EXPANDS],
 ]
 
 
@@ -349,6 +359,40 @@ def test_eval_P_refuses_a_product_past_the_bit_cap_before_forming_it(capsys):
         assert time.perf_counter() - start < 1, x
         assert (code, out) == (EXIT_USAGE, "") and err.count("\n") == 1, x
         assert err.startswith("error: P_128 may need ") and err.endswith("past the cap of 65536\n")
+
+
+def test_expand_refuses_a_product_past_the_bit_cap_before_forming_it(capsys):
+    """cauchy-ratio forms P_k(x, y) and the Euler pair c^k q^{C(k,2)}, k <= N,
+    bounded as `eval P` bounds P_N(x, y) and (c;q)_N = P_N(1, c).  At q = 1/2,
+    y = 2 and N = 64 the bound is 64 (h + 3) + 4032, h = h(x) or h(c) - 1, so
+    h = 958 reaches the cap of 65536 and is expanded, and h = 959 exits 2 at
+    once."""
+    for argv in HUGE_EXPANDS:
+        flag = argv.index("1e18900")
+        e = 957 + (argv[1] != "cauchy-ratio")  # the largest x or c = 2^e with h = 958
+        for value, expected in ((2**e, EXIT_OK), (2 ** (e + 1), EXIT_USAGE), ("1e18900", EXIT_USAGE)):
+            start = time.perf_counter()
+            code, out, err = run(argv[:flag] + [str(value)] + argv[flag + 1:], capsys)
+            assert code == expected and time.perf_counter() - start < 1, (argv[1], value)
+            if expected == EXIT_USAGE:
+                assert out == "" and err.count("\n") == 1
+                assert err.startswith(f"error: t^64 of {argv[1]} may need ")
+                assert err.endswith("past the cap of 65536\n")
+
+
+def test_each_subcommand_reads_its_choices_and_flags_from_one_table():
+    """The choices of `eval` and `expand` are the keys of their tables, in
+    order, and every flag a table entry reads is an option of its
+    subcommand: "a", the parameter vector, with --b, --r and --s."""
+    [subparsers] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for command, table in (("eval", cli.EVAL_FAMILIES), ("expand", cli.EXPAND_TARGETS)):
+        actions = subparsers.choices[command]._actions
+        [choices] = [a.choices for a in actions if a.choices and not a.option_strings]
+        assert list(choices) == list(table), command
+        options = {s for a in actions for s in a.option_strings}
+        for key, (_, flags, _) in table.items():
+            pv = {"--b", "--r", "--s"} if "a" in flags else set()
+            assert {f"--{f}" for f in flags} | pv <= options, (command, key)
 
 
 def test_importing_qhyper_keeps_the_int_digit_limit():

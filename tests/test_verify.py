@@ -675,16 +675,20 @@ def test_asc_psi_recurrence_equals_the_defining_sum(q):
 
 @pytest.mark.parametrize("q", [F(1, 2), F(-2, 3), F(5, 7), F(-1, 9), F(3, 2)])
 def test_rogers_szego_recurrence_equals_the_defining_sum(q):
+    """Theorem 2's inner sum over n <= m of t^n omega^(m-n) / ((q;q)_n
+    (q;q)_{m-n}) is h_m(t, omega) / (q;q)_m, and the Rogers-Szego polynomial
+    h_m(t, omega) is omega^m psi_m^{(0)}(t/omega | 1/q), read from
+    `_asc_psi_sweep` as the suite reads it."""
     rng = random.Random(str(q))
     for _ in range(3):
         t, omega = (verify.rand_rat(rng) for _ in range(2))
-        inner = verify._rogers_szego_sum(t, omega, q)
+        psi = verify._asc_psi_sweep(0, t / omega, 1 / q)
         for m in rng.sample(range(41), 41):
             want = sum(
                 (t**n * omega ** (m - n) / (qpoch(q, q, n) * qpoch(q, q, m - n)) for n in range(m + 1)),
                 F(0),
             )
-            assert inner(m) == want, (t, omega, m)
+            assert omega**m * psi(m) / qpoch(q, q, m) == want, (t, omega, m)
 
 
 @pytest.mark.parametrize(
