@@ -235,9 +235,10 @@ def _euler_bits(N: int, c: Fraction, q: Fraction) -> int:
 #: `flags` in that order: "a" gives the parameter vector of --a and --b
 #: (held to --r and --s), any other flag its rational.  A bound, called the
 #: same way, is the bit count (`_prefix_bits`) of the largest exact product
-#: the function forms uncapped, and past MAX_SCALAR_BITS the call is
-#: refused before it is made.  The lambdas look each function up when
-#: called, so a rebinding (as the benchmark's tracer makes) is seen.
+#: the function forms; past MAX_SCALAR_BITS the call is refused before it
+#: is made, so no long table is formed only for its last entry to raise.
+#: The lambdas look each function up when called, so a rebinding (as the
+#: benchmark's tracer makes) is seen.
 EVAL_FAMILIES = {
     "P": (lambda *v: cauchy_P(*v), ("x", "y"), _prefix_bits),
     "phi_asc": (lambda *v: asc_phi(*v), ("a1", "x"), None),
@@ -349,10 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
         "eval",
         help="evaluate one polynomial family exactly",
         description="Evaluate one polynomial family exactly.  Every rational argument, and"
-        " every (a;q)_k and [n k]_q a family reads, is capped at"
-        f" {MAX_SCALAR_BITS} bits; P exits 2 when n (h(x) + h(y) + 1) + C(n,2) h(q), with h"
-        " the larger bit length of a rational's numerator and denominator, passes that"
-        " cap.  The other families' sums are not capped.",
+        " every (a;q)_k, P_{n-k}(x, y) and [n k]_q a family reads, is capped at"
+        f" {MAX_SCALAR_BITS} bits; P exits 2 before forming its product when"
+        " n (h(x) + h(y) + 1) + C(n,2) h(q), with h the larger bit length of a rational's"
+        " numerator and denominator, passes that cap.  The sums themselves are not capped.",
     )
     evalp.add_argument("family", choices=EVAL_FAMILIES)
     evalp.add_argument("--n", type=int, required=True)

@@ -3,15 +3,17 @@
 Each family is implemented directly from its own defining sum, never derived
 from the general polynomial, so that reduction tests compare independent
 implementations.  Only the arithmetic is shared: each sum fetches the rows of
-its factors [n k]_q, (a;q)_k and P_{n-k} once, at its top, reads them by
-index in the order of its defining sum, and hands the terms to
-`scalars._sum_of_products`.  A row that would hold an entry past the bit cap
-is read per k instead, so every error is raised at the same (n, k), with the
-same message, as by a sum that forms each factor afresh.  `psi_sweep` reads
-[n k]_q through `qbinom` per k.  The sums of W_k = (a_1..a_r;q)_k /
-(b_1..b_s;q)_k (`psi_sweep`, `sa_phi`, `sa_psi`, `v_poly`) read it from
-`_W_row`, which steps it by one small-integer ratio per k while no
-(c;q)_k can pass the bit cap, and reads `W_coeff` past that bound.
+its factors [n k]_q, (a;q)_k = P_k(1, a) and P_{n-k}(x, y) once, at its top
+(`_qbinom_reader`, `_prefix_reader`), reads them by index in the order of its
+defining sum, and hands the terms to `scalars._sum_of_products`.  Every
+(a;q)_k and P_{n-k} is capped, whatever its x.  A row that would hold an
+entry past the bit cap is read per k instead, so every error is raised at
+the same (n, k), with the same message, as by a sum that forms each factor
+afresh.  `psi_sweep` reads [n k]_q through `qbinom` per k.  The sums of
+W_k = (a_1..a_r;q)_k / (b_1..b_s;q)_k (`psi_sweep`, `sa_phi`, `sa_psi`,
+`v_poly`) read it from `_W_row`, which steps it by one small-integer ratio
+per k while no (c;q)_k can pass the bit cap, and reads `W_coeff` past that
+bound.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from .scalars import (
     _coprime_fraction,
     _height,
     _prefix_bits,
-    _prefix_row,
+    _prefix_reader,
+    _prefix_value,
     _qbinom_reader,
-    _qpoch_reader,
     _sum_of_products,
     _times,
     binom2,
@@ -77,12 +79,11 @@ class FamilyPoint:
 def cauchy_P(n: int, x: Rat, y: Rat, q: Rat) -> Rat:
     """Cauchy polynomial P_n(x,y) = (x-y)(x-qy)...(x-q^{n-1}y); 1 for n <= 0.
 
-    The product is read from, or added to, its prefix table in `scalars`, so
-    the P_{n-k} of one sum over k cost n factors in all.
+    The product is `scalars._prefix_value`, capped as (a;q)_n is, and read
+    from, or added to, its prefix table, so the P_{n-k} of one sum over k
+    cost n factors in all.
     """
-    if n <= 0:
-        return Fraction(1)
-    return _prefix_row(x, y, q, n)[n]
+    return Fraction(1) if n <= 0 else _prefix_value(x, y, q, n)
 
 
 def W_coeff(k: int, pv: ParamVector, q: Rat) -> Rat:
@@ -166,20 +167,11 @@ def bracket_factor(k: int, q: Rat, exponent: int) -> Rat:
     return sign * qpow(q, binom2(k) * exponent)
 
 
-def psi_sweep(
-    x: Rat,
-    y: Rat,
-    z: Rat,
-    pv: ParamVector,
-    q: Rat,
-    bracket_exponent: int | None = None,
-) -> Callable[[int], Rat]:
+def psi_sweep(x: Rat, y: Rat, z: Rat, pv: ParamVector, q: Rat) -> Callable[[int], Rat]:
     """n -> Psi_n(x, y, z), the generalized q-hypergeometric polynomial.
 
     Psi_n = (-1)^n q^{-binom(n,2)} sum_k [n k]_q bracket^{1+s-r} W_k
-    P_{n-k}(y,x) z^k.  `bracket_exponent` overrides 1+s-r; that hook exists
-    only for the reduction prober, which must test readings where the stated
-    (r,s) disagrees with the parameter-list lengths.
+    P_{n-k}(y,x) z^k.
 
     The factor bracket_k W_k z^k does not depend on n, so the returned
     function keeps a row of them for as long as it lives, shared by every n
@@ -187,21 +179,21 @@ def psi_sweep(
     the point of the sum where the row first reaches it, right after
     [n k]_q, so an error of W_k is raised at the same (n, k) as by a sum
     that forms every term afresh.
-    Each Psi_n reads P_0..P_n(y, x) from the row fetched at its top, and
-    [n k]_q through `qbinom` per k.
+    Each Psi_n reads P_0..P_n(y, x), capped, from the reader fetched at its
+    top, and [n k]_q through `qbinom` per k.
     """
-    e = pv.bracket_exponent if bracket_exponent is None else bracket_exponent
+    e = pv.bracket_exponent
     W = _W_row(pv, q)
     row: list[Rat] = []
 
-    def term(n: int, k: int, P: list[Rat]) -> tuple:
+    def term(n: int, k: int, P: Callable[[int], Rat]) -> tuple:
         binom = qbinom(n, k, q)
         if k == len(row):
             row.append(bracket_factor(k, q, e) * W(k) * z**k)
-        return binom, row[k], P[n - k]
+        return binom, row[k], P(n - k)
 
     def psi(n: int) -> Rat:
-        P = _prefix_row(y, x, q, n)
+        P = _prefix_reader(y, x, q, n)
         acc = _sum_of_products(term(n, k, P) for k in range(n + 1))
         return (-1) ** n * qpow(q, -binom2(n)) * acc
 
@@ -216,7 +208,7 @@ def psi_general(pt: FamilyPoint, pv: ParamVector, q: Rat) -> Rat:
 
 def asc_phi(n: int, a: Rat, x: Rat, q: Rat) -> Rat:
     """Hahn / Al-Salam-Carlitz phi_n^{(a)}(x|q)."""
-    binom, A = _qbinom_reader(n, q), _qpoch_reader(a, q, n)
+    binom, A = _qbinom_reader(n, q), _prefix_reader(1, a, q, n)
     return _sum_of_products((binom(k), A(k), x**k) for k in range(n + 1))
 
 
@@ -227,13 +219,13 @@ def asc_psi(n: int, a: Rat, x: Rat, q: Rat) -> Rat:
     (a;q^{-1})_k, so every k reads the one prefix table of (a, 1/q).
     """
     qinv = qpow(q, -1)
-    binom, A = _qbinom_reader(n, q), _qpoch_reader(a, qinv, n)
+    binom, A = _qbinom_reader(n, q), _prefix_reader(1, a, qinv, n)
     return _sum_of_products((binom(k), qpow(q, k * (k - n)), A(k), x**k) for k in range(n + 1))
 
 
 def cao_phi3(n: int, a: Rat, b: Rat, c: Rat, x: Rat, y: Rat, q: Rat) -> Rat:
     """Three-parameter generalized Al-Salam-Carlitz phi_n^{(a,b,c)}(x,y|q)."""
-    binom, A, B, C = _qbinom_reader(n, q), *(_qpoch_reader(p, q, n) for p in (a, b, c))
+    binom, A, B, C = _qbinom_reader(n, q), *(_prefix_reader(1, p, q, n) for p in (a, b, c))
 
     def term(k: int) -> tuple:
         ck = C(k)
@@ -246,7 +238,7 @@ def cao_phi3(n: int, a: Rat, b: Rat, c: Rat, x: Rat, y: Rat, q: Rat) -> Rat:
 
 def cao_psi3(n: int, a: Rat, b: Rat, c: Rat, x: Rat, y: Rat, q: Rat) -> Rat:
     """Three-parameter generalized Al-Salam-Carlitz psi_n^{(a,b,c)}(x,y|q)."""
-    binom, A, B, C = _qbinom_reader(n, q), *(_qpoch_reader(p, q, n) for p in (a, b, c))
+    binom, A, B, C = _qbinom_reader(n, q), *(_prefix_reader(1, p, q, n) for p in (a, b, c))
 
     def term(k: int) -> tuple:
         ck = C(k)
@@ -261,7 +253,7 @@ def cao_psi3(n: int, a: Rat, b: Rat, c: Rat, x: Rat, y: Rat, q: Rat) -> Rat:
 def ext_phi5(n, a, b, c, d, e, x, y, q) -> Rat:
     """Five-parameter extension phi_n with upper (a,b,c) and lower (d,e)."""
     binom, A, B, C, D, E = (
-        _qbinom_reader(n, q), *(_qpoch_reader(p, q, n) for p in (a, b, c, d, e))
+        _qbinom_reader(n, q), *(_prefix_reader(1, p, q, n) for p in (a, b, c, d, e))
     )
 
     def term(k: int) -> tuple:
@@ -276,7 +268,7 @@ def ext_phi5(n, a, b, c, d, e, x, y, q) -> Rat:
 def ext_psi5(n, a, b, c, d, e, x, y, q) -> Rat:
     """Five-parameter extension psi_n, carrying (-1)^k q^{k(k-n)}."""
     binom, A, B, C, D, E = (
-        _qbinom_reader(n, q), *(_qpoch_reader(p, q, n) for p in (a, b, c, d, e))
+        _qbinom_reader(n, q), *(_prefix_reader(1, p, q, n) for p in (a, b, c, d, e))
     )
 
     def term(k: int) -> tuple:
@@ -315,20 +307,20 @@ def sa_psi(n: int, pv: ParamVector, x: Rat, y: Rat, q: Rat) -> Rat:
 
 def v_poly(n: int, pv: ParamVector, x: Rat, y: Rat, z: Rat, q: Rat) -> Rat:
     """V_n^{(a,c)}(x,y,z|q) = sum_k [n k]_q W_k P_{n-k}(x,y) z^k."""
-    binom, W, P = _qbinom_reader(n, q), _W_row(pv, q), _prefix_row(x, y, q, n)
-    return _sum_of_products((binom(k), W(k), P[n - k], z**k) for k in range(n + 1))
+    binom, W, P = _qbinom_reader(n, q), _W_row(pv, q), _prefix_reader(x, y, q, n)
+    return _sum_of_products((binom(k), W(k), P(n - k), z**k) for k in range(n + 1))
 
 
 def gen_hahn(n: int, x: Rat, y: Rat, a: Rat, b: Rat, q: Rat) -> Rat:
     """Generalized Hahn polynomial h_n(x,y,a,b|q) =
     sum_k [n k]_q (a;q)_k P_{n-k}(x,y) b^k."""
-    binom, A, P = _qbinom_reader(n, q), _qpoch_reader(a, q, n), _prefix_row(x, y, q, n)
-    return _sum_of_products((binom(k), A(k), P[n - k], b**k) for k in range(n + 1))
+    binom, A, P = _qbinom_reader(n, q), _prefix_reader(1, a, q, n), _prefix_reader(x, y, q, n)
+    return _sum_of_products((binom(k), A(k), P(n - k), b**k) for k in range(n + 1))
 
 
 def hahn2_phi(n: int, a: Rat, x: Rat, y: Rat, q: Rat) -> Rat:
     """Bivariate (second) Hahn phi_n^{(a)}(x,y|q) = sum [n k]_q (a;q)_k x^k y^{n-k}."""
-    binom, A = _qbinom_reader(n, q), _qpoch_reader(a, q, n)
+    binom, A = _qbinom_reader(n, q), _prefix_reader(1, a, q, n)
     return _sum_of_products((binom(k), A(k), x**k, y ** (n - k)) for k in range(n + 1))
 
 
@@ -337,7 +329,7 @@ def hahn2_psi(n: int, a: Rat, x: Rat, y: Rat, q: Rat) -> Rat:
     one-variable psi with y-powers; (a q^{1-k};q)_k is read as (a;q^{-1})_k,
     as in `asc_psi`."""
     qinv = qpow(q, -1)
-    binom, A = _qbinom_reader(n, q), _qpoch_reader(a, qinv, n)
+    binom, A = _qbinom_reader(n, q), _prefix_reader(1, a, qinv, n)
     return _sum_of_products(
         (binom(k), qpow(q, k * (k - n)), A(k), x**k, y ** (n - k)) for k in range(n + 1)
     )

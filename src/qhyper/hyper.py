@@ -5,8 +5,8 @@ documented geometric tail rule.  All three read their coefficients from one
 row, `phi_row`, and so does the operator series of `operators`, whose
 coefficient k is the row's at -z; so the sign convention cannot drift: term k
 carries [(-1)^k q^{binom(k,2)}]^{1+s-r}.  The row steps each coefficient to
-the next by the series' exact term ratio; `phi_term` forms one term from its
-definition and is the reference that the row is tested against.  The
+the next by the series' exact term ratio; the tests keep the plain defining
+product of a term as the reference that the row is checked against.  The
 convergent sum comes as a ball (`rphis_ball`) that holds the partial sum and
 the true value: its radius adds a proven bound on the dropped tail to every
 rounding.  Its kernel, `_sum_ball`, also sums the outer sums of the numeric
@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import count, islice
 
-from .families import ParamVector, VanishingPochhammerError, W_coeff, bracket_factor
+from .families import ParamVector, VanishingPochhammerError
 from .scalars import (
     Ball,
     Rat,
@@ -26,7 +26,6 @@ from .scalars import (
     _sum_of_products,
     ball_precision,
     check_magnitude,
-    qpoch,
     vanishing_index,
 )
 from .series import TruncSeries
@@ -49,14 +48,9 @@ class DivergentSeriesError(ArithmeticError):
     """
 
 
-def phi_term(k: int, pv: ParamVector, q: Rat, z: Rat) -> Rat:
-    """Term k of rPhis[a; b; q; z], W_k z^k / (q;q)_k times the bracket power,
-    as the plain defining product: the reference `phi_row` is tested against."""
-    return W_coeff(k, pv, q) * z**k / qpoch(q, q, k) * bracket_factor(k, q, pv.bracket_exponent)
-
-
 def phi_row(pv: ParamVector, q: Rat, z: Rat):
-    """The memoised row k -> c_k = `phi_term(k, pv, q, z)` of rPhis[a; b; q; z].
+    """The memoised row k -> c_k of rPhis[a; b; q; z], term k being
+    c_k = W_k z^k / (q;q)_k [(-1)^k q^{binom(k,2)}]^{1+s-r}.
 
     c_0 = 1, and c_{k+1} = c_k rho_k with the exact term ratio
     rho_k = z (-q^k)^{1+s-r} prod(1 - a q^k) / (prod(1 - b q^k) (1 - q^{k+1})).
@@ -64,10 +58,11 @@ def phi_row(pv: ParamVector, q: Rat, z: Rat):
     and the powers of R cancel, so rho_k is one quotient of small ints, reduced
     with one gcd, and c_k rho_k is one `Fraction` product, whose gcds pair
     c_k with a part of rho_k.  The lower factors are tested first, as in
-    `phi_term`: a zero one raises the same VanishingPochhammerError.  A zero
-    1 - q^{k+1} (q = 1 or -1), or q^k = 0 under a negative exponent, divides
-    by zero.  The row never forms (a;q)_k, so the magnitude cap applies to
-    each c_k it keeps.  Each c_k is formed once, when first asked for.
+    `families.W_coeff`: a zero one raises the same VanishingPochhammerError.
+    A zero 1 - q^{k+1} (q = 1 or -1), or q^k = 0 under a negative exponent,
+    divides by zero.  The row never forms (a;q)_k, so the magnitude cap
+    applies to each c_k it keeps.  Each c_k is formed once, when first asked
+    for.
     """
     e = pv.bracket_exponent
     nq, dq = q.numerator, q.denominator
@@ -261,14 +256,14 @@ def _row_balls(row, z: Rat, p: int):
 def rphis_ball(pv: ParamVector, q: Rat, z: Rat, eps: Rat, row=None) -> Ball:
     """rPhis[a; b; q; z] as a ball at precision `ball_precision(eps)`.
 
-    Term k is c_k z^k with c_k = `phi_term(k, pv, q, 1)`, read from `row`,
-    the function k -> c_k.  A caller that sums one pv at many z passes one
-    row for all of them (a numeric trial does); without one, the sum makes
-    its own, `phi_row(pv, q, 1)`.  Each term is rounded into its ball by `_row_balls`.  A
-    terminating series is summed to its last nonzero term.  Otherwise, with
-    r <= s+1, |z| < 1 when r = s+1, and 0 < |q| < 1, `_sum_ball` sums it with
-    the ratio bound `_ratio_bounds(pv, q, z)`, made once for the sum and
-    read at rising k, so the ball holds the partial sum and the true value.
+    Term k is c_k z^k, c_k read from `row`, the function k -> c_k of
+    `phi_row(pv, q, 1)`.  A caller that sums one pv at many z passes one row
+    for all of them (a numeric trial does); without one, the sum makes its
+    own.  Each term is rounded into its ball by `_row_balls`.  A terminating
+    series is summed to its last nonzero term.  Otherwise, with r <= s+1,
+    |z| < 1 when r = s+1, and 0 < |q| < 1, `_sum_ball` sums it with the ratio
+    bound `_ratio_bounds(pv, q, z)`, made once for the sum and read at rising
+    k, so the ball holds the partial sum and the true value.
     """
     p = ball_precision(eps)
     terms = _row_balls(row or phi_row(pv, q, 1), z, p)

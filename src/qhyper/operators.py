@@ -15,7 +15,7 @@ from typing import Callable
 
 from .families import ParamVector, cauchy_P
 from .hyper import phi_row
-from .scalars import Rat, _qpoch_reader, qpoch
+from .scalars import Rat, _prefix_reader, qpoch
 from .series import TruncSeries
 
 
@@ -92,7 +92,7 @@ def theta_basis(f: CauchyPoly, k: int, q: Rat) -> CauchyPoly:
     basis terms of degree < k are annihilated.  (q;q)_m and (q;q)_{m-k} are
     read from the row of (q;q) fetched once."""
     out: dict[int, Rat] = {}
-    qq = _qpoch_reader(q, q, f.degree)
+    qq = _prefix_reader(1, q, q, f.degree)
     for m, c in f.coeffs.items():
         if m < k:
             continue

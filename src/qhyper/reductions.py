@@ -28,7 +28,7 @@ from .families import (
     v_poly,
 )
 from .scalars import (
-    Rat, _prefix_row, _qbinom_reader, _sum_of_products, binom2, max_deviation, qpow,
+    Rat, _prefix_reader, _qbinom_reader, _sum_of_products, binom2, max_deviation, qpow,
 )
 
 N_MAX = 8
@@ -40,9 +40,9 @@ def _prefactor(n: int, q: Rat) -> Rat:
 
 def _trivariate_F(n: int, x: Rat, y: Rat, z: Rat, q: Rat) -> Rat:
     """The classical trivariate polynomial, from its own display."""
-    binom, P = _qbinom_reader(n, q), _prefix_row(y, x, q, n)
+    binom, P = _qbinom_reader(n, q), _prefix_reader(y, x, q, n)
     acc = _sum_of_products(
-        (binom(k), (-1) ** k, q ** binom2(k), z**k, P[n - k]) for k in range(n + 1)
+        (binom(k), (-1) ** k, q ** binom2(k), z**k, P(n - k)) for k in range(n + 1)
     )
     return _prefactor(n, q) * acc
 
@@ -59,10 +59,10 @@ def check_item(item: int, sample: dict, q: Rat, n_max: int = N_MAX) -> tuple:
     a, b, c, d, e = sample["a"], sample["b"], sample["c"], sample["d"], sample["e"]
     zero = Fraction(0)
 
-    def dev(args, pv, target, bracket_exponent=None):
+    def dev(args, pv, target):
         """max_n |Psi_n(args) - target(n)|, Psi with parameters pv, every n
         read from one sweep."""
-        psi = psi_sweep(*args, pv, q, bracket_exponent)
+        psi = psi_sweep(*args, pv, q)
         return max_deviation((psi(n), target(n)) for n in range(n_max + 1))
 
     def row(dev, notes):
@@ -126,8 +126,9 @@ def check_item(item: int, sample: dict, q: Rat, n_max: int = N_MAX) -> tuple:
         stated_dev = dev((zero, x, y), pv, lambda n: _prefactor(n, q) * target(n))
         # The stated "r = s = 2" conflicts with three upper parameters; the
         # consistent reading forces the sign-bracket exponent to 1 and flips
-        # the sign of the last argument.
-        corrected_dev = dev((x, zero, -y), pv, target, bracket_exponent=1)
+        # the sign of the last argument.  A third, zero, lower parameter
+        # gives exponent 1 and leaves W_k as it is, since (0;q)_k = 1.
+        corrected_dev = dev((x, zero, -y), ParamVector((a, b, c), (d, e, zero)), target)
         return corrected_row(
             stated_dev,
             corrected_dev,

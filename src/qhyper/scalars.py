@@ -6,28 +6,28 @@ q-Pochhammer product, which still returns an exact rational (the partial
 product).  The one type that rounds, `Ball`, carries every rounding in its
 radius.
 
-`qpoch` serves (a;q)_n = P_n(1, a) from a prefix table of the products
-P_n(x, y) = prod_{j<n} (x - y q^j), which holds P_0..P_m and is extended only
-when a larger n is asked for; the Cauchy polynomials of `families.cauchy_P`
-are served from the same kind of table.  An extension steps on ints, one
-factor at a time, and takes no gcd of two large integers (`_times`).  A
-table counts its leading entries within the bit-length cap as it makes
-them, so each is checked once, and an entry past the cap is checked, and
-raises, on every read.  The same store keeps the q-binomial rows
-[n 0..n]_q, each divided once from the (q;q) table.  Entries live as long
-as the process; when a new one is about to be made and the charge (stored
-bits plus a fixed overhead per rational) is past the budget, all are
-dropped.  So the store passes its budget only by the
+The products P_n(x, y) = prod_{j<n} (x - y q^j) are read through one
+capped read, `_prefix_value`: `qpoch` serves (a;q)_n = P_n(1, a), and
+`families.cauchy_P` the Cauchy polynomials, from a prefix table that holds
+P_0..P_m and is extended only when a larger n is asked for.  An extension
+steps on ints, one factor at a time, and takes no gcd of two large integers
+(`_times`).  A table counts its leading entries within the bit-length cap as
+it makes them, so each is checked once, and an entry past the cap is
+checked, and raises, on every read, whatever x is.  The same store keeps
+the q-binomial rows [n 0..n]_q, each divided once from the (q;q) table.
+Entries live as long as the process; when a new one is about to be made and
+the charge (stored bits plus a fixed overhead per rational) is past the
+budget, all are dropped.  So the store passes its budget only by the
 growth of the entries in use since the last new one, which the CLI's
 `MAX_DEGREE` and `MAX_ORDER` bound.  The store cannot change a result: each
 entry is the exact value the plain loop forms.
 
 A finite sum over k fetches its rows once, at its top, and reads [n k]_q,
-(a;q)_k and P_{n-k} by index (`_qbinom_reader`, `_qpoch_reader`,
-`_prefix_row`).  A fetch never raises.  A row that holds an entry the sum
-could not read without an error is not handed out: the sum then reads
-`qbinom` or `qpoch` per k, so each error is raised at the same k, with the
-same message, as by a sum that reads every factor afresh.
+(a;q)_k and P_{n-k} by index (`_qbinom_reader`, `_prefix_reader`).  A fetch
+never raises.  A row that holds an entry the sum could not read without an
+error is not handed out: the sum then reads `qbinom` or `_prefix_value` per
+k, so each error is raised at the same k, with the same message, as by a sum
+that reads every factor afresh.
 
 Where (c;q)_n vanishes is decided by one walk, `vanishing_index`: the least
 m with c q^m = 1, on int pairs.  The samplers' rejection rule
@@ -121,7 +121,8 @@ def max_deviation(pairs: Iterable[tuple[Rat, Rat]]) -> Rat:
 #: The store of exact prefix tables and q-binomial rows.  A prefix table is
 #: [[P_0, ..., P_m], y q^m, c]: the products of `_prefix_table`, the next
 #: factor's y q^m, and the count c of leading entries within the cap of
-#: `check_magnitude`, kept by `_prefix_table` as it appends.  Its key is
+#: `check_magnitude`, kept by `_prefix_table` as it appends; `_prefix_value`
+#: returns those unchecked and checks the rest, for every x.  Its key is
 #: (y.numerator, y.denominator, q.numerator, q.denominator), then
 #: (x.numerator, x.denominator) when x != 1, so (a;q)_n = P_n(1, a) keeps the
 #: key of (a, q); it also fits int arguments and hashes faster than a
@@ -195,25 +196,41 @@ def _prefix_table(x: Rat, y: Rat, q: Rat, n: int) -> list:
     return table
 
 
-def _prefix_row(x: Rat, y: Rat, q: Rat, n: int) -> list[Rat]:
-    """[P_0(x, y), ..., P_n(x, y)] and maybe more, for a sum to read by
-    index.  Cauchy products are not capped, so the row is always whole."""
-    return _prefix_table(x, y, q, n)[0]
+def _prefix_value(x: Rat, y: Rat, q: Rat, n: int) -> Rat:
+    """P_n(x, y) = prod_{j<n} (x - y q^j), read from or added to its prefix
+    table.  An entry under the table's checked count is returned as it is,
+    and any other is checked on every read, so neither the value nor an
+    overflow depends on what the tables hold."""
+    table = _prefix_table(x, y, q, n)
+    value = table[0][n]
+    return value if n < table[2] else check_magnitude(value)
+
+
+def _prefix_reader(x: Rat, y: Rat, q: Rat, n: int) -> Callable[[int], Rat]:
+    """k -> P_k(x, y) for 0 <= k <= n, fetched once by a sum over k.
+
+    It is the table's own list when the checked count covers P_0..P_n, and
+    `_prefix_value` per k otherwise, so an entry past the cap raises at the k
+    where the sum reads it, after every factor read before it.  The fetch
+    itself never raises.  It extends the table one entry at a time while the
+    count covers the whole table, so it forms no entry past the first that
+    would raise.
+    """
+    table = _prefix_table(x, y, q, 0)
+    values = table[0]
+    while table[2] == len(values) <= n:
+        _prefix_table(x, y, q, len(values))
+    if table[2] > n:
+        return values.__getitem__
+    return lambda k: _prefix_value(x, y, q, k)
 
 
 def qpoch(a: Rat, q: Rat, n: int) -> Rat:
-    """Finite q-shifted factorial (a;q)_n = prod_{k<n} (1 - a q^k).
-
-    This is P_n(1, a), read from or added to the prefix table of (a, q).  An
-    entry under the table's checked count is returned as it is, and any other
-    is checked on every read, so neither the value nor an overflow depends on
-    what the tables hold.
-    """
+    """Finite q-shifted factorial (a;q)_n = prod_{k<n} (1 - a q^k), which is
+    P_n(1, a) (`_prefix_value`)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    table = _prefix_table(1, a, q, n)
-    value = table[0][n]
-    return value if n < table[2] else check_magnitude(value)
+    return _prefix_value(1, a, q, n)
 
 
 def vanishing_index(c: Rat, q: Rat, limit: int) -> int | None:
@@ -234,25 +251,6 @@ def vanishing_index(c: Rat, q: Rat, limit: int) -> int | None:
             return None
         num, den = num * nq, den * dq
     return None
-
-
-def _qpoch_reader(a: Rat, q: Rat, n: int) -> Callable[[int], Rat]:
-    """k -> (a;q)_k for 0 <= k <= n, fetched once by a sum over k.
-
-    It is the table's own list when the checked count covers
-    (a;q)_0..(a;q)_n, and `qpoch` per k otherwise, so an entry past the cap
-    raises at the k where the sum reads it, after every factor read before
-    it.  The fetch itself never raises.  It extends the table one entry at a
-    time while the count covers the whole table, so it forms no entry past
-    the first that would raise.
-    """
-    table = _prefix_table(1, a, q, 0)
-    values = table[0]
-    while table[2] == len(values) <= n:
-        _prefix_table(1, a, q, len(values))
-    if table[2] > n:
-        return values.__getitem__
-    return lambda k: qpoch(a, q, k)
 
 
 def _sum_of_products(terms: Iterable[tuple]) -> Rat:

@@ -22,7 +22,7 @@ from math import gcd
 from operator import mul
 
 from .families import cauchy_P
-from .scalars import Rat, _qpoch_reader, binom2, check_magnitude, max_deviation
+from .scalars import Rat, _prefix_reader, binom2, check_magnitude, max_deviation
 
 
 class TruncSeries:
@@ -160,9 +160,11 @@ def max_abs_deviation(f: TruncSeries, g: TruncSeries) -> Rat:
 
 def q_exp_series(f, q: Rat, order: int) -> TruncSeries:
     """sum_n f(n) t^n / (q;q)_n, truncated at t^order; (q;q)_n is read from
-    the row fetched once, after f(n), as a read per n would be."""
-    qq = _qpoch_reader(q, q, order)
-    return TruncSeries([f(n) / qq(n) for n in range(order + 1)])
+    the row fetched once, after f(n), as a read per n would be.  Each
+    coefficient is checked against the bit cap as it is formed, so a series
+    past the cap stops at its first such coefficient."""
+    qq = _prefix_reader(1, q, q, order)
+    return TruncSeries([check_magnitude(f(n) / qq(n)) for n in range(order + 1)])
 
 
 def euler_product_series(c: Rat, q: Rat, order: int) -> TruncSeries:

@@ -24,14 +24,14 @@ trial reports as errored.  An outer term is a tuple of its exact factors
 as `qpow(x, -1)`), ending in the one ball it meets, if any; the arguments
 that stay fixed over a sum are formed once, before it.  The kernel multiplies
 the factors' numerators and denominators as ints and rounds the term into its
-ball once, with no gcd.  The rphis coefficients c_k = `phi_term(k, pv, q, 1)` come
-from one `phi_row` per parameter vector and trial, each stepped from the last
-by the exact term ratio, and each term c_k z^k goes into its ball straight
-from its unreduced integer quotient.  A ball's radius covers every rounding,
-the tails of the (c;q)_inf products and the tails of the rphis sums, so each
-ball holds the true value of its part.  It does not cover the truncation of
-the outer sums, whose terms decay and then regrow for the asymptotic series:
-those keep the two-small-terms rule.  A numeric pass therefore says that the
+ball once, with no gcd.  The rphis coefficients c_k, the terms of rphis at
+z = 1, come from one `phi_row` per parameter vector and trial, each stepped
+from the last by the exact term ratio, and each term c_k z^k goes into its
+ball straight from its unreduced integer quotient.  A ball's radius covers
+every rounding, the tails of the (c;q)_inf products and the tails of the
+rphis sums, so each ball holds the true value of its part.  It does not
+cover the truncation of the outer sums, whose terms decay and then regrow
+for the asymptotic series: those keep the two-small-terms rule.  A numeric pass therefore says that the
 upper bound on |lhs - rhs| is at most tol times the lower bound of the scale,
 up to that outer truncation: B - 16 bits relative for B >= 56, and 40 bits
 below that.  Every exact value is checked against the fixed `MAX_SCALAR_BITS`;

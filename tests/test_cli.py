@@ -270,6 +270,19 @@ HUGE_EXPANDS = [
     ["expand", "euler-inv", "--c", "1e18900", "--order", "64", "--q", "1/2"],
 ]
 
+#: Sums that read P_{n-k}(x, y) or Euler coefficients past the cap at a huge
+#: x; each once ran for seconds or past 30 s, or printed 150 KB and more
+HUGE_SUMS = [
+    ["expand", "gf-psi-lhs", "--x", "1e18900", "--y", "2", "--z", "1", "--order", "64",
+     "--q", "1/2"],
+    ["expand", "gf-psi-rhs", "--x", "1e18900", "--y", "2", "--z", "1", "--order", "64",
+     "--q", "1/2"],
+    ["eval", "V", "--n", "30", "--q", "1/2", "--x", "1e5000", "--y", "2", "--z", "1",
+     "--a", "1/3", "--b", "1/5"],
+    ["eval", "Psi", "--n", "30", "--q", "1/2", "--x", "1e5000", "--y", "2", "--z", "1",
+     "--a", "1/3", "--b", "1/5"],
+]
+
 #: (label, argv, environment, exit code) of inputs that once ended in a
 #: traceback or a silent value
 CLI_EDGE_CASES = [
@@ -323,6 +336,8 @@ CLI_EDGE_CASES = [
      {}, EXIT_USAGE),
     ("q-past-the-cap", ["eval", "P", "--n", "3", *PQ, "--q=1/" + "9" * 20000], {}, EXIT_USAGE),
     *[(f"expand-{argv[1]}-1e18900", argv, {}, EXIT_USAGE) for argv in HUGE_EXPANDS],
+    *[(f"{argv[0]}-{argv[1]}-{argv[argv.index('--x') + 1]}", argv, {}, EXIT_USAGE)
+      for argv in HUGE_SUMS],
 ]
 
 
@@ -378,6 +393,18 @@ def test_expand_refuses_a_product_past_the_bit_cap_before_forming_it(capsys):
                 assert out == "" and err.count("\n") == 1
                 assert err.startswith(f"error: t^64 of {argv[1]} may need ")
                 assert err.endswith("past the cap of 65536\n")
+
+
+def test_a_sum_past_the_cap_stops_at_its_first_such_factor(capsys):
+    """Every P_{n-k}(x, y) a sum reads, and every Euler coefficient of a
+    series, is checked against the cap where it is formed, so each of these
+    exits 2 with one line within a second."""
+    for argv in HUGE_SUMS:
+        start = time.perf_counter()
+        code, out, err = run(argv, capsys)
+        assert time.perf_counter() - start < 1, argv
+        assert (code, out) == (EXIT_USAGE, "") and err.count("\n") == 1, argv
+        assert err.startswith("error: rational exceeds 65536 bits "), argv
 
 
 def test_each_subcommand_reads_its_choices_and_flags_from_one_table():
@@ -476,13 +503,10 @@ def test_every_module_level_function_is_read_exported_or_a_suite():
     """The orphaned-function check: every function defined at module level in
     the package is read somewhere in it (as a name or an attribute), is in
     `qhyper.__all__`, or is registered by `@suite`; and every name in
-    `qhyper.__all__` is read somewhere in the package.  The exceptions are
-    `phi_term`, the plain defining product of an rPhis term, which only the
-    tests read: it is the reference that `hyper.phi_row` is tested against;
-    and the export `qpoch_inf`, which only the benchmark's tests read."""
+    `qhyper.__all__` is read somewhere in the package.  The exception is the
+    export `qpoch_inf`, which only the benchmark's tests read."""
     import qhyper
 
-    exceptions = {"phi_term"}
     unread_exports = {"qpoch_inf"}
     trees = {
         path.name: ast.parse(path.read_text())
@@ -505,7 +529,7 @@ def test_every_module_level_function_is_read_exported_or_a_suite():
         for name, tree in trees.items()
         for node in tree.body
         if isinstance(node, ast.FunctionDef)
-        and node.name not in read | set(qhyper.__all__) | exceptions
+        and node.name not in read | set(qhyper.__all__)
         and not is_suite(node)
     ]
     assert orphans == []

@@ -158,10 +158,10 @@ def test_v_poly_n1():
 # -- Psi_n swept by n ---------------------------------------------------------
 
 
-def summed_psi(pt, pv, q, bracket_exponent=None):
+def summed_psi(pt, pv, q):
     """Psi_n from its defining sum, every term formed afresh."""
     n, x, y, z = pt.n, pt.x, pt.y, pt.z
-    e = pv.bracket_exponent if bracket_exponent is None else bracket_exponent
+    e = pv.bracket_exponent
     acc = F(0)
     for k in range(n + 1):
         acc += (
@@ -185,18 +185,18 @@ def outcome(fn, *args):
 def test_psi_sweep_equals_the_defining_sum_in_any_order():
     q = F(2, 5)
     cases = [
-        (F(1, 2), F(-1, 3), F(2), ParamVector((F(1, 3),), (F(1, 5),)), None),
-        (F(3), F(2, 7), F(-5, 4), ParamVector((F(1, 3), F(-2), F(3, 4)), ()), None),  # r > s+1
-        (F(1, 2), F(2), F(0), ParamVector((F(1, 3),), (F(-1, 5), F(2, 3))), None),  # z = 0
-        (F(-1, 2), F(3, 5), F(7, 3), ParamVector((F(1, 4),), (F(1, 6),)), 3),
-        (F(-1, 2), F(3, 5), F(7, 3), ParamVector((F(1, 4),), (F(1, 6),)), -2),
+        (F(1, 2), F(-1, 3), F(2), ParamVector((F(1, 3),), (F(1, 5),))),
+        (F(3), F(2, 7), F(-5, 4), ParamVector((F(1, 3), F(-2), F(3, 4)), ())),  # r > s+1
+        (F(1, 2), F(2), F(0), ParamVector((F(1, 3),), (F(-1, 5), F(2, 3)))),  # z = 0
+        # bracket exponents 3 and -2, from zero parameters: (0;q)_k = 1
+        (F(-1, 2), F(3, 5), F(7, 3), ParamVector((F(1, 4),), (F(1, 6), F(0), F(0)))),
+        (F(-1, 2), F(3, 5), F(7, 3), ParamVector((F(1, 4), F(0), F(0), F(0)), (F(1, 6),))),
     ]
-    for x, y, z, pv, e in cases:
-        psi = psi_sweep(x, y, z, pv, q, e)
+    for x, y, z, pv in cases:
+        psi = psi_sweep(x, y, z, pv, q)
         for n in (5, 2, 7, 0, 7, 1, 9):
-            assert psi(n) == summed_psi(FamilyPoint(x, y, z, n), pv, q, e)
-            if e is None:
-                assert psi_general(FamilyPoint(x, y, z, n), pv, q) == psi(n)
+            assert psi(n) == summed_psi(FamilyPoint(x, y, z, n), pv, q)
+            assert psi_general(FamilyPoint(x, y, z, n), pv, q) == psi(n)
     assert psi_sweep(F(2), F(5), F(-3), ParamVector(), q)(0) == 1
 
 

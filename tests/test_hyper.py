@@ -11,11 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhyper import hyper
-from qhyper.families import ParamVector, VanishingPochhammerError
+from qhyper.families import ParamVector, VanishingPochhammerError, W_coeff, bracket_factor
 from qhyper.hyper import (
     DivergentSeriesError,
     phi_row,
-    phi_term,
     rphis_ball,
     rphis_series_in_t,
     rphis_terminating,
@@ -29,16 +28,22 @@ def mid(ball):
     return F(ball.mid, 1 << ball.prec)
 
 
+def phi_term(k, pv, q, z):
+    """Term k of rPhis[a; b; q; z], W_k z^k / (q;q)_k times the bracket power,
+    as the plain defining product: the reference `phi_row` is tested against."""
+    return W_coeff(k, pv, q) * z**k / qpoch(q, q, k) * bracket_factor(k, q, pv.bracket_exponent)
+
+
 def test_phi_term_k0_is_one():
     pv = ParamVector((F(1, 2),), (F(1, 3),))
-    assert phi_term(0, pv, F(1, 2), F(7)) == 1
+    assert phi_term(0, pv, F(1, 2), F(7)) == phi_row(pv, F(1, 2), F(7))(0) == 1
 
 
 def test_phi_term_sign_bracket():
     # r = s: exponent 1, term 1 carries a factor -z
     pv = ParamVector((F(0),), (F(0),))
     q = F(1, 2)
-    assert phi_term(1, pv, q, F(1, 3)) == -F(1, 3) / qpoch(q, q, 1)
+    assert phi_term(1, pv, q, F(1, 3)) == phi_row(pv, q, F(1, 3))(1) == -F(1, 3) / qpoch(q, q, 1)
 
 
 def row_outcomes(fn, kmax):

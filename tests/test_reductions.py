@@ -72,9 +72,9 @@ def test_sampler_deterministic():
     )
 
 
-def per_n_psi(x, y, z, pv, q, bracket_exponent=None):
+def per_n_psi(x, y, z, pv, q):
     """The reading's Psi_n from one `psi_sweep` per n."""
-    return lambda n: psi_sweep(x, y, z, pv, q, bracket_exponent)(n)
+    return lambda n: psi_sweep(x, y, z, pv, q)(n)
 
 
 def outcome(item, sample, q, n_max):

@@ -594,29 +594,35 @@ def test_qpoch_overflow_verdict_does_not_depend_on_the_table(empty_tables):
 
 def test_checked_count_stops_at_the_first_entry_past_the_cap(empty_tables):
     """With q = 2^-600 and a = q^-16, (a;q)_k passes the cap for k <= 9,
-    is past it for 10 <= k <= 16 and is 0 from k = 17 on.  The checked count
-    stops at 10; every read at or past it is checked again, so an over-cap
-    entry raises on every read and a 0 after it is returned.  A reader that
-    reaches past the count is `qpoch` per k; one that does not is the
-    table's own list."""
+    is past it for 10 <= k <= 16 and is 0 from k = 17 on, and so is
+    P_k(x, x a) = x^k (a;q)_k at x = 2/3.  A reader made on an empty store
+    forms entries up to the first past the cap, and the checked count stops
+    there, at 10; every read at or past it is checked again, so an over-cap
+    entry raises on every read, through `qpoch` and `cauchy_P` alike, and a 0
+    after it is returned.  A reader that reaches past the count is
+    `_prefix_value` per k; one that does not is the table's own list."""
     q = F(1, 1 << 600)
     a = q**-16
-    assert qpoch(a, q, 20) == 0
-    table = scalars._QPOCH_TABLES[table_key(1, a, q)]
-    assert table[2] == 10
-    assert_checked_counts_stop_at_the_cap()
-    for _ in range(2):
-        with pytest.raises(ScalarOverflowError):
-            qpoch(a, q, 12)
-        assert qpoch(a, q, 9) == plain_qpoch(a, q, 9) and qpoch(a, q, 17) == 0
-    assert table[2] == 10
-    whole = scalars._qpoch_reader(a, q, 9)
-    assert whole.__self__ is table[0]
-    partial = scalars._qpoch_reader(a, q, 20)
-    assert getattr(partial, "__self__", None) is not table[0]
-    assert [partial(k) for k in (0, 9, 17, 20)] == [qpoch(a, q, k) for k in (0, 9, 17, 20)]
-    with pytest.raises(ScalarOverflowError):
-        partial(10)
+    for x, read in ((1, lambda k: qpoch(a, q, k)),
+                    (F(2, 3), lambda k: families.cauchy_P(k, F(2, 3), F(2, 3) * a, q))):
+        y = x * a
+        partial = scalars._prefix_reader(x, y, q, 20)
+        table = scalars._QPOCH_TABLES[table_key(x, y, q)]
+        assert (len(table[0]), table[2]) == (11, 10)
+        assert read(20) == 0
+        assert table[2] == 10
+        assert_checked_counts_stop_at_the_cap()
+        for _ in range(2):
+            with pytest.raises(ScalarOverflowError):
+                read(12)
+            assert read(9) == plain_cauchy_P(9, x, y, q) and read(17) == 0
+        assert table[2] == 10
+        assert scalars._prefix_reader(x, y, q, 9).__self__ is table[0]
+        assert getattr(partial, "__self__", None) is not table[0]
+        assert [partial(k) for k in (0, 9, 17, 20)] == [read(k) for k in (0, 9, 17, 20)]
+        for k in (10, 16):
+            with pytest.raises(ScalarOverflowError):
+                partial(k)
 
 
 def test_asc_psi_keeps_its_tables_at_full_length(empty_tables):

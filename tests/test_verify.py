@@ -558,7 +558,7 @@ def test_lemma1_c_forms_each_operator_coefficient_and_j_term_once(monkeypatch):
 
     recording(operators, "phi_row")
     recording(hyper, "check_magnitude")
-    recording(hyper, "W_coeff")
+    recording(families, "W_coeff")
     recording(verify, "qpoch_poly_series")
     recording(verify, "rphis_series_in_t")
     N = 12
