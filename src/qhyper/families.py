@@ -9,11 +9,12 @@ defining sum, and hands the terms to `scalars._sum_of_products`.  Every
 (a;q)_k and P_{n-k} is capped, whatever its x.  A row that would hold an
 entry past the bit cap is read per k instead, so every error is raised at
 the same (n, k), with the same message, as by a sum that forms each factor
-afresh.  `psi_sweep` reads [n k]_q through `qbinom` per k.  The sums of
-W_k = (a_1..a_r;q)_k / (b_1..b_s;q)_k (`psi_sweep`, `sa_phi`, `sa_psi`,
-`v_poly`) read it from `_W_row`, which steps it by one small-integer ratio
-per k while no (c;q)_k can pass the bit cap, and reads `W_coeff` past that
-bound.
+afresh.  `psi_sweep` reads [n k]_q through `qbinom` per k and the others
+through `_qbinom_reader`: both read the one row of `scalars._qbinom_row`.
+The sums of W_k = (a_1..a_r;q)_k / (b_1..b_s;q)_k (`psi_sweep`, `sa_phi`,
+`sa_psi`, `v_poly`) read it from `_W_row`, which steps it by one
+small-integer ratio per k while no (c;q)_k can pass the bit cap, and reads
+`W_coeff` past that.
 """
 
 from __future__ import annotations
@@ -180,7 +181,7 @@ def psi_sweep(x: Rat, y: Rat, z: Rat, pv: ParamVector, q: Rat) -> Callable[[int]
     [n k]_q, so an error of W_k is raised at the same (n, k) as by a sum
     that forms every term afresh.
     Each Psi_n reads P_0..P_n(y, x), capped, from the reader fetched at its
-    top, and [n k]_q through `qbinom` per k.
+    top, and [n k]_q through `qbinom` per k, from the one row of its n.
     """
     e = pv.bracket_exponent
     W = _W_row(pv, q)

@@ -22,10 +22,10 @@ from .series import TruncSeries
 class CauchyPoly:
     """Finite linear combination sum_m c_m P_m(y,x) with exact coefficients.
 
-    Supports the linear operations the operator calculus needs.  A general
-    product of two basis elements is not itself a basis element, and nothing
-    in this library requires re-expanding one, so multiplication is only
-    defined against scalars.
+    Supports the linear operations the operator calculus needs: sums and
+    multiples by a scalar.  A general product of two basis elements is not
+    itself a basis element, and nothing in this library requires
+    re-expanding one, so multiplication is only defined against scalars.
     """
 
     __slots__ = ("coeffs",)
@@ -48,14 +48,6 @@ class CauchyPoly:
         for m, c in other.coeffs.items():
             out[m] = out.get(m, Fraction(0)) + c
         return CauchyPoly(out)
-
-    def __sub__(self, other):
-        if not isinstance(other, CauchyPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return CauchyPoly({m: -c for m, c in self.coeffs.items()})
 
     def __mul__(self, scalar):
         if isinstance(scalar, CauchyPoly):

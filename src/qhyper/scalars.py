@@ -13,14 +13,14 @@ P_0..P_m and is extended only when a larger n is asked for.  An extension
 steps on ints, one factor at a time, and takes no gcd of two large integers
 (`_times`).  A table counts its leading entries within the bit-length cap as
 it makes them, so each is checked once, and an entry past the cap is
-checked, and raises, on every read, whatever x is.  The same store keeps
-the q-binomial rows [n 0..n]_q, each divided once from the (q;q) table.
-Entries live as long as the process; when a new one is about to be made and
-the charge (stored bits plus a fixed overhead per rational) is past the
-budget, all are dropped.  So the store passes its budget only by the
-growth of the entries in use since the last new one, which the CLI's
-`MAX_DEGREE` and `MAX_ORDER` bound.  The store cannot change a result: each
-entry is the exact value the plain loop forms.
+checked, and raises, on every read, whatever x is.  The q-binomial rows
+[n 0..n]_q are formed in one place, `_qbinom_row`, and live on the (q;q)
+table of q.  Tables live as long as the process; when a new one is about
+to be made and the charge (stored bits plus a fixed overhead per rational)
+is past the budget, all are dropped, rows with their table.  So the store
+passes its budget only by the growth of the tables in use since the last
+new one, which the CLI's `MAX_DEGREE` and `MAX_ORDER` bound.  The store
+cannot change a result: each entry is the exact value the plain loop forms.
 
 A finite sum over k fetches its rows once, at its top, and reads [n k]_q,
 (a;q)_k and P_{n-k} by index (`_qbinom_reader`, `_prefix_reader`).  A fetch
@@ -118,18 +118,18 @@ def max_deviation(pairs: Iterable[tuple[Rat, Rat]]) -> Rat:
     return max((abs(lhs - rhs) for lhs, rhs in pairs), default=Fraction(0))
 
 
-#: The store of exact prefix tables and q-binomial rows.  A prefix table is
-#: [[P_0, ..., P_m], y q^m, c]: the products of `_prefix_table`, the next
-#: factor's y q^m, and the count c of leading entries within the cap of
-#: `check_magnitude`, kept by `_prefix_table` as it appends; `_prefix_value`
-#: returns those unchecked and checks the rest, for every x.  Its key is
-#: (y.numerator, y.denominator, q.numerator, q.denominator), then
+#: The store of exact prefix tables.  A prefix table is
+#: [[P_0, ..., P_m], y q^m, c, rows]: the products of `_prefix_table`, the
+#: next factor's y q^m, the count c of leading entries within the cap of
+#: `check_magnitude`, kept by `_prefix_table` as it appends (`_prefix_value`
+#: checks only the rest), and the dict n -> [[n 0]_q, ..., [n n]_q] of
+#: `_qbinom_row`, None until it puts a row on the (q;q) table of q.  Its key
+#: is (y.numerator, y.denominator, q.numerator, q.denominator), then
 #: (x.numerator, x.denominator) when x != 1, so (a;q)_n = P_n(1, a) keeps the
 #: key of (a, q); it also fits int arguments and hashes faster than a
-#: Fraction.  A q-binomial row is [[[n 0]_q, ..., [n n]_q], None, n + 1] under
-#: the key (n, q.numerator, q.denominator).  `_qpoch_bits` charges every
-#: stored rational its numerator and denominator bits plus
-#: `_QPOCH_ENTRY_BITS` of object overhead.
+#: Fraction.  `_qpoch_bits` charges every stored rational, q-binomial rows
+#: included, its numerator and denominator bits plus `_QPOCH_ENTRY_BITS` of
+#: object overhead.
 _QPOCH_TABLES: dict[tuple[int, ...], list] = {}
 _QPOCH_BUDGET_BITS = 1 << 22
 _QPOCH_ENTRY_BITS = 1024
@@ -173,7 +173,7 @@ def _prefix_table(x: Rat, y: Rat, q: Rat, n: int) -> list:
     table = _QPOCH_TABLES.get(key)
     if table is None:
         one = Fraction(1)
-        table = _store(key, [[one], y, 1], _charge(one) + _charge(y))
+        table = _store(key, [[one], y, 1, None], _charge(one) + _charge(y))
     values = table[0]
     if n >= len(values):
         last, yq, checked = values[-1], table[1], table[2]
@@ -544,57 +544,63 @@ def qpoch_inf_ball(a: Rat, q: Rat, eps: Rat) -> Ball:
     return Ball(mid, rad - (-bound * 2 * abs(num) * dq // (den * gap)), p)
 
 
-def _quotient(top: Rat, low: Rat, high: Rat) -> Rat:
-    """top / (low high) for (q;q)_n over (q;q)_k (q;q)_{n-k}, by exact
-    integer division; see `qbinom`."""
-    return _coprime_fraction(
-        top.numerator // (low.numerator * high.numerator),
-        top.denominator // (low.denominator * high.denominator),
-    )
+def _qbinom_row(n: int, q: Rat) -> list:
+    """[[n 0]_q, ..., [n n]_q] for (q;q)_n != 0, by the ratio step of
+    `qbinom`; kept on the (q;q) table of q, charged and dropped with it."""
+    global _qpoch_bits
+    table = _prefix_table(1, q, q, n)
+    rows = table[3] = table[3] or {}
+    if n not in rows:
+        a, b, N = q.numerator, q.denominator, 1
+        rows[n] = row = []
+        for k in range(n):
+            row.append(_coprime_fraction(N, b ** (k * (n - k))))
+            N = N * (b ** (n - k) - a ** (n - k)) // (b ** (k + 1) - a ** (k + 1))
+        row.append(_coprime_fraction(N, 1))
+        _qpoch_bits += sum(map(_charge, row))
+    return rows[n]
 
 
 def _qbinom_reader(n: int, q: Rat) -> Callable[[int], Rat]:
     """k -> [n k]_q for 0 <= k <= n, fetched once by a sum over k.
 
-    It reads the row [[n 0]_q, ..., [n n]_q] that the store keeps under the
-    key (n, q.numerator, q.denominator).  The row is formed on first use, by
-    the division of `qbinom` for each k, only when the (q;q) table's checked
-    count covers (q;q)_0..(q;q)_n and (q;q)_n is not 0, so that no entry
-    would raise.  Otherwise the reader is `qbinom` per k, which raises at
-    the k where the sum reads it.  The fetch itself never raises.
+    It is the list of `_qbinom_row` when the (q;q) table's checked count
+    covers (q;q)_0..(q;q)_n and (q;q)_n is not 0, so that no read would
+    raise.  Otherwise the reader is `qbinom` per k, which raises at the k
+    where the sum reads it.  The fetch itself never raises.
     """
-    key = (n, q.numerator, q.denominator)
-    entry = _QPOCH_TABLES.get(key)
-    if entry is None and n >= 0:
+    if n >= 0:
         table = _prefix_table(1, q, q, n)
-        qq = table[0]
-        if table[2] > n and qq[n] != 0:
-            row = [_quotient(qq[n], qq[k], qq[n - k]) for k in range(n + 1)]
-            entry = _store(key, [row, None, n + 1], sum(map(_charge, row)))
-    if entry is not None:
-        return entry[0].__getitem__
+        if table[2] > n and table[0][n] != 0:
+            return _qbinom_row(n, q).__getitem__
     return lambda k: qbinom(n, k, q)
 
 
 def qbinom(n: int, k: int, q: Rat) -> Rat:
     """Gaussian binomial [n k]_q; 0 when k is out of 0..n.
 
-    The value is (q;q)_n / ((q;q)_k (q;q)_{n-k}), formed by exact integer
-    division and no gcd.  With q = a/b reduced, each factor 1 - q^j is
-    (b^j - a^j)/b^j with a numerator prime to b, so (q;q)_m = N_m /
-    b^binom(m+1,2) is already in lowest terms.  [n k]_q is a monic integer
-    polynomial in q of degree k(n-k) (Gasper-Rahman, section 1.3), so
-    b^{k(n-k)} [n k]_q is an integer congruent to a^{k(n-k)} mod b, hence
-    prime to b: the quotient N_n / (N_k N_{n-k}) over b^{k(n-k)} is exact
-    and in lowest terms.  The three symbols are read from the (q;q) table,
-    which checks each against the cap once.
+    It reads (q;q)_k, (q;q)_{n-k} and (q;q)_n, in that order, each checked
+    against the cap, and raises `RootOfUnityError` if one of the first two
+    is 0.  The value is 0 if (q;q)_n is 0, and else entry k of
+    `_qbinom_row`, stepped by [n k+1]_q = [n k]_q (1 - q^{n-k}) / (1 -
+    q^{k+1}) (Gasper-Rahman, section 1.3) on integers: with q = a/b reduced,
+    b > 0, N_k = b^{k(n-k)} [n k]_q steps as N_{k+1} = N_k (b^{n-k} -
+    a^{n-k}) / (b^{k+1} - a^{k+1}), whose divisor (q;q)_n != 0 keeps from 0.
+    [n k]_q is a monic integer polynomial in q of degree k(n-k), so N_k is
+    an integer and the division is exact; N_k is a^{k(n-k)} mod b, so prime
+    to b, and N_k / b^{k(n-k)} is in lowest terms.  (q;q)_m is prod_{j<=m} (b^j - a^j) / b^binom(m+1,2) in lowest
+    terms, and no nonzero b^j - a^j is below 1 in size, so the bit lengths
+    of (q;q)_m do not fall with m: a (q;q)_n within the cap has every
+    (q;q)_m within it, and the whole row can be formed.
     """
     if k < 0 or k > n:
         return Fraction(0)
     low, high = qpoch(q, q, k), qpoch(q, q, n - k)
     if low == 0 or high == 0:
         raise RootOfUnityError(f"(q;q)_k vanished for q = {q}")
-    return _quotient(qpoch(q, q, n), low, high)
+    if qpoch(q, q, n) == 0:
+        return Fraction(0)
+    return _qbinom_row(n, q)[k]
 
 
 def qpoch_shift(a: Rat, q: Rat, n: int) -> tuple[Rat, Rat]:

@@ -238,10 +238,11 @@ def test_asc_and_hahn2_psi_read_one_table(empty_tables):
     for fn, args in ((asc_psi, ()), (hahn2_psi, (F(-2, 5),))):
         empty_tables()
         fn(30, F(5, 7), F(3, 4), *args, F(2, 3))
-        # the q-binomial row of n = 30, the (q;q) table it was divided from
-        # and the (a;1/q) table, each whole
-        tables = scalars._QPOCH_TABLES
-        assert len(tables) <= 3 and all(len(values) == 31 for values, _, _ in tables.values())
+        # the (q;q) table, with the q-binomial row of n = 30 on it, and the
+        # (a;1/q) table, each whole
+        tables, q = scalars._QPOCH_TABLES, F(2, 3)
+        assert len(tables) <= 2 and all(len(values) == 31 for values, _, _, _ in tables.values())
+        assert list(tables[(q.numerator, q.denominator) * 2][3]) == [30]
 
 
 # -- q <-> 1/q symmetries between independent sums ----------------------------

@@ -464,32 +464,38 @@ def _bits(x):
 
 def assert_total_is_the_charge():
     """The running total charges every rational the store holds: the values
-    and next factor of each prefix table, and each q-binomial row's values."""
+    and next factor of each prefix table, and the values of each q-binomial
+    row kept on it."""
     assert scalars._qpoch_bits == sum(
-        sum(map(_bits, values)) + (0 if next_factor is None else _bits(next_factor))
-        for values, next_factor, _ in scalars._QPOCH_TABLES.values()
+        sum(map(_bits, values)) + _bits(next_factor)
+        + sum(sum(map(_bits, row)) for row in (rows or {}).values())
+        for values, next_factor, _, rows in scalars._QPOCH_TABLES.values()
     )
 
 
 def assert_checked_counts_stop_at_the_cap():
     """A prefix table's checked count covers only entries under the cap; a
-    q-binomial row is whole."""
+    q-binomial row is whole, and hangs on a (q;q) table whose checked count
+    covers (q;q)_n."""
     cap = scalars.MAX_SCALAR_BITS
-    for key, (values, next_factor, checked) in scalars._QPOCH_TABLES.items():
+    for key, (values, next_factor, checked, rows) in scalars._QPOCH_TABLES.items():
         assert checked <= len(values)
         assert all(v.numerator.bit_length() <= cap and v.denominator.bit_length() <= cap
                    for v in values[:checked]), key
-        if next_factor is None:
-            assert len(key) == 3 and checked == len(values) == key[0] + 1
+        if rows is not None:
+            assert len(key) == 4 and key[:2] == key[2:] and rows, key
+        for n, row in (rows or {}).items():
+            assert len(row) == n + 1 and checked > n, (key, n)
 
 
 def assert_qbinom_rows_are_the_quotients():
-    """Every q-binomial row in the store equals the Fraction quotients."""
-    rows = [(key, values) for key, (values, _, _) in scalars._QPOCH_TABLES.items() if len(key) == 3]
-    for (n, qn, qd), values in rows:
-        q = F(qn, qd)
-        assert values == [divided_qbinom(n, k, q) for k in range(n + 1)], (n, q)
-        assert all(type(v) is F for v in values)
+    """Every q-binomial row in the store, read from the (q;q) tables, equals
+    the Fraction quotients."""
+    rows = [(n, F(key[2], key[3]), row) for key, (_, _, _, by_n) in scalars._QPOCH_TABLES.items()
+            for n, row in (by_n or {}).items()]
+    for n, q, row in rows:
+        assert row == [divided_qbinom(n, k, q) for k in range(n + 1)], (n, q)
+        assert all(type(v) is F for v in row)
     return len(rows)
 
 
@@ -626,16 +632,19 @@ def test_checked_count_stops_at_the_first_entry_past_the_cap(empty_tables):
 
 
 def test_asc_psi_keeps_its_tables_at_full_length(empty_tables):
-    """At the CLI's largest degree the row [128 k]_q and the (a;1/q) table of
-    asc_psi are each past the budget.  The sum fetches the row, then the
-    table, whose arrival drops the row; the table stays whole, and a second
-    call, which makes the row again, ends with the same store and value."""
+    """At the CLI's largest degree the (q;q) table, with the row [128 k]_q on
+    it, and the (a;1/q) table of asc_psi are each past the budget.  The sum
+    extends the (q;q) table a shorter sum made and hangs the row on it, then
+    fetches the (a;1/q) table, whose arrival drops the (q;q) table together
+    with its row; the (a;1/q) table stays whole, and a second call, which
+    makes the (q;q) table and its row again, ends with the same store and
+    value."""
     q, a, x = F(63, 64), F(5, 7), F(3, 4)
-    families.asc_psi(16, a, x, q)
+    families.asc_psi(16, F(1, 7), x, q)
     value = families.asc_psi(128, a, x, q)
     tables, bits = scalars._QPOCH_TABLES, scalars._qpoch_bits
     assert list(tables) == [table_key(1, a, 1 / q)]
-    assert all(len(values) == 129 for values, _, _ in tables.values())
+    assert all(len(values) == 129 and rows is None for values, _, _, rows in tables.values())
     assert bits > scalars._QPOCH_BUDGET_BITS
     assert_total_is_the_charge()
     assert families.asc_psi(128, a, x, q) == value and scalars._qpoch_bits == bits
@@ -776,13 +785,44 @@ def test_tables_keep_one_rule_over_a_mixed_sweep(empty_tables, watched_tables, m
     rng.shuffle(calls)
     for call in calls:
         call()
-    # psi_general and v_poly read W_k from a row of their own, not from
-    # (a;q) tables, so a last sum forms an (a;q) table and a q-binomial row
-    families.hahn2_phi(5, F(1, 3), F(2, 5), F(-1, 2), F(2, 3))
+    # which kinds of table survive the last clear depends on the shuffle, so
+    # a table past the budget makes the next arrival clear the store, and a
+    # last sum at a new q then forms a (q;q) table with a q-binomial row on
+    # it, an (a;q) table and a Cauchy table
+    qpoch(F(1, 3), F(5, 11), 128)
+    families.gen_hahn(5, F(2, 5), F(-1, 2), F(1, 3), F(3, 4), F(5, 11))
     assert watched_tables
-    assert {len(key) for key in scalars._QPOCH_TABLES} == {3, 4, 6}
+    assert {len(key) for key in scalars._QPOCH_TABLES} == {4, 6}
     assert_checked_counts_stop_at_the_cap()
     assert assert_qbinom_rows_are_the_quotients() > 0
+
+
+def test_each_n_and_q_has_one_qbinom_row(empty_tables, monkeypatch):
+    """psi_general at the CLI's largest degree reads [128 k]_q through
+    `qbinom` per k, while its (q;q) table and the row on it are past the
+    budget.  The row is formed once, no read in the sum evicts it, and every
+    later `qbinom` and `_qbinom_reader` read returns an entry of that one
+    list."""
+    formed, row_of = [], scalars._qbinom_row
+
+    def counted(n, q):
+        row = row_of(n, q)
+        if all(row is not seen for seen in formed):
+            formed.append(row)
+        return row
+
+    monkeypatch.setattr(scalars, "_qbinom_row", counted)
+    q = F(63, 64)
+    pt = families.FamilyPoint(F(3, 4), F(-2, 3), F(1, 5), 128)
+    pv = families.ParamVector((F(2, 3), F(-5, 6)), (F(1, 7),))
+    families.psi_general(pt, pv, q)
+    assert scalars._qpoch_bits > scalars._QPOCH_BUDGET_BITS
+    [row] = formed
+    assert len(row) == 129
+    reader = scalars._qbinom_reader(128, q)
+    for k in range(129):
+        assert qbinom(128, k, q) is row[k] and reader(k) is row[k], k
+    assert formed == [row]
 
 
 # -- q-binomials by exact division ----------------------------------------------
@@ -810,10 +850,18 @@ def test_qbinom_equals_the_fraction_quotient():
                 assert hash(got) == hash(want) and str(got) == str(want)
 
 
-def test_qbinom_at_minus_one_is_a_root_of_unity():
+def test_qbinom_at_minus_one_is_a_root_of_unity(empty_tables):
     with pytest.raises(RootOfUnityError):
         qbinom(4, 2, -1)
     assert qbinom(2, 1, -1) == divided_qbinom(2, 1, -1) == 0  # 1 + q, with (q;q)_2 = 0 on top
+    # the reader's fetch does not raise past a vanishing (q;q)_2, and reads
+    # `qbinom`'s value or error per k; no row is formed
+    read = scalars._qbinom_reader(2, F(-1))
+    assert read(1) == 0
+    for k in (0, 2):
+        with pytest.raises(RootOfUnityError):
+            read(k)
+    assert scalars._QPOCH_TABLES[(-1, 1, -1, 1)][3] is None
 
 
 def overflow_message(fn, *args):
