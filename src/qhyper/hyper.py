@@ -62,7 +62,10 @@ def phi_row(pv: ParamVector, q: Rat, z: Rat):
     A zero 1 - q^{k+1} (q = 1 or -1), or q^k = 0 under a negative exponent,
     divides by zero.  The row never forms (a;q)_k, so the magnitude cap
     applies to each c_k it keeps.  Each c_k is formed once, when first asked
-    for.
+    for.  Besides these sums and the operator series, the weights of the
+    numeric outer sums in `verify` are such rows: a term c_k z^k read at its
+    own z, such as the 0phi0 term (-1)^k q^{binom(k+1,2)} t^k / (q;q)_k at
+    z = q t.
     """
     e = pv.bracket_exponent
     nq, dq = q.numerator, q.denominator
@@ -253,20 +256,20 @@ def _row_balls(row, z: Rat, p: int):
         n, d = n * zn, d * zd
 
 
-def rphis_ball(pv: ParamVector, q: Rat, z: Rat, eps: Rat, row=None) -> Ball:
+def rphis_ball(pv: ParamVector, q: Rat, z: Rat, eps: Rat, row) -> Ball:
     """rPhis[a; b; q; z] as a ball at precision `ball_precision(eps)`.
 
     Term k is c_k z^k, c_k read from `row`, the function k -> c_k of
-    `phi_row(pv, q, 1)`.  A caller that sums one pv at many z passes one row
-    for all of them (a numeric trial does); without one, the sum makes its
-    own.  Each term is rounded into its ball by `_row_balls`.  A terminating
-    series is summed to its last nonzero term.  Otherwise, with r <= s+1,
+    `phi_row(pv, q, 1)`, so a caller that sums one pv at many z passes one
+    row for all of them (a numeric trial does).  Each term is rounded into
+    its ball by `_row_balls`.  A terminating series is summed to its last
+    nonzero term.  Otherwise, with r <= s+1,
     |z| < 1 when r = s+1, and 0 < |q| < 1, `_sum_ball` sums it with the ratio
     bound `_ratio_bounds(pv, q, z)`, made once for the sum and read at rising
     k, so the ball holds the partial sum and the true value.
     """
     p = ball_precision(eps)
-    terms = _row_balls(row or phi_row(pv, q, 1), z, p)
+    terms = _row_balls(row, z, p)
     n = terminating_index(pv, q)
     if n is not None:
         return sum(islice(terms, n + 1), Ball(0, 0, p))

@@ -15,7 +15,7 @@ from typing import Callable
 
 from .families import ParamVector, cauchy_P
 from .hyper import phi_row
-from .scalars import Rat, _prefix_reader, qpoch
+from .scalars import Rat, _prefix_reader, _sum_of_products, qpoch
 from .series import TruncSeries
 
 
@@ -69,10 +69,7 @@ class CauchyPoly:
 
     def evaluate(self, x0: Rat, y0: Rat, q: Rat) -> Rat:
         """Evaluate at rational (x0, y0); basis element m is P_m(y0, x0)."""
-        return sum(
-            (c * cauchy_P(m, y0, x0, q) for m, c in self.coeffs.items()),
-            Fraction(0),
-        )
+        return _sum_of_products((c, cauchy_P(m, y0, x0, q)) for m, c in self.coeffs.items())
 
     def __repr__(self):
         return f"CauchyPoly({self.coeffs!r})"
@@ -86,10 +83,8 @@ def theta_basis(f: CauchyPoly, k: int, q: Rat) -> CauchyPoly:
     out: dict[int, Rat] = {}
     qq = _prefix_reader(1, q, q, f.degree)
     for m, c in f.coeffs.items():
-        if m < k:
-            continue
-        factor = (-1) ** k * qq(m) / qq(m - k)
-        out[m - k] = out.get(m - k, Fraction(0)) + c * factor
+        if m >= k:
+            out[m - k] = c * ((-1) ** k * qq(m) / qq(m - k))
     return CauchyPoly(out)
 
 

@@ -19,15 +19,20 @@ A numeric trial reads its primitives through one `_Trial(q, eps)`: the
 once per trial and shared by the cross-checks, and the outer sums
 (`truncated_sum`), which run the kernel of `rphis_ball`, `hyper._sum_ball`,
 without its ratio bound, and raise the same `DivergentSeriesError`, which a
-trial reports as errored.  An outer term is a tuple of its exact factors
-(psi_n^{(a)} from its recurrence, `qpoch`, `psi_sweep`, q-powers, a divisor
-as `qpow(x, -1)`), ending in the one ball it meets, if any; the arguments
-that stay fixed over a sum are formed once, before it.  The kernel multiplies
-the factors' numerators and denominators as ints and rounds the term into its
-ball once, with no gcd.  The rphis coefficients c_k, the terms of rphis at
-z = 1, come from one `phi_row` per parameter vector and trial, each stepped
-from the last by the exact term ratio, and each term c_k z^k goes into its
-ball straight from its unreduced integer quotient.  A ball's radius covers
+trial reports as errored.  An outer term is a tuple of its exact factors,
+ending in the one ball it meets, if any.  Its weight, where that is one
+hypergeometric term, is read from one `phi_row` made for the sum (the 0phi0
+term of the bilinear left sides, the 2phi2 term of Theorem 3's right side),
+and a quotient of Pochhammer products from one `families._W_row`; the other
+factors are psi_n^{(a)} from its recurrence, `psi_sweep`, and, in Theorem 2
+and in Theorem 4's B(n), `qpoch` values, q-powers and divisors as
+`qpow(x, -1)`.  The kernel multiplies the factors' numerators and
+denominators as ints and rounds the term into its ball once, with no gcd,
+so a reduced and an unreduced product give the same ball.  The rphis
+coefficients c_k, the terms of rphis at z = 1, come from one `phi_row` per
+parameter vector and trial, each stepped from the last by the exact term
+ratio, and each term c_k z^k goes into its ball straight from its unreduced
+integer quotient.  A ball's radius covers
 every rounding, the tails of the (c;q)_inf products and the tails of the
 rphis sums, so each ball holds the true value of its part.  It does not
 cover the truncation of the outer sums, whose terms decay and then regrow
@@ -68,6 +73,7 @@ from typing import Callable
 from . import reductions
 from .families import (
     ParamVector,
+    _W_row,
     asc_phi,
     cao_phi3,
     cao_psi3,
@@ -97,6 +103,7 @@ from .scalars import (
     Ball,
     Rat,
     ScalarOverflowError,
+    _sum_of_products,
     binom2,
     max_deviation,
     qpoch,
@@ -529,7 +536,7 @@ def run_lemma1_c(rng, config):
     for k in range(4):
         lhs = TruncSeries(
             [
-                sum((c * image[m] for m, c in f.coeffs.items()), Fraction(0))
+                _sum_of_products((c, image[m]) for m, c in f.coeffs.items())
                 for f in shifted_cauchy_series(k, N, q).coeffs
             ]
         ).shift(k)
@@ -677,7 +684,8 @@ class _Trial:
     (a, x), so the sums of one trial share each psi_n.  sum(term, kmin) is
     `truncated_sum` at eps, the same kernel without a ratio bound: its ball
     holds the partial sum, not the dropped terms; a term may be a tuple of
-    exact factors that ends in a ball (`_sum_ball`).
+    exact factors, such as a read of the sum's own weight row (`phi_row` or
+    `_W_row`), that ends in a ball, such as a phi value (`_sum_ball`).
 
     The primitives are looked up in this module when called, so a wrapper
     installed on it sees every call; the memos close over locals, not over
@@ -770,6 +778,10 @@ def run_thm2(rng, config):
     pref = trial.quotient((x * omega,), (t / omega, y * omega))
     yw, qwt, xw, zw = y * omega, q * omega / t, x * omega, z * omega
 
+    # One factor per Pochhammer symbol, not one `_W_row` for the quotient: a
+    # W row changes which exact value reaches the 2^16-bit cap first, and so
+    # the errored row of trial 6 at --trials 10 --seed 42 --epsilon-bits 512
+    # ("num 65632b / den 65632b" became "num 65703b / den 65393b").
     def rhs_term(k):
         qk = q**k
         return (
@@ -801,13 +813,10 @@ def run_lemma2_psi(rng, config):
     s = resample(rng, draw, ok)
     q, alpha, x, lam, t = s["q"], s["alpha"], s["x"], s["lam"], s["t"]
     trial = _Trial(q, config.eps)
-    psi = trial.psi(alpha, x)
-    inv_lam, ltq = 1 / lam, lam * t * q
-
-    def lhs_term(n):
-        return psi(n), qpoch(inv_lam, q, n), ltq**n, qpow(qpoch(q, q, n), -1)
-
-    lhs = trial.sum(lhs_term)
+    psi, inv_lam = trial.psi(alpha, x), 1 / lam
+    # the weight of n is term n of the 1phi0 [1/lam; -; q; lam t q]
+    weight = phi_row(ParamVector((inv_lam,), ()), q, lam * t * q)
+    lhs = trial.sum(lambda n: (psi(n), weight(n)))
     pv = ParamVector((inv_lam, 1 / (alpha * x)), (1 / (lam * x * t),))
     rhs = trial.pinf(x * t * q) / trial.pinf(lam * x * t * q) * trial.phi(pv, alpha * q)
     return [_numeric_result("lemma2-psi", lhs, rhs)]
@@ -815,35 +824,26 @@ def run_lemma2_psi(rng, config):
 
 def _bilinear_lhs(trial, alpha, x, t, other):
     """sum_n psi_n^{(alpha)}(x) other(n) (-1)^n q^{binom(n+1,2)} t^n / (q;q)_n,
-    the left side of the bilinear theorem, of its corollary and of (5.2)."""
+    the left side of the bilinear theorem, of its corollary and of (5.2); the
+    weight of n is term n of the 0phi0 at q t."""
     q, psi = trial.q, trial.psi(alpha, x)
-    return trial.sum(
-        lambda n: (psi(n), other(n), (-1) ** n, q ** binom2(n + 1), t**n, qpow(qpoch(q, q, n), -1))
-    )
+    weight = phi_row(ParamVector(), q, q * t)
+    return trial.sum(lambda n: (psi(n), other(n), weight(n)))
 
 
 def _thm3_rhs(trial, alpha, x, u, v, z, t, pv):
-    """Right side of the bilinear theorem, whose rphis has parameters pv."""
+    """Right side of the bilinear theorem, whose rphis has parameters pv: its
+    prefactor times the sum over n of term n of the 2phi2 [1/(alpha x),
+    1/(u x t); q/x, 1/(v x t); q; alpha u q / v] times rphis(pv; x z t q^{1-n})."""
     q = trial.q
     pref = trial.quotient((q / x, u * x * t * q), (alpha * q, v * x * t * q))
-    # the n-sum's upper (a1, a2) and lower (b1, b2) Pochhammer arguments
-    a1, a2, b1, b2 = 1 / (alpha * x), 1 / (u * x * t), q / x, 1 / (v * x * t)
-    c, xzt = alpha * u * q / v, x * z * t
-
-    def term(n):
-        return (
-            (-1) ** n,
-            q ** binom2(n),
-            qpoch(a1, q, n),
-            qpoch(a2, q, n),
-            qpow(qpoch(b1, q, n), -1),
-            qpow(qpoch(b2, q, n), -1),
-            qpow(qpoch(q, q, n), -1),
-            c**n,
-            trial.phi(pv, xzt * qpow(q, 1 - n)),
-        )
-
-    return pref * trial.sum(term)
+    weight = phi_row(
+        ParamVector((1 / (alpha * x), 1 / (u * x * t)), (q / x, 1 / (v * x * t))),
+        q,
+        alpha * u * q / v,
+    )
+    xzt = x * z * t
+    return pref * trial.sum(lambda n: (weight(n), trial.phi(pv, xzt * qpow(q, 1 - n))))
 
 
 @suite("thm3-bilinear", "numeric")
@@ -940,10 +940,12 @@ def run_thm4(rng, config):
     u, v = Fraction(1), lam
     psi = trial.psi(alpha, x)
 
-    qt, inv_ax, aq, xzt = q * t, 1 / (alpha * x), alpha * q, x * z * t
+    inv_ax, aq, xzt = 1 / (alpha * x), alpha * q, x * z * t
+    # (q t)^n / (q;q)_n, term n of the 1phi0 [0; -; q; q t]
+    weight = phi_row(ParamVector((0,), ()), q, q * t)
 
     def A(n):
-        return psi(n), qt**n, qpow(qpoch(q, q, n), -1)
+        return psi(n), weight(n)
 
     @functools.cache
     def B(n):
@@ -962,16 +964,11 @@ def run_thm4(rng, config):
 
     xut, xvt = x * u * t, x * v * t
     # (x u t q^{1-n};q)_inf / (x v t q^{1-n};q)_inf = base * ratio(n), where
-    # ratio(n) steps up exactly from 1 by (c;q)_inf = (1 - c) (cq;q)_inf: the
-    # radius of base then widens each sum once, not each of its terms
+    # ratio(n) = (x u t;1/q)_n / (x v t;1/q)_n is exact, by (c;q)_inf =
+    # (1 - c) (cq;q)_inf: the radius of base then widens each sum once, not
+    # each of its terms
     base = trial.pinf(xut * q) / trial.pinf(xvt * q)
-    ratios = [Fraction(1)]
-
-    def ratio(n):
-        while len(ratios) <= n:
-            p = qpow(q, 1 - len(ratios))
-            ratios.append(ratios[-1] * (1 - xut * p) / (1 - xvt * p))
-        return ratios[n]
+    ratio = _W_row(ParamVector((xut,), (xvt,)), 1 / q)
 
     # (5.1): the A/B relationship itself
     lhs1 = trial.sum(lambda n: A(n) + (cauchy_P(n, v, u, q),))

@@ -318,8 +318,11 @@ def test_each_product_and_phi_is_computed_once_per_trial(monkeypatch, suite_id):
 def test_each_rphis_coefficient_is_formed_once_per_trial(monkeypatch, suite_id):
     """A trial keeps one coefficient row per parameter vector: every rphis it
     sums, at whatever argument, reads c_k from that trial's phi_row(pv, q, 1),
-    which forms each c_k once, and rphis_ball makes no row of its own."""
-    made = []
+    which forms each c_k once, and rphis_ball makes no row of its own.  The
+    other rows, at z != 1, are the weights of the outer sums, one per sum:
+    the bilinear left side, Theorem 3's right side (in cor1 its
+    cross-check) and, in thm4, A(n)."""
+    made, weights = [], 3 if suite_id == "thm4-transform" else 2
     original = verify.phi_row
 
     def record(pv, q, z):
@@ -336,7 +339,9 @@ def test_each_rphis_coefficient_is_formed_once_per_trial(monkeypatch, suite_id):
         rows = run_suite(suite_id, RunConfig(trials=1, seed=seed))
         assert all(r.passed for r in rows)
         assert made and len(made) == len(set(made)), seed
-        assert {z for *_, z in made} == {1}
+        rphis_rows = [pv for pv, _, z in made if z == 1]
+        assert rphis_rows and len(rphis_rows) == len(set(rphis_rows)), seed
+        assert len(made) - len(rphis_rows) == weights, seed
 
 
 def test_cor1_cross_check_is_given_the_bilinear_prefactor(monkeypatch):
@@ -581,11 +586,13 @@ def test_numeric_samplers_rule_out_every_zero_divisor(monkeypatch, suite_id):
     """Every divisor a numeric trial reaches is a factor its sampler declares
     to `avoiding`, is q, or is a lower parameter of a `rand_pv` (|b| < 1): the
     c of each (c;q)_n that `qpow` raises to -1, of each (c;q)_inf ball that a
-    ball is divided by, and each lower parameter of a `phi_row`.  Each declared
-    factor is reached too, but for thm4's numerator 1/(x t).  No declared c
-    reaches |q|^-121 in 200 samples, so `vanishes`' walk to m = 120 leaves no
-    larger m."""
-    declared, reached, balls, last_qpoch = [], set(), {}, [None, None]
+    ball is divided by, and each lower parameter of a `phi_row`.  A lower
+    parameter c of a `_W_row` at base 1/q reaches 1/c, as (c;1/q)_n = 0
+    exactly when 1/c = q^{-m}; thm4's ratio of (c;q)_inf products is such a
+    row.  Each declared factor is reached too, but for thm4's numerator
+    1/(x t).  No declared c reaches |q|^-121 in 200 samples, so `vanishes`'
+    walk to m = 120 leaves no larger m."""
+    declared, reached, balls, last_qpoch, w_rows = [], set(), {}, [None, None], []
     resample, qpoch, qpow = verify.resample, verify.qpoch, verify.qpow
 
     def first_sample(rng, draw, ok):
@@ -599,6 +606,7 @@ def test_numeric_samplers_rule_out_every_zero_divisor(monkeypatch, suite_id):
     for s, factors in declared:
         assert all(abs(c * s["q"] ** 121) < 1 for c in factors(**s)), s
     qpoch_inf_ball, phi_row, divide = verify.qpoch_inf_ball, verify.phi_row, scalars.Ball.__truediv__
+    W_row = verify._W_row
 
     def spy_resample(rng, draw, ok):
         sample = resample(rng, draw, ok)
@@ -628,15 +636,28 @@ def test_numeric_samplers_rule_out_every_zero_divisor(monkeypatch, suite_id):
         reached.update(pv.lower)
         return phi_row(pv, q, z)
 
+    def spy_W_row(pv, base):
+        w_rows.append((pv, base))
+        return W_row(pv, base)
+
     for name, spy in [("resample", spy_resample), ("qpoch", spy_qpoch), ("qpow", spy_qpow),
-                      ("qpoch_inf_ball", spy_qpoch_inf_ball), ("phi_row", spy_phi_row)]:
+                      ("qpoch_inf_ball", spy_qpoch_inf_ball), ("phi_row", spy_phi_row),
+                      ("_W_row", spy_W_row)]:
         monkeypatch.setattr(verify, name, spy)
     monkeypatch.setattr(scalars.Ball, "__truediv__", spy_divide)
     for seed in range(3):
         declared.clear()
         reached.clear()
+        w_rows.clear()
         assert all(r.passed for r in run_suite(suite_id, RunConfig(trials=1, seed=seed)))
         ((s, factors),) = declared
+        w_reached = set()
+        for pv, base in w_rows:
+            assert base == 1 / s["q"], (seed, base)
+            w_reached.update(1 / c for c in pv.lower)
+        assert w_reached <= factors, (seed, s)
+        assert bool(w_reached) == (suite_id == "thm4-transform"), (seed, s)
+        reached |= w_reached
         lower = set(s["pv"].lower) if "pv" in s else set()
         assert all(abs(b) < 1 for b in lower)
         assert reached - factors - lower - {s["q"]} == set(), (seed, s)
@@ -695,15 +716,34 @@ def test_rogers_szego_recurrence_equals_the_defining_sum(q):
     "suite_id", ["lemma2-psi", "thm3-bilinear", "cor1-bilinear-hahn", "thm4-transform"]
 )
 def test_a_zero_divisor_qpoch_still_ends_as_the_errored_row(monkeypatch, suite_id):
-    """With (q;q)_2 patched to 0, the outer sum's divisor 1/(q;q)_2 raises
+    """A zero divisor in an outer sum's weight raises
     ZeroDivisionError('Fraction(1, 0)'), as 1 / Fraction(0) does, and the
-    trial becomes the same errored row."""
-    real = verify.qpoch
+    trial becomes the same errored row.  thm4's B(n) divides by (q;q)_2,
+    patched to 0; the other suites read their weights from a `phi_row` at
+    z != 1, whose coefficient 2 is patched to raise."""
+    if suite_id == "thm4-transform":
+        real = verify.qpoch
 
-    def qpoch(a, q, n):
-        return F(0) if a == q and n == 2 else real(a, q, n)
+        def qpoch(a, q, n):
+            return F(0) if a == q and n == 2 else real(a, q, n)
 
-    monkeypatch.setattr(verify, "qpoch", qpoch)
+        monkeypatch.setattr(verify, "qpoch", qpoch)
+    else:
+        real = verify.phi_row
+
+        def phi_row(pv, q, z):
+            row = real(pv, q, z)
+            if z == 1:
+                return row
+
+            def weight(k):
+                if k == 2:
+                    raise ZeroDivisionError("Fraction(1, 0)")
+                return row(k)
+
+            return weight
+
+        monkeypatch.setattr(verify, "phi_row", phi_row)
     (row,) = verify.run_suite(suite_id, RunConfig(trials=1, seed=3, epsilon_bits=80))
     assert (row.passed, row.deviation, row.notes) == (False, None, "errored: Fraction(1, 0)")
 
